@@ -25,7 +25,7 @@
 //!   `OpenOptions::`, `TcpStream::`, `save_to_path`, `remove_file`,
 //!   `set_len`) are findings — an fsync under a lock stalls every peer;
 //! * a second acquisition must follow the declared lock-order table
-//!   ([`LOCK_ORDER`]); any undeclared pair — including re-acquiring the
+//!   (`LOCK_ORDER`); any undeclared pair — including re-acquiring the
 //!   same lock, the self-deadlock — is a finding;
 //! * `publish(`/`respond(` calls are findings unless every live guard
 //!   is the ingest lock (publication is *defined* to run under the

@@ -11,7 +11,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use tsss_core::{CostLimit, EngineConfig, SearchEngine, SearchOptions};
+use tsss_core::{EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss_data::{MarketConfig, MarketSimulator};
 use tsss_dft::{fft_real, FeatureExtractor};
 use tsss_geometry::line::{lld, Line};
@@ -143,14 +143,18 @@ fn bench_end_to_end() {
 
     bench("end_to_end/indexed_search", 20, || {
         engine
-            .search(&query, eps, SearchOptions::default())
+            .execute(
+                &query,
+                Query::Range { epsilon: eps },
+                SearchOptions::default(),
+            )
             .unwrap()
             .matches
             .len()
     });
     bench("end_to_end/sequential_scan", 5, || {
         engine
-            .sequential_search(&query, eps, CostLimit::UNLIMITED)
+            .sequential_search(&query, eps, SearchOptions::default())
             .unwrap()
             .matches
             .len()

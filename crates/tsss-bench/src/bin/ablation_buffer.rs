@@ -12,7 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-use tsss_core::{EngineConfig, SearchEngine, SearchOptions};
+use tsss_core::{EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss_data::{MarketConfig, MarketSimulator, QueryWorkload, WorkloadConfig};
 
 fn main() {
@@ -55,7 +55,11 @@ fn main() {
         // One warm batch: the pool persists across queries.
         for q in &workload.queries {
             let _ = engine
-                .search(&q.values, eps, SearchOptions::default())
+                .execute(
+                    &q.values,
+                    Query::Range { epsilon: eps },
+                    SearchOptions::default(),
+                )
                 .unwrap();
         }
         let stats = engine.index_stats();

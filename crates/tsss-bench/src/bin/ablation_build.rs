@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use tsss_bench::{median_window_fluctuation, Method};
-use tsss_core::{BuildMethod, EngineConfig, SearchEngine, SearchOptions};
+use tsss_core::{BuildMethod, EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss_data::{MarketConfig, MarketSimulator, QueryWorkload, WorkloadConfig};
 
 fn main() {
@@ -67,7 +67,11 @@ fn main() {
             let mut pages = 0.0;
             for q in &workload.queries {
                 let r = engine
-                    .search(&q.values, eps, SearchOptions::default())
+                    .execute(
+                        &q.values,
+                        Query::Range { epsilon: eps },
+                        SearchOptions::default(),
+                    )
                     .unwrap();
                 pages += r.stats.total_pages() as f64;
             }

@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use tsss_bench::{median_window_fluctuation, Method};
-use tsss_core::{EngineConfig, SearchEngine, SearchOptions};
+use tsss_core::{EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss_data::{MarketConfig, MarketSimulator, QueryWorkload, WorkloadConfig};
 use tsss_index::Node;
 
@@ -82,7 +82,11 @@ fn main() {
         let mut cpu = 0.0;
         for q in &workload.queries {
             let r = engine
-                .search(&q.values, eps, SearchOptions::default())
+                .execute(
+                    &q.values,
+                    Query::Range { epsilon: eps },
+                    SearchOptions::default(),
+                )
                 .unwrap();
             pages += r.stats.total_pages() as f64;
             cpu += r.stats.elapsed.as_secs_f64() * 1e6;

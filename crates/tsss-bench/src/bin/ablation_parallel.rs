@@ -2,7 +2,7 @@
 //! the paper).
 //!
 //! The paper's experiments run 100 queries serially and report per-query
-//! averages. `SearchEngine::search_batch` answers the same batch on N
+//! averages. `SearchEngine::execute_batch` answers the same batch on N
 //! worker threads over one shared engine; this sweep measures the batch
 //! wall-clock speedup from 1 worker up to the machine's parallelism and
 //! asserts the invariant that makes the parallel numbers citable: the

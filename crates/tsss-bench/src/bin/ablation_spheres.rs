@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 
 use tsss_bench::{Harness, Method};
-use tsss_core::SearchOptions;
+use tsss_core::{Query, SearchOptions};
 use tsss_geometry::penetration::{PenetrationMethod, SphereStats};
 
 fn main() {
@@ -78,9 +78,9 @@ fn main() {
         for q in &queries {
             let r = h
                 .engine
-                .search(
+                .execute(
                     q,
-                    eps,
+                    Query::Range { epsilon: eps },
                     SearchOptions {
                         method: PenetrationMethod::BoundingSpheres,
                         ..Default::default()

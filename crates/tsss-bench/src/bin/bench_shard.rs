@@ -17,7 +17,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use tsss_bench::Harness;
-use tsss_core::{EngineConfig, SearchOptions, ShardedEngine};
+use tsss_core::{EngineConfig, Query, SearchOptions, ShardedEngine};
 
 fn main() {
     // Moderate scale (~46k values): large enough that per-shard tree
@@ -84,7 +84,7 @@ fn direct_iter(h: &Harness, epsilon: f64) -> usize {
     for q in &h.queries {
         let res = h
             .engine
-            .search(q, epsilon, SearchOptions::default())
+            .execute(q, Query::Range { epsilon }, SearchOptions::default())
             .expect("bench search must succeed");
         verified += usize::try_from(res.stats.verified).unwrap_or(usize::MAX);
     }
@@ -96,7 +96,7 @@ fn sharded_iter(sh: &ShardedEngine, queries: &[Vec<f64>], epsilon: f64) -> usize
     let mut verified = 0;
     for q in queries {
         let res = sh
-            .search(q, epsilon, SearchOptions::default())
+            .execute(q, Query::Range { epsilon }, SearchOptions::default())
             .expect("bench search must succeed");
         assert_eq!(res.stats.degraded_shards, 0, "healthy bench shards");
         verified += usize::try_from(res.stats.verified).unwrap_or(usize::MAX);

@@ -26,7 +26,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use tsss_core::{CostLimit, EngineConfig, SearchEngine, SearchOptions};
+use tsss_core::{EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss_data::{MarketConfig, MarketSimulator, QueryWorkload, Series, WorkloadConfig};
 use tsss_geometry::penetration::PenetrationMethod;
 
@@ -212,20 +212,21 @@ impl Harness {
         let n = self.queries.len() as f64;
         for q in &self.queries {
             self.engine.clear_caches().expect("healthy store");
+            let range = Query::Range { epsilon };
             let result = match method {
                 Method::Sequential => self
                     .engine
-                    .sequential_search(q, epsilon, CostLimit::UNLIMITED)
+                    .sequential_search(q, epsilon, SearchOptions::default())
                     .expect("valid query"),
                 Method::TreeEnteringExiting => self
                     .engine
-                    .search(q, epsilon, SearchOptions::default())
+                    .execute(q, range, SearchOptions::default())
                     .expect("valid query"),
                 Method::TreeBoundingSpheres => self
                     .engine
-                    .search(
+                    .execute(
                         q,
-                        epsilon,
+                        range,
                         SearchOptions {
                             method: PenetrationMethod::BoundingSpheres,
                             ..Default::default()
@@ -261,7 +262,7 @@ impl Harness {
     }
 
     /// Runs the set-2 tree method over the whole query batch with
-    /// [`SearchEngine::search_batch`] on `workers` threads, returning the
+    /// [`SearchEngine::execute_batch`] on `workers` threads, returning the
     /// averaged cell plus the batch wall-clock time.
     ///
     /// Page counts are the same logical (unbuffered) accesses `run_method`
@@ -270,9 +271,16 @@ impl Harness {
     pub fn run_tree_batch(&self, epsilon: f64, workers: usize) -> (Cell, std::time::Duration) {
         self.engine.clear_caches().expect("healthy store");
         let t0 = Instant::now();
-        let results = self
+        let results: Vec<_> = self
             .engine
-            .search_batch(&self.queries, epsilon, SearchOptions::default(), workers)
+            .execute_batch(
+                &self.queries,
+                Query::Range { epsilon },
+                SearchOptions::default(),
+                workers,
+            )
+            .into_iter()
+            .collect::<Result<_, _>>()
             .expect("valid queries");
         let wall = t0.elapsed();
         let n = results.len() as f64;

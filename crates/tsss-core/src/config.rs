@@ -204,7 +204,7 @@ impl CostLimit {
     }
 }
 
-/// What [`crate::SearchEngine::search`] does when the index turns out to be
+/// What a [`crate::Query::Range`] does when the index turns out to be
 /// corrupt mid-query (a page fails its checksum, a node does not decode, an
 /// entry points at data that does not exist).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -267,7 +267,9 @@ pub struct SearchOptions {
     /// traversal would visit page `budget + 1` it aborts with
     /// [`crate::EngineError::PageBudgetExceeded`] — a hard error, never
     /// degraded around (the budget bounds total work; the sequential
-    /// fallback reads the whole file). `None` means unlimited.
+    /// fallback reads the whole file). A long query spends one budget
+    /// across its pieces; the k-NN frontier checks it once per round and
+    /// once at the end. `None` means unlimited.
     pub page_budget: Option<u64>,
     /// What to do when index corruption is detected mid-query.
     pub degradation: DegradationPolicy,

@@ -14,6 +14,7 @@ use crate::config::{EngineConfig, SearchOptions};
 use crate::datafile::PagedSeriesStore;
 use crate::error::EngineError;
 use crate::id::SubseqId;
+use crate::pipeline::{IndexProbe, PieceStitchSource, Query, QueryPlan};
 use crate::recovery::{BreakerState, CircuitBreaker, HealthReport, RepairReport};
 use crate::result::SearchResult;
 use crate::window::window_offsets;
@@ -25,7 +26,7 @@ use crate::window::window_offsets;
 /// plus the SE + DFT feature pipeline (Theorems 2–3 machinery).
 ///
 /// ```
-/// use tsss_core::{EngineConfig, SearchEngine, SearchOptions};
+/// use tsss_core::{EngineConfig, Query, SearchEngine, SearchOptions};
 /// use tsss_data::Series;
 ///
 /// let wave: Vec<f64> = (0..64).map(|i| (i as f64 * 0.4).sin() * 5.0 + 20.0).collect();
@@ -34,7 +35,8 @@ use crate::window::window_offsets;
 ///
 /// // A scaled + shifted copy of days 10..26 finds its source.
 /// let query: Vec<f64> = wave[10..26].iter().map(|v| 3.0 * v - 7.0).collect();
-/// let hits = engine.search(&query, 1e-6, SearchOptions::default()).unwrap();
+/// let range = Query::Range { epsilon: 1e-6 };
+/// let hits = engine.execute(&query, range, SearchOptions::default()).unwrap();
 /// assert_eq!(hits.matches[0].id.offset, 10);
 /// ```
 #[derive(Debug)]
@@ -476,40 +478,104 @@ impl SearchEngine {
     // Search (the paper's §6 searching + post-processing steps)
     // ------------------------------------------------------------------
 
-    /// Finds every indexed subsequence `S'` with `Q ~ε S'`, reporting the
-    /// optimal `(a, b)` and exact distance per match, sorted by ascending
-    /// distance.
+    /// Answers `query` over the query values — the one way to run a
+    /// query. The engine-independent [`Query`] is bound to this engine as
+    /// a [`QueryPlan`] (all input validation happens there) and run
+    /// through the staged pipeline ([`crate::pipeline`]):
     ///
-    /// Takes `&self`: the whole read path is thread-safe, and the per-query
-    /// page counts in [`crate::result::SearchStats`] are exact even when other queries run
-    /// concurrently (see [`SearchEngine::search_batch`]).
+    /// * [`Query::Range`] — the paper's §6 algorithm: probe the R-tree
+    ///   with the query's SE-line, then verify every survivor's optimal
+    ///   `(a, b)` and exact distance;
+    /// * [`Query::Nearest`] — the filter-and-refine k-NN frontier
+    ///   ([`crate::nn`]);
+    /// * [`Query::ZNormalized`] — the same probe at the radius the
+    ///   z-normalised plan derives, verified by z-distance
+    ///   ([`crate::normalized`]);
+    /// * [`Query::Long`] — per-piece probes intersected, verified at full
+    ///   length ([`crate::longquery`]).
     ///
-    /// When corruption is detected mid-query (a page fails its checksum, a
-    /// node does not decode, an index entry points at data that does not
-    /// exist), the behaviour follows `opts.degradation`: by default the
-    /// query is re-answered by the exact sequential scan and the result is
-    /// flagged [`crate::result::SearchStats::degraded`]; under
+    /// Matches are sorted by [`crate::SubsequenceMatch::ordering`]
+    /// (ascending distance). Takes `&self`: the whole read path is
+    /// thread-safe, and the per-query page counts in
+    /// [`crate::result::SearchStats`] are exact even when other queries run
+    /// concurrently (see [`SearchEngine::execute_batch`]).
+    ///
+    /// When corruption is detected mid-way through a [`Query::Range`] (a
+    /// page fails its checksum, a node does not decode, an index entry
+    /// points at data that does not exist), the behaviour follows
+    /// `opts.degradation`: by default the query is re-answered by the exact
+    /// sequential scan and the result is flagged
+    /// [`crate::result::SearchStats::degraded`]; under
     /// [`crate::DegradationPolicy::Error`] the typed error surfaces instead
     /// (still feeding the breaker and quarantine), and under
     /// [`crate::DegradationPolicy::Strict`] it surfaces without touching
-    /// either. A [`EngineError::PageBudgetExceeded`] or
+    /// either. The other modes always surface corruption as the typed
+    /// error. A [`EngineError::PageBudgetExceeded`] or
     /// [`EngineError::DeadlineExceeded`] abort is always a hard error —
     /// both bound total work, which the full-file fallback would not.
     ///
-    /// Repeated corrupt probes trip the engine's circuit breaker (see
-    /// [`crate::recovery`]): once open, fallback-policy queries skip the
-    /// doomed probe and go straight to the scan until a half-open probe or
-    /// a [`SearchEngine::repair`] proves the index healthy again.
+    /// Repeated corrupt range probes trip the engine's circuit breaker
+    /// (see [`crate::recovery`]): once open, fallback-policy range queries
+    /// skip the doomed probe and go straight to the scan until a half-open
+    /// probe or a [`SearchEngine::repair`] proves the index healthy again.
     ///
     /// # Errors
-    /// [`EngineError::QueryLength`] or [`EngineError::InvalidEpsilon`] on
-    /// malformed input; [`EngineError::PageBudgetExceeded`] when
+    /// [`EngineError::QueryLength`], [`EngineError::QueryTooShort`],
+    /// [`EngineError::InvalidEpsilon`] or [`EngineError::LongQueryStride`]
+    /// on malformed input; [`EngineError::PageBudgetExceeded`] when
     /// `opts.page_budget` runs out; [`EngineError::DeadlineExceeded`] when
     /// `opts.deadline` fires; [`EngineError::Corrupt`] on detected
-    /// corruption under [`crate::DegradationPolicy::Error`] /
-    /// [`crate::DegradationPolicy::Strict`], or when the fallback scan
+    /// corruption that is not degraded around, or when the fallback scan
     /// itself hits corrupt data pages.
+    pub fn execute(
+        &self,
+        values: &[f64],
+        query: Query,
+        opts: SearchOptions,
+    ) -> Result<SearchResult, EngineError> {
+        match query {
+            Query::Range { epsilon } => self.range_search(values, epsilon, opts),
+            Query::Nearest { k } => self.knn_search(values, k, opts),
+            Query::ZNormalized { z_eps } => {
+                let plan = QueryPlan::znormalized(self, values, z_eps, opts)?;
+                self.run_pipeline(&plan, &IndexProbe)
+            }
+            Query::Long { epsilon } => {
+                let plan = QueryPlan::long(self, values, epsilon, opts)?;
+                self.run_pipeline(&plan, &PieceStitchSource)
+            }
+        }
+    }
+
+    /// [`SearchEngine::execute`] of a [`Query::Range`].
+    ///
+    /// # Errors
+    /// As [`SearchEngine::execute`].
     pub fn search(
+        &self,
+        query: &[f64],
+        epsilon: f64,
+        opts: SearchOptions,
+    ) -> Result<SearchResult, EngineError> {
+        self.execute(query, Query::Range { epsilon }, opts)
+    }
+
+    /// [`SearchEngine::execute`] of a [`Query::Nearest`].
+    ///
+    /// # Errors
+    /// As [`SearchEngine::execute`].
+    pub fn nearest_search_opts(
+        &self,
+        query: &[f64],
+        k: usize,
+        opts: SearchOptions,
+    ) -> Result<SearchResult, EngineError> {
+        self.execute(query, Query::Nearest { k }, opts)
+    }
+
+    /// A [`Query::Range`]: the indexed composition (plan, R-tree probe,
+    /// verify), degraded around detected corruption per `opts.degradation`.
+    fn range_search(
         &self,
         query: &[f64],
         epsilon: f64,
@@ -518,7 +584,7 @@ impl SearchEngine {
         use crate::config::DegradationPolicy;
         // An open breaker: fallback-policy queries skip the doomed probe.
         if opts.degradation == DegradationPolicy::SeqScanFallback && !self.breaker.allows_probe() {
-            let mut res = self.sequential_search_opts(query, epsilon, opts)?;
+            let mut res = self.sequential_search(query, epsilon, opts)?;
             res.stats.degraded = true;
             res.stats.degraded_reason =
                 Some("circuit breaker open: index probes suspended".to_string());
@@ -526,7 +592,9 @@ impl SearchEngine {
             res.stats.breaker = self.breaker.state();
             return Ok(res);
         }
-        match self.search_indexed(query, epsilon, opts) {
+        let indexed = QueryPlan::exact(self, query, epsilon, opts)
+            .and_then(|plan| self.run_pipeline(&plan, &IndexProbe));
+        match indexed {
             Ok(mut res) => {
                 if opts.degradation != DegradationPolicy::Strict {
                     self.breaker.record_probe_success();
@@ -544,7 +612,7 @@ impl SearchEngine {
                 DegradationPolicy::SeqScanFallback => {
                     self.note_corruption(&e);
                     self.breaker.record_probe_corrupt();
-                    let mut res = self.sequential_search_opts(query, epsilon, opts)?;
+                    let mut res = self.sequential_search(query, epsilon, opts)?;
                     res.stats.degraded = true;
                     res.stats.degraded_reason = Some(e.to_string());
                     self.breaker.record_seqscan_served();
@@ -688,115 +756,72 @@ impl SearchEngine {
         })
     }
 
-    /// The indexed path of [`SearchEngine::search`], with no degradation:
-    /// detected corruption always surfaces as [`EngineError::Corrupt`].
+    /// Answers `query` for each of `queries`, fanning them over `workers`
+    /// scoped threads (capped at the batch size; `0` is treated as `1`,
+    /// which runs serially on the calling thread), and returns every
+    /// query's own outcome in query order: one query exhausting its
+    /// deadline (or hitting corruption under a surfacing policy) does not
+    /// poison the rest of the batch.
     ///
-    /// A thin composition over the staged pipeline (see
-    /// [`crate::pipeline`]): plan the query (validation and the
-    /// constant-query degenerate case live in
-    /// [`crate::pipeline::QueryPlan::exact`]), probe the R-tree
-    /// ([`crate::pipeline::IndexProbe`]), and verify survivors through the
-    /// shared [`crate::pipeline::Verifier`].
-    ///
-    /// # Errors
-    /// As [`SearchEngine::search`] under
-    /// [`crate::DegradationPolicy::Error`].
-    pub fn search_indexed(
-        &self,
-        query: &[f64],
-        epsilon: f64,
-        opts: SearchOptions,
-    ) -> Result<SearchResult, EngineError> {
-        let plan = crate::pipeline::QueryPlan::exact(self, query, epsilon, opts)?;
-        self.run_pipeline(&plan, &crate::pipeline::IndexProbe)
-    }
-
-    /// Answers a batch of queries, fanning them over `workers` scoped
-    /// threads (capped at the batch size; `0` is treated as `1`, which runs
-    /// serially on the calling thread).
-    ///
-    /// Results are returned in query order and are identical to calling
-    /// [`SearchEngine::search`] on each query sequentially — including the
-    /// per-query `index_pages`/`data_pages` counts, which are tallied by
-    /// thread-local scopes and therefore unaffected by interleaving. Summed
-    /// over the batch they equal the global counter increase.
-    ///
-    /// # Errors
-    /// The first per-query error in query order, if any
-    /// ([`EngineError::QueryLength`] / [`EngineError::InvalidEpsilon`] /
-    /// [`EngineError::DeadlineExceeded`]). Use
-    /// [`SearchEngine::search_batch_results`] when one query's failure must
-    /// not discard the others' answers.
-    pub fn search_batch(
+    /// Each outcome is identical to calling [`SearchEngine::execute`] on
+    /// that query alone — including the per-query
+    /// `index_pages`/`data_pages` counts, which are tallied by thread-local
+    /// scopes and therefore unaffected by interleaving. Summed over the
+    /// batch they equal the global counter increase.
+    pub fn execute_batch(
         &self,
         queries: &[Vec<f64>],
-        epsilon: f64,
-        opts: SearchOptions,
-        workers: usize,
-    ) -> Result<Vec<SearchResult>, EngineError> {
-        self.search_batch_results(queries, epsilon, opts, workers)
-            .into_iter()
-            .collect()
-    }
-
-    /// Like [`SearchEngine::search_batch`], but returns every query's
-    /// individual outcome: one query exhausting its deadline (or hitting
-    /// corruption under a surfacing policy) does not poison the rest of
-    /// the batch.
-    pub fn search_batch_results(
-        &self,
-        queries: &[Vec<f64>],
-        epsilon: f64,
+        query: Query,
         opts: SearchOptions,
         workers: usize,
     ) -> Vec<Result<SearchResult, EngineError>> {
-        let workers = workers.max(1).min(queries.len().max(1));
-        if workers == 1 {
-            return queries
-                .iter()
-                .map(|q| self.search(q, epsilon, opts))
-                .collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let merged = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        // Work-stealing by atomic claim: threads grab the
-                        // next unclaimed query index until none remain.
-                        let mut local = Vec::new();
-                        loop {
-                            // Relaxed: the ticket counter only needs each
-                            // claim to be unique; results are published by
-                            // the join below, not by this atomic.
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= queries.len() {
-                                break;
-                            }
-                            // analyze::allow(index): `i` was bounds-checked against `queries.len()` two lines up.
-                            local.push((i, self.search(&queries[i], epsilon, opts)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut merged: Vec<Option<Result<SearchResult, EngineError>>> =
-                (0..queries.len()).map(|_| None).collect();
-            for h in handles {
-                // analyze::allow(panic): a worker panic is a bug, not a runtime condition — re-raising it here preserves the payload instead of silently dropping that worker's queries.
-                for (i, r) in h.join().expect("search worker panicked") {
-                    // analyze::allow(index): `i` is a claimed ticket, bounds-checked by the worker before use.
-                    merged[i] = Some(r);
-                }
-            }
-            merged
-        });
-        merged
-            .into_iter()
-            // analyze::allow(panic): the ticket counter hands every index in 0..len to exactly one worker, so each slot is filled.
-            .map(|r| r.expect("every query index was claimed by a worker"))
-            .collect()
+        work_steal(queries, workers, |q| self.execute(q, query, opts))
     }
+}
+
+/// Maps `f` over `items` on up to `workers` scoped threads and returns the
+/// outcomes in item order — the crate's one thread fan-out, shared by the
+/// batch paths and the sharded scatter. Threads claim the next unclaimed
+/// index off one atomic ticket until none remain. One item or one worker
+/// (`0` counts as one) runs inline on the calling thread, spawning
+/// nothing.
+pub(crate) fn work_steal<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.max(1).min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut claimed: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        // Relaxed: the ticket counter only needs each claim
+                        // to be unique; results are published by the join
+                        // below, not by this atomic.
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        local.push((i, f(item)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        let mut claimed = Vec::with_capacity(items.len());
+        for h in handles {
+            // analyze::allow(panic): a worker panic is a bug, not a runtime condition — re-raising it here preserves the payload instead of silently dropping that worker's items.
+            claimed.extend(h.join().expect("work-stealing worker panicked"));
+        }
+        claimed
+    });
+    // Every index in 0..len was claimed by exactly one worker.
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// SE-transform + optional DFT feature extraction of one window.
@@ -1232,7 +1257,7 @@ mod tests {
         for eps in [0.0, 0.5, 5.0, 50.0] {
             let idx = e.search(&q, eps, SearchOptions::default()).unwrap();
             let seq = e
-                .sequential_search(&q, eps, crate::config::CostLimit::UNLIMITED)
+                .sequential_search(&q, eps, SearchOptions::default())
                 .unwrap();
             assert_eq!(idx.id_set(), seq.id_set(), "eps {eps}");
             for (a, b) in idx.matches.iter().zip(&seq.matches) {
@@ -1261,11 +1286,15 @@ mod tests {
             .map(|q| e.search(q, 2.0, SearchOptions::default()).unwrap())
             .collect();
         for workers in [0, 1, 2, 4, 8, 64] {
-            let batch = e
-                .search_batch(&queries, 2.0, SearchOptions::default(), workers)
-                .unwrap();
+            let batch = e.execute_batch(
+                &queries,
+                Query::Range { epsilon: 2.0 },
+                SearchOptions::default(),
+                workers,
+            );
             assert_eq!(batch.len(), serial.len());
             for (b, s) in batch.iter().zip(&serial) {
+                let b = b.as_ref().unwrap();
                 assert_eq!(b.matches, s.matches, "workers {workers}");
                 assert_eq!(
                     b.stats.index_pages, s.stats.index_pages,
@@ -1284,8 +1313,15 @@ mod tests {
             .map(|i| data[i % 6].window((i * 7) % 30, 16).unwrap().to_vec())
             .collect();
         e.reset_counters();
-        let batch = e
-            .search_batch(&queries, 3.0, SearchOptions::default(), 4)
+        let batch: Vec<SearchResult> = e
+            .execute_batch(
+                &queries,
+                Query::Range { epsilon: 3.0 },
+                SearchOptions::default(),
+                4,
+            )
+            .into_iter()
+            .collect::<Result<_, _>>()
             .unwrap();
         let index_sum: u64 = batch.iter().map(|r| r.stats.index_pages).sum();
         let data_sum: u64 = batch.iter().map(|r| r.stats.data_pages).sum();
@@ -1309,7 +1345,7 @@ mod tests {
         assert!(degraded.stats.degraded_reason.is_some());
         assert_eq!(degraded.id_set(), healthy.id_set());
         let oracle = e
-            .sequential_search(&q, 2.0, crate::config::CostLimit::UNLIMITED)
+            .sequential_search(&q, 2.0, SearchOptions::default())
             .unwrap();
         assert_eq!(degraded.matches, oracle.matches);
         // Under the Error policy the same damage surfaces as a typed error.
@@ -1360,11 +1396,51 @@ mod tests {
     }
 
     #[test]
+    fn zero_page_budget_stops_every_query_mode() {
+        let data = MarketSimulator::new(MarketConfig::small(6, 90, 123)).generate();
+        let e = SearchEngine::build(&data, EngineConfig::small(16)).unwrap();
+        let window = data[2].window(10, 16).unwrap();
+        let long = data[2].window(10, 40).unwrap();
+        let opts = SearchOptions {
+            page_budget: Some(0),
+            ..Default::default()
+        };
+        for (q, query) in [
+            (window, Query::Range { epsilon: 2.0 }),
+            (window, Query::Nearest { k: 5 }),
+            (window, Query::ZNormalized { z_eps: 1.0 }),
+            (long, Query::Long { epsilon: 2.0 }),
+        ] {
+            assert_eq!(
+                e.execute(q, query, opts).unwrap_err(),
+                EngineError::PageBudgetExceeded { budget: 0 },
+                "{query:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn long_query_on_a_coarser_stride_is_a_typed_error() {
+        let data = market(3, 60);
+        let mut cfg = EngineConfig::small(16);
+        cfg.stride = 2;
+        let e = SearchEngine::build(&data, cfg).unwrap();
+        let q = data[1].window(4, 40).unwrap();
+        let long = Query::Long { epsilon: 2.0 };
+        assert_eq!(
+            e.execute(q, long, SearchOptions::default()).unwrap_err(),
+            EngineError::LongQueryStride { stride: 2 }
+        );
+        // Range queries on the same engine are unaffected.
+        assert!(e.search(&q[..16], 2.0, SearchOptions::default()).is_ok());
+    }
+
+    #[test]
     fn injected_read_faults_degrade_exactly_and_never_panic() {
         let (mut e, data) = engine();
         let q = data[1].window(6, 16).unwrap().to_vec();
         let oracle = e
-            .sequential_search(&q, 2.0, crate::config::CostLimit::UNLIMITED)
+            .sequential_search(&q, 2.0, SearchOptions::default())
             .unwrap();
         let counters = e.inject_index_faults(tsss_storage::FaultConfig::read_errors(7, 0.3));
         let mut degraded_seen = false;
@@ -1384,13 +1460,12 @@ mod tests {
             data[0].window(0, 16).unwrap().to_vec(),
             vec![1.0; 8], // wrong length
         ];
-        assert!(matches!(
-            e.search_batch(&queries, 1.0, SearchOptions::default(), 4),
-            Err(EngineError::QueryLength { .. })
-        ));
-        let empty = e
-            .search_batch(&[], 1.0, SearchOptions::default(), 4)
-            .unwrap();
-        assert!(empty.is_empty());
+        let range = Query::Range { epsilon: 1.0 };
+        let results = e.execute_batch(&queries, range, SearchOptions::default(), 4);
+        assert!(results[0].is_ok());
+        assert!(matches!(results[1], Err(EngineError::QueryLength { .. })));
+        assert!(e
+            .execute_batch(&[], range, SearchOptions::default(), 4)
+            .is_empty());
     }
 }

@@ -24,6 +24,13 @@ pub enum EngineError {
     },
     /// The error bound must be non-negative and finite.
     InvalidEpsilon(f64),
+    /// Long queries need an engine built with stride 1: the piece
+    /// decomposition probes every offset, so a coarser grid would miss
+    /// matches.
+    LongQueryStride {
+        /// The engine's stride.
+        stride: usize,
+    },
     /// No series in the data set is at least one window long.
     DatasetTooSmall {
         /// The engine's window length.
@@ -158,6 +165,10 @@ impl fmt::Display for EngineError {
             EngineError::InvalidEpsilon(e) => {
                 write!(f, "error bound must be finite and non-negative, got {e}")
             }
+            EngineError::LongQueryStride { stride } => write!(
+                f,
+                "long queries need an engine built with stride 1, not {stride}"
+            ),
             EngineError::DatasetTooSmall { window_len } => write!(
                 f,
                 "no series is at least one window ({window_len} values) long"
@@ -209,6 +220,10 @@ mod tests {
                 "at least 128",
             ),
             (EngineError::InvalidEpsilon(-1.0), "-1"),
+            (
+                EngineError::LongQueryStride { stride: 2 },
+                "stride 1, not 2",
+            ),
             (EngineError::DatasetTooSmall { window_len: 9 }, "9"),
             (EngineError::UnknownSeries(3), "index 3"),
             (

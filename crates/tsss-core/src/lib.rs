@@ -12,14 +12,17 @@
 //!    §5.1), reduce to `2·f_c` DFT features (§7, \[1, 2\]), and index the
 //!    feature points in a page-based R*-tree. Raw series live in a paged
 //!    data file ([`datafile`]) so verification I/O is accounted exactly.
-//! 2. **Searching** ([`engine::SearchEngine::search`]): map the query onto
-//!    its SE-line, traverse the tree pruning by ε-MBR penetration
-//!    (Theorem 3), and collect candidate subsequences.
+//! 2. **Searching** ([`engine::SearchEngine::execute`] of a
+//!    [`Query::Range`]): map the query onto its SE-line, traverse the tree
+//!    pruning by ε-MBR penetration (Theorem 3), and collect candidate
+//!    subsequences.
 //! 3. **Post-processing**: fetch each candidate's raw window, compute the
 //!    optimal `(a, b)` and exact distance (§5.2), drop false alarms, and
 //!    apply the user's transformation-cost limits.
 //!
-//! Baselines and extensions:
+//! Every query mode is one [`Query`] value run by `execute` — on a
+//! [`SearchEngine`] or a [`ShardedEngine`] alike — through the staged
+//! pipeline in [`pipeline`]. Baselines and extensions:
 //! * [`seqscan`] — the paper's experiment set 1: sequential scan computing
 //!   `LLD` for every window,
 //! * [`nn`] — exact k-nearest-subsequence search (Corollary 1, which the
@@ -65,7 +68,7 @@ pub use engine::SearchEngine;
 pub use error::EngineError;
 pub use id::SubseqId;
 pub use pipeline::{
-    CandidateSource, Candidates, DeadlineMeter, IndexProbe, PieceStitchSource, QueryPlan,
+    CandidateSource, Candidates, DeadlineMeter, IndexProbe, PieceStitchSource, Query, QueryPlan,
     RawAccess, SeqScanLongSource, SeqScanSource, Verifier, VerifyModel,
 };
 pub use recovery::{BreakerState, HealthReport, RepairReport};

@@ -11,45 +11,25 @@
 //! no-false-dismissal guarantee survives the decomposition. False alarms are
 //! removed by verifying the full-length window.
 //!
-//! Requires stride 1 (every offset indexed), which is the paper's setting.
+//! A [`crate::Query::Long`] through [`SearchEngine::execute`] runs a long
+//! plan (verified at full query length) with
+//! [`crate::pipeline::PieceStitchSource`] generating candidates by
+//! per-piece index probes and intersection. It requires stride 1 (every
+//! offset indexed), which is the paper's setting; other engines refuse it
+//! with [`EngineError::LongQueryStride`].
 
 use crate::config::SearchOptions;
 use crate::engine::SearchEngine;
 use crate::error::EngineError;
-use crate::pipeline::{PieceStitchSource, QueryPlan, SeqScanLongSource};
+use crate::pipeline::{QueryPlan, SeqScanLongSource};
 use crate::result::SearchResult;
 
 impl SearchEngine {
-    /// Finds every data subsequence of length `query.len()` similar to the
-    /// (long) query within ε. The query must be at least one window long;
-    /// the engine must have been built with stride 1.
-    ///
-    /// A thin composition over the staged pipeline: a long plan (verified
-    /// at full query length) with [`PieceStitchSource`] generating
-    /// candidates by per-piece index probes and intersection.
-    ///
-    /// # Errors
-    /// [`EngineError::QueryTooShort`] / [`EngineError::InvalidEpsilon`] on
-    /// malformed input.
-    ///
-    /// # Panics
-    /// Panics when the engine's stride is not 1 (the decomposition needs
-    /// every piece offset indexed).
-    pub fn search_long(
-        &self,
-        query: &[f64],
-        epsilon: f64,
-        opts: SearchOptions,
-    ) -> Result<SearchResult, EngineError> {
-        let plan = QueryPlan::long(self, query, epsilon, opts)?;
-        self.run_pipeline(&plan, &PieceStitchSource)
-    }
-
     /// Brute-force oracle for long queries (test/verification facility):
-    /// scans every possible start position, regardless of the stride grid.
+    /// scans every possible start position.
     ///
     /// # Errors
-    /// Same validation as [`SearchEngine::search_long`].
+    /// Same validation as a [`crate::Query::Long`].
     pub fn sequential_search_long(
         &self,
         query: &[f64],
@@ -64,8 +44,13 @@ impl SearchEngine {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::pipeline::Query;
     use tsss_data::{MarketConfig, MarketSimulator, Series};
     use tsss_geometry::scale_shift::ScaleShift;
+
+    fn long(e: &SearchEngine, q: &[f64], epsilon: f64) -> Result<SearchResult, EngineError> {
+        e.execute(q, Query::Long { epsilon }, SearchOptions::default())
+    }
 
     fn engine() -> (SearchEngine, Vec<Series>) {
         let data = MarketSimulator::new(MarketConfig::small(4, 90, 2024)).generate();
@@ -79,7 +64,7 @@ mod tests {
     fn long_query_finds_its_exact_source() {
         let (e, data) = engine();
         let q = data[1].window(10, 40).unwrap().to_vec(); // 2.5 windows
-        let res = e.search_long(&q, 1e-6, SearchOptions::default()).unwrap();
+        let res = long(&e, &q, 1e-6).unwrap();
         assert!(res
             .matches
             .iter()
@@ -91,7 +76,7 @@ mod tests {
         let (e, data) = engine();
         let src = data[3].window(0, 48).unwrap();
         let q = ScaleShift { a: 3.0, b: -12.0 }.apply(src);
-        let res = e.search_long(&q, 1e-5, SearchOptions::default()).unwrap();
+        let res = long(&e, &q, 1e-5).unwrap();
         let hit = res
             .matches
             .iter()
@@ -105,7 +90,7 @@ mod tests {
         let (e, data) = engine();
         let q = data[0].window(20, 35).unwrap().to_vec(); // non-multiple length
         for eps in [0.1, 2.0, 10.0] {
-            let fast = e.search_long(&q, eps, SearchOptions::default()).unwrap();
+            let fast = long(&e, &q, eps).unwrap();
             let brute = e.sequential_search_long(&q, eps).unwrap();
             assert_eq!(fast.id_set(), brute.id_set(), "eps {eps}");
         }
@@ -115,16 +100,16 @@ mod tests {
     fn exact_window_length_degenerates_to_plain_search() {
         let (e, data) = engine();
         let q = data[2].window(7, 16).unwrap().to_vec();
-        let long = e.search_long(&q, 3.0, SearchOptions::default()).unwrap();
+        let stitched = long(&e, &q, 3.0).unwrap();
         let plain = e.search(&q, 3.0, SearchOptions::default()).unwrap();
-        assert_eq!(long.id_set(), plain.id_set());
+        assert_eq!(stitched.id_set(), plain.id_set());
     }
 
     #[test]
     fn too_short_long_query_is_an_error() {
         let (e, _) = engine();
         assert!(matches!(
-            e.search_long(&[0.0; 10], 1.0, SearchOptions::default()),
+            long(&e, &[0.0; 10], 1.0),
             Err(EngineError::QueryTooShort { min: 16, got: 10 })
         ));
     }
@@ -136,7 +121,7 @@ mod tests {
         // against brute force in long_search_matches_brute_force_exactly).
         let (e, data) = engine();
         let q = data[1].window(0, 64).unwrap().to_vec(); // 4 pieces
-        let res = e.search_long(&q, 5.0, SearchOptions::default()).unwrap();
+        let res = long(&e, &q, 5.0).unwrap();
         let brute = e.sequential_search_long(&q, 5.0).unwrap();
         assert_eq!(res.id_set(), brute.id_set());
     }

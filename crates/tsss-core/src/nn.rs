@@ -26,41 +26,19 @@ use crate::pipeline::{
 use crate::result::{SearchResult, SubsequenceMatch};
 
 impl SearchEngine {
-    /// The `k` indexed subsequences nearest to `query` under the paper's
-    /// dissimilarity (minimum scale-shift distance), ascending. Returns
-    /// fewer when the index holds fewer windows.
+    /// A [`crate::Query::Nearest`]: the `k` indexed subsequences nearest to
+    /// `query` under the paper's dissimilarity (minimum scale-shift
+    /// distance), ascending, with the pipeline's per-stage statistics
+    /// (`candidates` = unique windows pulled from the best-first frontier,
+    /// `verified`/`cost_rejected` partitioning them, and exact per-query
+    /// page counts). Returns fewer when the index holds fewer windows.
     ///
-    /// # Errors
-    /// [`EngineError::QueryLength`] on a malformed query.
-    pub fn nearest(&self, query: &[f64], k: usize) -> Result<Vec<SubsequenceMatch>, EngineError> {
-        self.nearest_with_cost(query, k, crate::config::CostLimit::UNLIMITED)
-    }
-
-    /// Like [`SearchEngine::nearest`], but only counting neighbours whose
-    /// optimal transformation satisfies `cost` (paper §3's transformation
-    /// budget applied to ranking queries).
-    ///
+    /// `opts.cost` counts only neighbours whose optimal transformation it
+    /// accepts (paper §3's transformation budget applied to ranking).
     /// Under the paper's asymmetric distance, unconstrained nearest
     /// neighbours are dominated by low-fluctuation windows (any query maps
     /// near them with `a ≈ 0`); a lower bound on `a` recovers the intuitive
     /// "same trend" ranking.
-    ///
-    /// # Errors
-    /// [`EngineError::QueryLength`] on a malformed query.
-    pub fn nearest_with_cost(
-        &self,
-        query: &[f64],
-        k: usize,
-        cost: crate::config::CostLimit,
-    ) -> Result<Vec<SubsequenceMatch>, EngineError> {
-        Ok(self.nearest_search(query, k, cost)?.matches)
-    }
-
-    /// The full-result form of [`SearchEngine::nearest_with_cost`]: the
-    /// ranked matches plus the pipeline's per-stage statistics
-    /// (`candidates` = unique windows pulled from the best-first frontier,
-    /// `verified`/`cost_rejected` partitioning them, and exact per-query
-    /// page counts).
     ///
     /// The frontier drives the shared pipeline iteratively: each round
     /// retrieves the next best-first batch from the index, verifies the
@@ -70,45 +48,19 @@ impl SearchEngine {
     /// answer, since feature distances lower-bound exact distances).
     /// `stats.verified` counts all exactly-verified candidates; the k best
     /// of them are returned, so `matches.len() ≤ stats.verified`.
+    /// `opts.deadline` and `opts.page_budget` are checked once per frontier
+    /// round and once at the end (the deadline also per candidate).
     ///
     /// A numerically-constant query degenerates (its SE-line collapses to
     /// the origin, so the frontier order is meaningless): the ranking is
     /// answered exhaustively by the sequential-scan source instead.
-    ///
-    /// # Errors
-    /// [`EngineError::QueryLength`] on a malformed query;
-    /// [`EngineError::Corrupt`] on detected storage damage.
-    pub fn nearest_search(
-        &self,
-        query: &[f64],
-        k: usize,
-        cost: crate::config::CostLimit,
-    ) -> Result<SearchResult, EngineError> {
-        self.nearest_search_opts(
-            query,
-            k,
-            SearchOptions {
-                cost,
-                ..Default::default()
-            },
-        )
-    }
-
-    /// [`SearchEngine::nearest_search`] with full per-query options
-    /// (`opts.cost` constrains the transforms; `opts.deadline` bounds the
-    /// frontier's page accesses and verification steps, checked once per
-    /// frontier round and per candidate).
-    ///
-    /// # Errors
-    /// As [`SearchEngine::nearest_search`], plus
-    /// [`EngineError::DeadlineExceeded`] when `opts.deadline` fires.
-    pub fn nearest_search_opts(
+    pub(crate) fn knn_search(
         &self,
         query: &[f64],
         k: usize,
         opts: SearchOptions,
     ) -> Result<SearchResult, EngineError> {
-        let plan = QueryPlan::ranking_with_opts(self, query, opts)?;
+        let plan = QueryPlan::ranking(self, query, opts)?;
         let t0 = std::time::Instant::now();
         let index_stats = self.index_stats();
         let data_stats = self.data_stats();
@@ -135,6 +87,7 @@ impl SearchEngine {
         let idx = index_scope.finish();
         let dat = data_scope.finish();
         meter.charge_pages_to(idx.total_accesses() + dat.total_accesses())?;
+        charge_page_budget(opts.page_budget, idx.total_accesses())?;
         res.stats.index_pages = idx.total_accesses();
         res.stats.data_pages = dat.total_accesses();
         res.stats.retries = idx.retries + dat.retries;
@@ -148,9 +101,9 @@ impl SearchEngine {
     /// plan. Verified fits are cached across rounds: the best-first pop
     /// sequence is deterministic, so a larger batch is always a prefix
     /// extension of the previous one and only its tail needs verifying.
-    /// The deadline is checked cooperatively once per round against the
-    /// scopes' running page tallies (and per candidate inside the shared
-    /// verifier).
+    /// The deadline and page budget are checked cooperatively once per
+    /// round against the scopes' running page tallies (the deadline also
+    /// per candidate inside the shared verifier).
     fn nearest_frontier(
         &self,
         plan: &QueryPlan<'_>,
@@ -167,10 +120,10 @@ impl SearchEngine {
 
         let mut fetch = (2 * k).max(8);
         loop {
-            // Per-round cooperative deadline check on the pages spent so far.
-            meter.charge_pages_to(
-                index_scope.counts().total_accesses() + data_scope.counts().total_accesses(),
-            )?;
+            // Per-round cooperative checks on the pages spent so far.
+            let index_pages = index_scope.counts().total_accesses();
+            meter.charge_pages_to(index_pages + data_scope.counts().total_accesses())?;
+            charge_page_budget(plan.options().page_budget, index_pages)?;
             let candidates = self.tree().nearest_to_line(&line, fetch)?;
             // Exhausted: we have already pulled every window — exact answers
             // are final regardless of bounds.
@@ -220,12 +173,39 @@ impl SearchEngine {
     }
 }
 
+/// Fails a frontier that has read more index pages than `budget` — the
+/// k-NN form of the probe's [`crate::SearchOptions::page_budget`] cap.
+fn charge_page_budget(budget: Option<u64>, index_pages: u64) -> Result<(), EngineError> {
+    match budget {
+        Some(budget) if index_pages > budget => Err(EngineError::PageBudgetExceeded { budget }),
+        _ => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EngineConfig;
+    use crate::config::{CostLimit, EngineConfig};
+    use crate::pipeline::Query;
     use tsss_data::{MarketConfig, MarketSimulator, Series};
     use tsss_geometry::scale_shift::{min_scale_shift_distance, ScaleShift};
+
+    fn knn_with_cost(
+        e: &SearchEngine,
+        q: &[f64],
+        k: usize,
+        cost: CostLimit,
+    ) -> Result<Vec<SubsequenceMatch>, EngineError> {
+        let opts = SearchOptions {
+            cost,
+            ..Default::default()
+        };
+        Ok(e.execute(q, Query::Nearest { k }, opts)?.matches)
+    }
+
+    fn knn(e: &SearchEngine, q: &[f64], k: usize) -> Result<Vec<SubsequenceMatch>, EngineError> {
+        knn_with_cost(e, q, k, CostLimit::UNLIMITED)
+    }
 
     fn engine() -> (SearchEngine, Vec<Series>) {
         let data = MarketSimulator::new(MarketConfig::small(5, 60, 99)).generate();
@@ -258,7 +238,7 @@ mod tests {
     fn nn_of_an_indexed_window_is_itself() {
         let (e, data) = engine();
         let q = data[3].window(25, 16).unwrap().to_vec();
-        let got = e.nearest(&q, 1).unwrap();
+        let got = knn(&e, &q, 1).unwrap();
         assert_eq!(got.len(), 1);
         assert!(got[0].distance < 1e-6);
         assert_eq!(got[0].id.series, 3);
@@ -270,7 +250,7 @@ mod tests {
         let (e, data) = engine();
         let src = data[1].window(5, 16).unwrap();
         let q = ScaleShift { a: 0.2, b: 55.0 }.apply(src);
-        let got = e.nearest(&q, 1).unwrap();
+        let got = knn(&e, &q, 1).unwrap();
         assert!(got[0].distance < 1e-6);
         assert_eq!((got[0].id.series, got[0].id.offset), (1, 5));
     }
@@ -280,7 +260,7 @@ mod tests {
         let (e, data) = engine();
         let q = data[0].window(30, 16).unwrap().to_vec();
         for k in [1, 3, 10] {
-            let got = e.nearest(&q, k).unwrap();
+            let got = knn(&e, &q, k).unwrap();
             let want = brute_force_nn(&data, &q, k);
             assert_eq!(got.len(), k);
             for (g, (_, wd)) in got.iter().zip(&want) {
@@ -298,7 +278,7 @@ mod tests {
     fn knn_is_sorted_ascending() {
         let (e, data) = engine();
         let q = data[2].window(11, 16).unwrap().to_vec();
-        let got = e.nearest(&q, 15).unwrap();
+        let got = knn(&e, &q, 15).unwrap();
         for w in got.windows(2) {
             assert!(w[0].distance <= w[1].distance + 1e-12);
         }
@@ -308,8 +288,8 @@ mod tests {
     fn k_zero_and_oversized_k() {
         let (e, data) = engine();
         let q = data[0].window(0, 16).unwrap().to_vec();
-        assert!(e.nearest(&q, 0).unwrap().is_empty());
-        let all = e.nearest(&q, usize::MAX).unwrap();
+        assert!(knn(&e, &q, 0).unwrap().is_empty());
+        let all = knn(&e, &q, usize::MAX).unwrap();
         assert_eq!(all.len(), e.num_windows());
     }
 
@@ -317,11 +297,11 @@ mod tests {
     fn cost_constrained_nn_only_returns_accepted_transforms() {
         let (e, data) = engine();
         let q = data[0].window(30, 16).unwrap().to_vec();
-        let cost = crate::config::CostLimit {
+        let cost = CostLimit {
             a_range: Some((0.5, 2.0)),
             b_range: None,
         };
-        let got = e.nearest_with_cost(&q, 10, cost).unwrap();
+        let got = knn_with_cost(&e, &q, 10, cost).unwrap();
         assert!(!got.is_empty());
         for m in &got {
             assert!(m.transform.a >= 0.5 && m.transform.a <= 2.0);
@@ -349,23 +329,27 @@ mod tests {
         let (e, data) = engine();
         let q = data[0].window(0, 16).unwrap().to_vec();
         // Impossible cost window: nothing qualifies.
-        let cost = crate::config::CostLimit {
+        let cost = CostLimit {
             a_range: Some((1e9, 2e9)),
             b_range: None,
         };
-        assert!(e.nearest_with_cost(&q, 5, cost).unwrap().is_empty());
+        assert!(knn_with_cost(&e, &q, 5, cost).unwrap().is_empty());
     }
 
     #[test]
     fn nearest_search_stats_satisfy_the_stage_identity() {
         let (e, data) = engine();
         let q = data[0].window(30, 16).unwrap().to_vec();
-        let cost = crate::config::CostLimit {
+        let cost = CostLimit {
             a_range: Some((0.5, 2.0)),
             b_range: None,
         };
-        for cost in [crate::config::CostLimit::UNLIMITED, cost] {
-            let res = e.nearest_search(&q, 5, cost).unwrap();
+        for cost in [CostLimit::UNLIMITED, cost] {
+            let opts = SearchOptions {
+                cost,
+                ..Default::default()
+            };
+            let res = e.execute(&q, Query::Nearest { k: 5 }, opts).unwrap();
             let s = &res.stats;
             assert_eq!(s.candidates, s.verified + s.false_alarms + s.cost_rejected);
             // ε = ∞ on the ranking plan: nothing can be a false alarm.
@@ -380,7 +364,7 @@ mod tests {
     fn malformed_query_is_an_error() {
         let (e, _) = engine();
         assert!(matches!(
-            e.nearest(&[1.0; 5], 3),
+            knn(&e, &[1.0; 5], 3),
             Err(EngineError::QueryLength { .. })
         ));
     }

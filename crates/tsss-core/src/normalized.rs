@@ -18,6 +18,14 @@
 //! *asymmetric* (it scales with the target's amplitude) and admits negative
 //! scalings (`cos θ < 0`), which z-normalised distance penalises. The test
 //! suite pins these relationships down.
+//!
+//! The engine answers z-normalised range queries with the paper's own
+//! index: a [`crate::Query::ZNormalized`] through
+//! [`crate::SearchEngine::execute`] probes the R-tree at the sound radius
+//! [`crate::QueryPlan::znormalized`] derives from `z_eps`, then verifies
+//! exact z-distances. Matches report the z-distance in `distance` and the
+//! optimal scale-shift `(a, b)` in `transform` (which for a z-match always
+//! has `a > 0`: inversions are *not* z-similar).
 
 use tsss_geometry::se::se_norm;
 use tsss_geometry::vector::{dist, mean};
@@ -171,66 +179,19 @@ mod tests {
     }
 }
 
-use crate::engine::SearchEngine;
-use crate::error::EngineError;
-use crate::result::SearchResult;
-
-impl SearchEngine {
-    /// Finds every indexed subsequence whose **z-normalised Euclidean
-    /// distance** to the query is at most `z_eps` — the modern standard
-    /// formulation of scale/shift-invariant matching (UCR Suite and
-    /// descendants), answered with the paper's index.
-    ///
-    /// Soundness: `z_dist(q, w) ≤ z_eps` constrains the *angle* θ between
-    /// the SE-transforms (`z_eps² = 2n(1 − cos θ)`), hence
-    /// `PLD(se_w, SE-line(q)) = ‖se_w‖·sin θ ≤ sin θ_max · max_norm`, where
-    /// `max_norm` bounds every indexed window's SE-norm. Searching the index
-    /// with that absolute ε therefore never misses a qualifying window;
-    /// exact z-distances are verified on the raw data. (A per-window norm in
-    /// the index would prune tighter; this conservative bound keeps the
-    /// index exactly the paper's.)
-    ///
-    /// Matches report the z-distance in `distance` and the optimal
-    /// scale-shift `(a, b)` in `transform` (which for a z-match always has
-    /// `a > 0`: inversions are *not* z-similar).
-    ///
-    /// A thin composition over the staged pipeline: the z-normalised plan
-    /// (which derives the sound feature-space ε from `z_eps` and decides
-    /// the degenerate constant query) with the usual R-tree probe and the
-    /// shared verifier running in z-distance mode.
-    ///
-    /// # Errors
-    /// Same validation as [`SearchEngine::search`].
-    pub fn search_znormalized(
-        &self,
-        query: &[f64],
-        z_eps: f64,
-    ) -> Result<SearchResult, EngineError> {
-        self.search_znormalized_opts(query, z_eps, crate::config::SearchOptions::default())
-    }
-
-    /// [`SearchEngine::search_znormalized`] with explicit per-query options
-    /// (page budget, [`crate::Deadline`], cost limits).
-    ///
-    /// # Errors
-    /// Same validation as [`SearchEngine::search`], plus
-    /// [`EngineError::DeadlineExceeded`] when `opts.deadline` fires.
-    pub fn search_znormalized_opts(
-        &self,
-        query: &[f64],
-        z_eps: f64,
-        opts: crate::config::SearchOptions,
-    ) -> Result<SearchResult, EngineError> {
-        let plan = crate::pipeline::QueryPlan::znormalized_with_opts(self, query, z_eps, opts)?;
-        self.run_pipeline(&plan, &crate::pipeline::IndexProbe)
-    }
-}
-
 #[cfg(test)]
 mod engine_tests {
     use super::*;
-    use crate::config::EngineConfig;
+    use crate::config::{EngineConfig, SearchOptions};
+    use crate::engine::SearchEngine;
+    use crate::error::EngineError;
+    use crate::pipeline::Query;
+    use crate::result::SearchResult;
     use tsss_data::{MarketConfig, MarketSimulator, Series};
+
+    fn znorm(e: &SearchEngine, q: &[f64], z_eps: f64) -> Result<SearchResult, EngineError> {
+        e.execute(q, Query::ZNormalized { z_eps }, SearchOptions::default())
+    }
 
     fn engine() -> (SearchEngine, Vec<Series>) {
         let data = MarketSimulator::new(MarketConfig::small(8, 80, 77)).generate();
@@ -245,7 +206,7 @@ mod engine_tests {
         let (e, data) = engine();
         let q = data[3].window(25, 16).unwrap().to_vec();
         for z_eps in [0.1, 1.0, 3.0] {
-            let got = e.search_znormalized(&q, z_eps).unwrap();
+            let got = znorm(&e, &q, z_eps).unwrap();
             let mut want = std::collections::BTreeSet::new();
             for (si, s) in data.iter().enumerate() {
                 for off in 0..=s.len() - 16 {
@@ -266,8 +227,8 @@ mod engine_tests {
         let (e, data) = engine();
         let base = data[1].window(10, 16).unwrap().to_vec();
         let disguised: Vec<f64> = base.iter().map(|v| v * 7.0 - 100.0).collect();
-        let a = e.search_znormalized(&base, 1.0).unwrap().id_set();
-        let b = e.search_znormalized(&disguised, 1.0).unwrap().id_set();
+        let a = znorm(&e, &base, 1.0).unwrap().id_set();
+        let b = znorm(&e, &disguised, 1.0).unwrap().id_set();
         assert_eq!(a, b, "z-search must not care about the query's scale/shift");
         assert!(a.contains(&crate::id::SubseqId {
             series: 1,
@@ -284,15 +245,13 @@ mod engine_tests {
         let e = SearchEngine::build(&data, EngineConfig::small(16)).unwrap();
         let q = data[0].window(20, 16).unwrap().to_vec();
         // The scale-shift model embraces the mirror (a < 0)…
-        let ss = e
-            .search(&q, 1e-6, crate::config::SearchOptions::default())
-            .unwrap();
+        let ss = e.search(&q, 1e-6, SearchOptions::default()).unwrap();
         assert!(ss
             .matches
             .iter()
             .any(|m| m.id.series == 3 && m.id.offset == 20 && m.transform.a < 0.0));
         // …the z-normalised model rejects it.
-        let z = e.search_znormalized(&q, 0.5).unwrap();
+        let z = znorm(&e, &q, 0.5).unwrap();
         assert!(z
             .matches
             .iter()
@@ -305,11 +264,11 @@ mod engine_tests {
     fn znorm_validation_mirrors_plain_search() {
         let (e, _) = engine();
         assert!(matches!(
-            e.search_znormalized(&[0.0; 4], 1.0),
+            znorm(&e, &[0.0; 4], 1.0),
             Err(EngineError::QueryLength { .. })
         ));
         assert!(matches!(
-            e.search_znormalized(&[0.0; 16], -1.0),
+            znorm(&e, &[0.0; 16], -1.0),
             Err(EngineError::InvalidEpsilon(_))
         ));
     }
@@ -319,7 +278,7 @@ mod engine_tests {
         let (e, _) = engine();
         let q: Vec<f64> = (0..16).map(|i| (i as f64).sin()).collect();
         // z-distance is bounded by 2√n; beyond that every window matches.
-        let everything = e.search_znormalized(&q, 1000.0).unwrap();
+        let everything = znorm(&e, &q, 1000.0).unwrap();
         assert_eq!(everything.matches.len(), e.num_windows());
     }
 }

@@ -1,9 +1,9 @@
 //! The staged query pipeline: **plan → candidates → verify**.
 //!
-//! Every query entry point of the engine — indexed search, the
-//! sequential-scan oracle, k-NN ranking, long-query prefix stitching and
-//! z-normalised search — is a thin composition over the three stages in
-//! this module:
+//! Every query mode — the paper's ε-range search, its k-NN ranking, long
+//! queries and z-normalised search, each named by one [`Query`] value —
+//! plus the sequential-scan oracles is a thin composition over the three
+//! stages in this module:
 //!
 //! 1. **Plan** ([`QueryPlan`]): validate the query and ε once, fix the
 //!    verification model and window length, and decide the degenerate
@@ -14,19 +14,19 @@
 //!    ids. Implementations: the R-tree line/radius probe
 //!    ([`IndexProbe`]), the full sequential scan ([`SeqScanSource`]), and
 //!    the long-query piece intersection ([`PieceStitchSource`]). The k-NN
-//!    frontier drives the pipeline iteratively from
-//!    [`crate::engine::SearchEngine::nearest_search`].
+//!    frontier drives the pipeline iteratively (see [`crate::nn`]).
 //! 3. **Verify** ([`Verifier`]): fetch each candidate's raw window,
 //!    compute the optimal `(a, b)` fit (or the z-distance), drop false
 //!    alarms, apply the user's transformation-cost limits, sort by
 //!    [`SubsequenceMatch::ordering`] and assemble [`SearchStats`].
 //!
-//! The pipeline runner ([`crate::engine::SearchEngine::run_pipeline`])
-//! owns the cross-cutting concerns exactly once: thread-local page
-//! accounting scopes, wall-clock timing, and the translation of storage
-//! damage into typed [`EngineError::Corrupt`] values (which
-//! [`crate::engine::SearchEngine::search`] may degrade around — see
-//! [`crate::DegradationPolicy`]).
+//! [`SearchEngine::execute`] is the one entry point: it binds a [`Query`]
+//! to the engine as a plan and picks the source. The pipeline runner
+//! ([`SearchEngine::run_pipeline`]) owns the cross-cutting concerns
+//! exactly once: thread-local page accounting scopes, wall-clock timing,
+//! and the translation of storage damage into typed
+//! [`EngineError::Corrupt`] values (which a [`Query::Range`] may degrade
+//! around — see [`crate::DegradationPolicy`]).
 //!
 //! Per-stage statistics have **one meaning on every path** (asserted by
 //! the differential equivalence suite):
@@ -50,6 +50,40 @@ use crate::window::window_offsets;
 // ---------------------------------------------------------------------
 // Stage 1: the plan
 // ---------------------------------------------------------------------
+
+/// What to search for, independent of any one engine: the query mode and
+/// its threshold. [`SearchEngine::execute`] binds it to an engine as a
+/// [`QueryPlan`]; a sharded engine hands the same value to every shard,
+/// since each shard's plan reads that shard's own state (the z-normalised
+/// plan derives its probe radius from the shard's SE-norm bound).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Query {
+    /// Every window within `epsilon` under the optimal scale-shift fit —
+    /// the paper's Problem 1. The only mode that degrades around detected
+    /// corruption (see [`crate::DegradationPolicy`]).
+    Range {
+        /// The error bound ε.
+        epsilon: f64,
+    },
+    /// The `k` windows nearest under the paper's dissimilarity (its
+    /// Corollary 1), ascending; fewer when the index holds fewer windows.
+    Nearest {
+        /// How many neighbours to return.
+        k: usize,
+    },
+    /// Every window within `z_eps` under z-normalised Euclidean distance,
+    /// answered with the paper's index (see [`crate::normalized`]).
+    ZNormalized {
+        /// The z-distance threshold.
+        z_eps: f64,
+    },
+    /// A query of at least one window, matched at its full length by
+    /// piece decomposition (see [`crate::longquery`]).
+    Long {
+        /// The error bound ε over the full query length.
+        epsilon: f64,
+    },
+}
 
 /// How the verify stage decides whether a candidate window matches.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,7 +156,9 @@ impl<'q> QueryPlan<'q> {
     ///
     /// # Errors
     /// [`EngineError::QueryTooShort`] / [`EngineError::InvalidEpsilon`] on
-    /// malformed input.
+    /// malformed input; [`EngineError::LongQueryStride`] when the engine's
+    /// stride is not 1 — the piece decomposition needs every offset
+    /// indexed (the paper's setting).
     pub fn long(
         engine: &SearchEngine,
         query: &'q [f64],
@@ -130,6 +166,10 @@ impl<'q> QueryPlan<'q> {
         opts: SearchOptions,
     ) -> Result<Self, EngineError> {
         let n = engine.config().window_len;
+        let stride = engine.config().stride;
+        if stride != 1 {
+            return Err(EngineError::LongQueryStride { stride });
+        }
         if query.len() < n {
             return Err(EngineError::QueryTooShort {
                 min: n,
@@ -153,24 +193,17 @@ impl<'q> QueryPlan<'q> {
     /// case (a constant query z-normalises to the zero vector, so only
     /// windows within `z_eps` of *their own* flat profile can match).
     ///
-    /// # Errors
-    /// [`EngineError::QueryLength`] / [`EngineError::InvalidEpsilon`] on
-    /// malformed input.
-    pub fn znormalized(
-        engine: &SearchEngine,
-        query: &'q [f64],
-        z_eps: f64,
-    ) -> Result<Self, EngineError> {
-        Self::znormalized_with_opts(engine, query, z_eps, SearchOptions::default())
-    }
-
-    /// [`QueryPlan::znormalized`] with explicit per-query options (cost
-    /// limits, page budget, deadline).
+    /// Soundness: `z_dist(q, w) ≤ z_eps` bounds the angle θ between the
+    /// SE-transforms (`z_eps² = 2n(1 − cos θ)`), hence
+    /// `PLD(se_w, SE-line(q)) = ‖se_w‖·sin θ ≤ sin θ_max · max_norm`,
+    /// where [`SearchEngine::max_se_norm`] bounds every indexed window's
+    /// SE-norm — so probing with that radius never misses a qualifying
+    /// window, and the verifier checks exact z-distances.
     ///
     /// # Errors
     /// [`EngineError::QueryLength`] / [`EngineError::InvalidEpsilon`] on
     /// malformed input.
-    pub fn znormalized_with_opts(
+    pub fn znormalized(
         engine: &SearchEngine,
         query: &'q [f64],
         z_eps: f64,
@@ -220,32 +253,12 @@ impl<'q> QueryPlan<'q> {
     }
 
     /// Plans a ranking (k-NN) query: no ε filter — every candidate the
-    /// frontier yields is verified exactly, and only the cost limits
-    /// reject.
+    /// frontier yields is verified exactly, and only the cost limits in
+    /// `opts.cost` reject.
     ///
     /// # Errors
     /// [`EngineError::QueryLength`] on a malformed query.
     pub fn ranking(
-        engine: &SearchEngine,
-        query: &'q [f64],
-        cost: crate::config::CostLimit,
-    ) -> Result<Self, EngineError> {
-        Self::ranking_with_opts(
-            engine,
-            query,
-            SearchOptions {
-                cost,
-                ..Default::default()
-            },
-        )
-    }
-
-    /// [`QueryPlan::ranking`] with explicit per-query options (cost limits
-    /// taken from `opts.cost`, plus page budget and deadline).
-    ///
-    /// # Errors
-    /// [`EngineError::QueryLength`] on a malformed query.
-    pub fn ranking_with_opts(
         engine: &SearchEngine,
         query: &'q [f64],
         opts: SearchOptions,
@@ -558,9 +571,10 @@ impl CandidateSource for SeqScanLongSource {
 /// intersection never drops a true match; the verifier removes the false
 /// alarms on the full-length windows.
 ///
-/// # Panics
-/// Panics when the engine's stride is not 1 — the decomposition needs
-/// every piece offset indexed (the paper's setting).
+/// The plan's page budget caps the index pages of all pieces together:
+/// each piece's probe gets what the earlier pieces left. The decomposition
+/// needs every piece offset indexed, which [`QueryPlan::long`] guarantees
+/// by refusing engines whose stride is not 1.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PieceStitchSource;
 
@@ -572,11 +586,7 @@ impl CandidateSource for PieceStitchSource {
         meter: &mut DeadlineMeter,
     ) -> Result<Candidates, EngineError> {
         let n = engine.config().window_len;
-        assert_eq!(
-            engine.config().stride,
-            1,
-            "long-query search requires stride 1"
-        );
+        let budget = plan.options().page_budget;
         let total_len = plan.verify_len();
         let piece_offsets: Vec<usize> = (0..=total_len - n).step_by(n).collect();
 
@@ -587,9 +597,22 @@ impl CandidateSource for PieceStitchSource {
             // analyze::allow(index): piece_offsets steps by n up to total_len - n, and the plan guarantees query().len() >= total_len.
             let piece = &plan.query()[poff..poff + n];
             let line = engine.query_line(piece);
+            let spent = index.internal_visited + index.leaves_visited;
             let outcome = engine
                 .tree()
-                .line_query(&line, plan.epsilon(), plan.options().method)?;
+                .line_query_with_budget(
+                    &line,
+                    plan.epsilon(),
+                    plan.options().method,
+                    budget.map(|b| b.saturating_sub(spent)),
+                )
+                .map_err(|e| match (e, budget) {
+                    // Report the query's budget, not this piece's remainder.
+                    (tsss_index::IndexError::BudgetExhausted { .. }, Some(budget)) => {
+                        EngineError::PageBudgetExceeded { budget }
+                    }
+                    (e, _) => e.into(),
+                })?;
             index.merge(&outcome.stats);
             // Cooperative per-piece check: node visits are page reads.
             meter.charge_pages_to(index.internal_visited + index.leaves_visited)?;
@@ -647,9 +670,9 @@ impl SearchEngine {
     /// the page counts and wall-clock into the result.
     ///
     /// This is the *only* place page accounting and timing happen — every
-    /// public entry point is a [`QueryPlan`] constructor plus this call
-    /// (the k-NN frontier drives the stages itself in
-    /// [`SearchEngine::nearest_search`], with the same scope discipline).
+    /// [`Query`] mode is a [`QueryPlan`] constructor plus this call (the
+    /// k-NN frontier drives the stages itself, with the same scope
+    /// discipline; see [`crate::nn`]).
     /// The per-query counts are exact even when queries run concurrently:
     /// the scopes tally the calling thread only, while still feeding the
     /// engine's global counters.
@@ -658,8 +681,8 @@ impl SearchEngine {
     /// Whatever the source or verifier surfaces —
     /// [`EngineError::Corrupt`], [`EngineError::PageBudgetExceeded`],
     /// [`EngineError::DeadlineExceeded`].
-    /// Degradation policy is *not* applied here; see
-    /// [`SearchEngine::search`] for the one place it lives.
+    /// Degradation policy is *not* applied here; a [`Query::Range`]
+    /// through [`SearchEngine::execute`] is the one place it lives.
     pub fn run_pipeline(
         &self,
         plan: &QueryPlan<'_>,
@@ -886,7 +909,7 @@ fn snapshot_window(all: &[Vec<f64>], id: SubseqId, len: usize) -> Result<&[f64],
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CostLimit, EngineConfig};
+    use crate::config::EngineConfig;
     use tsss_data::{MarketConfig, MarketSimulator, Series};
 
     fn engine() -> (SearchEngine, Vec<Series>) {
@@ -914,11 +937,11 @@ mod tests {
             Err(EngineError::QueryTooShort { min: 16, got: 10 })
         ));
         assert!(matches!(
-            QueryPlan::znormalized(&e, &q, -1.0),
+            QueryPlan::znormalized(&e, &q, -1.0, SearchOptions::default()),
             Err(EngineError::InvalidEpsilon(_))
         ));
         assert!(matches!(
-            QueryPlan::ranking(&e, &[0.0; 4], CostLimit::UNLIMITED),
+            QueryPlan::ranking(&e, &[0.0; 4], SearchOptions::default()),
             Err(EngineError::QueryLength { .. })
         ));
         let plan = QueryPlan::exact(&e, &q, 2.0, SearchOptions::default()).unwrap();

@@ -26,7 +26,7 @@
 //! [`crate::SearchEngine::repair`] closes it immediately.
 //!
 //! All state is atomics: the engine's read path is `&self` and runs under
-//! [`crate::SearchEngine::search_batch`]'s thread fan-out. Counts are
+//! [`crate::SearchEngine::execute_batch`]'s thread fan-out. Counts are
 //! monotone or reset-on-transition; races can at worst delay a transition
 //! by one query, never corrupt the state machine.
 

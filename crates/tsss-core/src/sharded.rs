@@ -15,9 +15,9 @@
 //!    before the merge, and an N-shard engine reports the *same*
 //!    [`crate::SubseqId`]s as an unsharded twin built over the same
 //!    series, in the same canonical order.
-//! 2. **Scatter.** Every entry point (range, k-NN, z-normalized, long,
-//!    batch) fans out with the same scoped-thread work-stealing pattern
-//!    the batch path uses, one ticket per shard. Per-query work bounds
+//! 2. **Scatter.** Every [`Query`] mode, alone or in a batch, fans out
+//!    with the same scoped-thread work-stealing helper the batch paths
+//!    use, one ticket per shard. Per-query work bounds
 //!    are sliced: each shard receives `ceil(budget / N)` of the caller's
 //!    page budget and [`crate::Deadline`], so a sharded query's total
 //!    work stays within a constant factor of the unsharded bound.
@@ -56,9 +56,10 @@ use std::time::Instant;
 use tsss_data::Series;
 
 use crate::config::{Deadline, DegradationPolicy, EngineConfig, SearchOptions};
-use crate::engine::SearchEngine;
+use crate::engine::{work_steal, SearchEngine};
 use crate::error::EngineError;
 use crate::id::SubseqId;
+use crate::pipeline::Query;
 use crate::recovery::{BreakerState, HealthReport, RepairReport};
 use crate::result::{SearchResult, SearchStats, SubsequenceMatch};
 
@@ -199,227 +200,82 @@ impl ShardedEngine {
     // Query entry points
     // ------------------------------------------------------------------
 
-    /// Scatter-gather ε-range search (paper Problem 1) — the sharded
-    /// [`SearchEngine::search`].
+    /// Scatter-gather [`SearchEngine::execute`]: every shard answers
+    /// `query` over its own slice of the series, and the merge returns the
+    /// match set an unsharded engine would.
+    ///
+    /// - [`Query::Nearest`]: each shard answers its local top-k; the merge
+    ///   re-tightens to the *global* k-th distance by sorting the union
+    ///   canonically and truncating to `k`, so the caller never sees k·N
+    ///   candidates. The union of per-shard top-k lists is a superset of
+    ///   the global top-k (every global winner is in its own shard's
+    ///   top-k), so no neighbour can be missed.
+    /// - [`Query::ZNormalized`]: each shard probes with its own (local)
+    ///   SE-norm bound; verification is exact, so the merged match set is
+    ///   identical to the unsharded engine's, though filter counters
+    ///   (`candidates`, `false_alarms`) may differ with the shard count.
+    /// - [`Query::Long`]: long matches stitch pieces *within* one series,
+    ///   and a series lives wholly on one shard, so partitioning cannot
+    ///   split a match.
     ///
     /// # Errors
     /// Malformed-input errors verbatim; [`EngineError::ShardUnavailable`]
     /// when a shard failure cannot be degraded around (see the
     /// [module docs](self)); the first shard error verbatim under
     /// [`DegradationPolicy::Strict`].
+    pub fn execute(
+        &self,
+        values: &[f64],
+        query: Query,
+        opts: SearchOptions,
+    ) -> Result<SearchResult, EngineError> {
+        self.fan(true, values, query, opts)
+    }
+
+    /// [`ShardedEngine::execute`] of a [`Query::Range`].
+    ///
+    /// # Errors
+    /// As [`ShardedEngine::execute`].
     pub fn search(
         &self,
         query: &[f64],
         epsilon: f64,
         opts: SearchOptions,
     ) -> Result<SearchResult, EngineError> {
-        self.search_impl(true, query, epsilon, opts)
+        self.execute(query, Query::Range { epsilon }, opts)
     }
 
-    fn search_impl(
-        &self,
-        parallel: bool,
-        query: &[f64],
-        epsilon: f64,
-        opts: SearchOptions,
-    ) -> Result<SearchResult, EngineError> {
-        let sopts = self.shard_opts(opts);
-        self.fan(parallel, opts.degradation, None, &|e: &SearchEngine| {
-            e.search(query, epsilon, sopts)
-        })
-    }
-
-    /// Scatter-gather k-nearest-neighbour search — the sharded
-    /// [`SearchEngine::nearest_search_opts`]. Each shard answers its local
-    /// top-k; the merge re-tightens to the *global* k-th distance by
-    /// sorting the union canonically and truncating to `k`, so the caller
-    /// never sees k·N candidates. The union of per-shard top-k lists is a
-    /// superset of the global top-k (every global winner is in its own
-    /// shard's top-k), so no neighbour can be missed.
+    /// [`ShardedEngine::execute`] of a [`Query::Nearest`].
     ///
     /// # Errors
-    /// As [`ShardedEngine::search`].
+    /// As [`ShardedEngine::execute`].
     pub fn nearest_search_opts(
         &self,
         query: &[f64],
         k: usize,
         opts: SearchOptions,
     ) -> Result<SearchResult, EngineError> {
-        let sopts = self.shard_opts(opts);
-        self.fan(true, opts.degradation, Some(k), &|e: &SearchEngine| {
-            e.nearest_search_opts(query, k, sopts)
-        })
+        self.execute(query, Query::Nearest { k }, opts)
     }
 
-    /// As [`ShardedEngine::nearest_search_opts`] with default options and
-    /// the given transformation-cost limit — the sharded
-    /// [`SearchEngine::nearest_search`].
-    ///
-    /// # Errors
-    /// As [`ShardedEngine::search`].
-    pub fn nearest_search(
-        &self,
-        query: &[f64],
-        k: usize,
-        cost: crate::config::CostLimit,
-    ) -> Result<SearchResult, EngineError> {
-        self.nearest_search_opts(
-            query,
-            k,
-            SearchOptions {
-                cost,
-                ..SearchOptions::default()
-            },
-        )
-    }
-
-    /// Convenience: the k nearest matches only — the sharded
-    /// [`SearchEngine::nearest`].
-    ///
-    /// # Errors
-    /// As [`ShardedEngine::search`].
-    pub fn nearest(&self, query: &[f64], k: usize) -> Result<Vec<SubsequenceMatch>, EngineError> {
-        Ok(self
-            .nearest_search_opts(query, k, SearchOptions::default())?
-            .matches)
-    }
-
-    /// Scatter-gather z-normalized search — the sharded
-    /// [`SearchEngine::search_znormalized_opts`]. Each shard probes with
-    /// its own (local) SE-norm bound; verification is exact, so the merged
-    /// match set is identical to the unsharded engine's, though filter
-    /// counters (`candidates`, `false_alarms`) may differ with the shard
-    /// count.
-    ///
-    /// # Errors
-    /// As [`ShardedEngine::search`].
-    pub fn search_znormalized_opts(
-        &self,
-        query: &[f64],
-        z_eps: f64,
-        opts: SearchOptions,
-    ) -> Result<SearchResult, EngineError> {
-        let sopts = self.shard_opts(opts);
-        self.fan(true, opts.degradation, None, &|e: &SearchEngine| {
-            e.search_znormalized_opts(query, z_eps, sopts)
-        })
-    }
-
-    /// As [`ShardedEngine::search_znormalized_opts`] with default options.
-    ///
-    /// # Errors
-    /// As [`ShardedEngine::search`].
-    pub fn search_znormalized(
-        &self,
-        query: &[f64],
-        z_eps: f64,
-    ) -> Result<SearchResult, EngineError> {
-        self.search_znormalized_opts(query, z_eps, SearchOptions::default())
-    }
-
-    /// Scatter-gather long-query search (paper §4.2) — the sharded
-    /// [`SearchEngine::search_long`]. Long matches stitch pieces *within*
-    /// one series, and a series lives wholly on one shard, so partitioning
-    /// cannot split a match.
-    ///
-    /// # Errors
-    /// As [`ShardedEngine::search`].
-    pub fn search_long(
-        &self,
-        query: &[f64],
-        epsilon: f64,
-        opts: SearchOptions,
-    ) -> Result<SearchResult, EngineError> {
-        let sopts = self.shard_opts(opts);
-        self.fan(true, opts.degradation, None, &|e: &SearchEngine| {
-            e.search_long(query, epsilon, sopts)
-        })
-    }
-
-    /// Batch of sharded range queries with per-query outcomes — the
-    /// sharded [`SearchEngine::search_batch_results`]. Queries fan over
-    /// `workers` scoped threads; each worker then visits the shards
-    /// serially (the parallelism budget is spent once, on the batch, not
-    /// squared). One query's shard failure degrades or fails *that query
-    /// only* — per-query isolation is preserved across shard faults.
-    pub fn search_batch_results(
+    /// Batch of sharded queries with per-query outcomes — the sharded
+    /// [`SearchEngine::execute_batch`]. Queries fan over `workers` scoped
+    /// threads; each worker then visits the shards serially (the
+    /// parallelism budget is spent once, on the batch, not squared). One
+    /// query's shard failure degrades or fails *that query only* —
+    /// per-query isolation is preserved across shard faults.
+    pub fn execute_batch(
         &self,
         queries: &[Vec<f64>],
-        epsilon: f64,
+        query: Query,
         opts: SearchOptions,
         workers: usize,
     ) -> Vec<Result<SearchResult, EngineError>> {
-        let workers = workers.max(1).min(queries.len().max(1));
-        if workers == 1 {
-            return queries
-                .iter()
-                .map(|q| self.search_impl(true, q, epsilon, opts))
-                .collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let merged = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        // Work-stealing by atomic claim, exactly like the
-                        // single-engine batch path.
-                        let mut local = Vec::new();
-                        loop {
-                            // Relaxed: the ticket counter only needs each
-                            // claim to be unique; results are published by
-                            // the join below, not by this atomic.
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(q) = queries.get(i) else { break };
-                            local.push((i, self.search_impl(false, q, epsilon, opts)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut merged: Vec<Option<Result<SearchResult, EngineError>>> =
-                (0..queries.len()).map(|_| None).collect();
-            for h in handles {
-                // analyze::allow(panic): a worker panic is a bug, not a runtime condition — re-raising it here preserves the payload instead of silently dropping that worker's queries.
-                for (i, r) in h.join().expect("sharded batch worker panicked") {
-                    if let Some(slot) = merged.get_mut(i) {
-                        *slot = Some(r);
-                    }
-                }
-            }
-            merged
-        });
-        merged
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                // Defensive: the ticket counter hands every index in
-                // 0..len to exactly one worker, so each slot is filled; a
-                // missing slot becomes a typed error, never a panic.
-                r.unwrap_or_else(|| {
-                    Err(EngineError::ShardUnavailable {
-                        shard: 0,
-                        detail: format!("batch query {i} was never claimed by a worker"),
-                    })
-                })
-            })
-            .collect()
-    }
-
-    /// As [`ShardedEngine::search_batch_results`], failing the whole batch
-    /// on the first per-query error in query order.
-    ///
-    /// # Errors
-    /// The first per-query error, as [`ShardedEngine::search`].
-    pub fn search_batch(
-        &self,
-        queries: &[Vec<f64>],
-        epsilon: f64,
-        opts: SearchOptions,
-        workers: usize,
-    ) -> Result<Vec<SearchResult>, EngineError> {
-        self.search_batch_results(queries, epsilon, opts, workers)
-            .into_iter()
-            .collect()
+        // A batch run inline leaves the threads to the shard scatter.
+        let parallel_shards = workers <= 1 || queries.len() <= 1;
+        work_steal(queries, workers, |q| {
+            self.fan(parallel_shards, q, query, opts)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -449,76 +305,25 @@ impl ShardedEngine {
         o
     }
 
-    /// Scatter + gather: runs `run` once per shard (in parallel when
-    /// asked and there is more than one shard) and merges the outcomes.
+    /// Scatter + gather: runs `query` on every shard (on one scoped thread
+    /// per shard when `parallel`) under the sliced [`Self::shard_opts`],
+    /// and merges the outcomes under the caller's policy.
     fn fan(
         &self,
         parallel: bool,
-        policy: DegradationPolicy,
-        truncate_k: Option<usize>,
-        run: &(dyn Fn(&SearchEngine) -> Result<SearchResult, EngineError> + Sync),
+        values: &[f64],
+        query: Query,
+        opts: SearchOptions,
     ) -> Result<SearchResult, EngineError> {
         let t0 = Instant::now();
-        let per_shard = self.scatter(parallel, run);
-        self.gather(policy, per_shard, truncate_k, t0)
-    }
-
-    fn scatter(
-        &self,
-        parallel: bool,
-        run: &(dyn Fn(&SearchEngine) -> Result<SearchResult, EngineError> + Sync),
-    ) -> Vec<Result<SearchResult, EngineError>> {
-        if !parallel || self.shards.len() == 1 {
-            return self.shards.iter().map(run).collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let merged = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.shards.len())
-                .map(|_| {
-                    s.spawn(|| {
-                        // Work-stealing by atomic claim: threads grab the
-                        // next unclaimed shard until none remain.
-                        let mut local = Vec::new();
-                        loop {
-                            // Relaxed: the ticket counter only needs each
-                            // claim to be unique; results are published by
-                            // the join below, not by this atomic.
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(shard) = self.shards.get(i) else {
-                                break;
-                            };
-                            local.push((i, run(shard)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut merged: Vec<Option<Result<SearchResult, EngineError>>> =
-                (0..self.shards.len()).map(|_| None).collect();
-            for h in handles {
-                // analyze::allow(panic): a worker panic is a bug, not a runtime condition — re-raising it here preserves the payload instead of silently dropping that worker's shards.
-                for (i, r) in h.join().expect("shard worker panicked") {
-                    if let Some(slot) = merged.get_mut(i) {
-                        *slot = Some(r);
-                    }
-                }
-            }
-            merged
-        });
-        merged
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                // Defensive: every shard index is claimed by exactly one
-                // worker; an unfilled slot becomes a typed error.
-                r.unwrap_or_else(|| {
-                    Err(EngineError::ShardUnavailable {
-                        shard: i,
-                        detail: "shard was never claimed by a scatter worker".to_string(),
-                    })
-                })
-            })
-            .collect()
+        let sopts = self.shard_opts(opts);
+        let workers = if parallel { self.shards.len() } else { 1 };
+        let per_shard = work_steal(&self.shards, workers, |e| e.execute(values, query, sopts));
+        let truncate_k = match query {
+            Query::Nearest { k } => Some(k),
+            _ => None,
+        };
+        self.gather(opts.degradation, per_shard, truncate_k, t0)
     }
 
     /// Merges per-shard outcomes under the caller's (top-level) policy.
@@ -722,8 +527,14 @@ mod tests {
         let sharded = ShardedEngine::build(&data, cfg(), 3).unwrap();
         let q = query(&data);
         let k = 5;
-        let a = single.nearest(&q, k).unwrap();
-        let b = sharded.nearest(&q, k).unwrap();
+        let a = single
+            .execute(&q, Query::Nearest { k }, SearchOptions::default())
+            .unwrap()
+            .matches;
+        let b = sharded
+            .execute(&q, Query::Nearest { k }, SearchOptions::default())
+            .unwrap()
+            .matches;
         assert_eq!(b.len(), k, "merge must truncate to the global k");
         let ids_a: Vec<_> = a.iter().map(|m| m.id).collect();
         let ids_b: Vec<_> = b.iter().map(|m| m.id).collect();

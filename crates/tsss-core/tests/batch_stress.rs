@@ -1,16 +1,29 @@
 //! Threaded stress test for the parallel batch query path.
 //!
-//! `search_batch` must be observationally equivalent to looping
-//! `search` on one thread: identical match sets (bit-identical transforms
+//! `execute_batch` must be observationally equivalent to looping
+//! `execute` on one thread: identical match sets (bit-identical transforms
 //! and distances), identical per-query page counts (Figure 5's metric must
 //! not change when queries run in parallel), and per-query counts that sum
 //! to the global counter increase.
 
-use tsss_core::{EngineConfig, SearchEngine, SearchOptions, SearchResult};
+use tsss_core::{EngineConfig, EngineError, Query, SearchEngine, SearchOptions, SearchResult};
 use tsss_data::{MarketConfig, MarketSimulator, Series};
 use tsss_rand::Rng;
 
 const WINDOW: usize = 16;
+
+/// A range batch that fails on the first per-query error.
+fn range_batch(
+    e: &SearchEngine,
+    queries: &[Vec<f64>],
+    epsilon: f64,
+    opts: SearchOptions,
+    workers: usize,
+) -> Result<Vec<SearchResult>, EngineError> {
+    e.execute_batch(queries, Query::Range { epsilon }, opts, workers)
+        .into_iter()
+        .collect()
+}
 
 fn build() -> (SearchEngine, Vec<Series>) {
     let data = MarketSimulator::new(MarketConfig::small(8, 120, 0xBA7C4)).generate();
@@ -55,7 +68,7 @@ fn batch_stress_matches_serial_under_contention() {
 
     for workers in [4, 8, 16] {
         e.reset_counters();
-        let batch = e.search_batch(&queries, eps, opts, workers).unwrap();
+        let batch = range_batch(&e, &queries, eps, opts, workers).unwrap();
         assert_eq!(batch.len(), serial.len());
 
         let mut index_sum = 0u64;
@@ -86,7 +99,7 @@ fn batch_stress_matches_serial_under_contention() {
 
 #[test]
 fn concurrent_searches_share_the_engine_across_plain_threads() {
-    // Beyond search_batch: a shared reference can be queried from manually
+    // Beyond execute_batch: a shared reference can be queried from manually
     // spawned threads (SearchEngine is Sync), each getting serial-identical
     // answers.
     let (e, data) = build();
@@ -126,9 +139,7 @@ fn buffered_engine_still_answers_identically_in_parallel() {
         .iter()
         .map(|q| e.search(q, 3.0, SearchOptions::default()).unwrap())
         .collect();
-    let batch = e
-        .search_batch(&queries, 3.0, SearchOptions::default(), 6)
-        .unwrap();
+    let batch = range_batch(&e, &queries, 3.0, SearchOptions::default(), 6).unwrap();
     for (b, s) in batch.iter().zip(&serial) {
         assert_eq!(b.matches, s.matches);
     }

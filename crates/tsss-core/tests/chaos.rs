@@ -15,7 +15,7 @@
 // Test fixture: counters are tiny, narrowing casts cannot truncate.
 #![allow(clippy::cast_possible_truncation)]
 
-use tsss_core::{CostLimit, DegradationPolicy, EngineConfig, SearchEngine, SearchOptions};
+use tsss_core::{DegradationPolicy, EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss_data::{MarketConfig, MarketSimulator, Series};
 use tsss_rand::Rng;
 use tsss_storage::FaultConfig;
@@ -87,7 +87,7 @@ fn read_fault_chaos_matches_oracle_or_fails_typed() {
             let q = random_query(&mut rng);
             let eps = rng.f64_range(0.0, 20.0);
             let oracle = pristine
-                .sequential_search(&q, eps, CostLimit::UNLIMITED)
+                .sequential_search(&q, eps, SearchOptions::default())
                 .unwrap();
 
             match chaotic.search(&q, eps, fallback_opts()) {
@@ -140,12 +140,14 @@ fn batch_read_fault_chaos_every_result_matches_oracle() {
             .map(|_| random_query(&mut rng))
             .collect();
         let eps = rng.f64_range(1.0, 20.0);
-        let results = chaotic
-            .search_batch(&queries, eps, fallback_opts(), 4)
-            .expect("index faults degrade per query; the healthy data store answers");
+        let results =
+            chaotic.execute_batch(&queries, Query::Range { epsilon: eps }, fallback_opts(), 4);
         for (q, res) in queries.iter().zip(&results) {
+            let res = res
+                .as_ref()
+                .expect("index faults degrade per query; the healthy data store answers");
             let oracle = pristine
-                .sequential_search(q, eps, CostLimit::UNLIMITED)
+                .sequential_search(q, eps, SearchOptions::default())
                 .unwrap();
             assert_eq!(res.id_set(), oracle.id_set(), "seed {seed}");
         }
@@ -192,7 +194,9 @@ fn write_fault_chaos_never_panics_or_lies() {
                         // The data store is healthy, so the engine's own
                         // sequential scan is the exact oracle for whatever
                         // the file currently holds.
-                        let oracle = e.sequential_search(&q, eps, CostLimit::UNLIMITED).unwrap();
+                        let oracle = e
+                            .sequential_search(&q, eps, SearchOptions::default())
+                            .unwrap();
                         assert_eq!(res.id_set(), oracle.id_set(), "seed {seed}");
                     }
                 }
@@ -236,7 +240,7 @@ fn smashed_page_chaos_degrades_to_exact_oracle() {
             let q = random_query(&mut rng);
             let eps = rng.f64_range(0.0, 20.0);
             let oracle = pristine
-                .sequential_search(&q, eps, CostLimit::UNLIMITED)
+                .sequential_search(&q, eps, SearchOptions::default())
                 .unwrap();
 
             let res = chaotic
@@ -280,7 +284,7 @@ fn recovery_chaos_repair_restores_indexed_service() {
             let q = random_query(&mut rng);
             let eps = rng.f64_range(0.0, 20.0);
             let oracle = pristine
-                .sequential_search(&q, eps, CostLimit::UNLIMITED)
+                .sequential_search(&q, eps, SearchOptions::default())
                 .unwrap();
             let res = chaotic
                 .search(&q, eps, fallback_opts())
@@ -310,7 +314,7 @@ fn recovery_chaos_repair_restores_indexed_service() {
             let q = random_query(&mut rng);
             let eps = rng.f64_range(0.0, 20.0);
             let oracle = pristine
-                .sequential_search(&q, eps, CostLimit::UNLIMITED)
+                .sequential_search(&q, eps, SearchOptions::default())
                 .unwrap();
             let res = chaotic.search(&q, eps, fallback_opts()).unwrap();
             assert!(!res.stats.degraded, "seed {seed}: still degraded");
@@ -344,7 +348,9 @@ fn budget_chaos_is_exact_or_a_typed_hard_error() {
             match e.search(&q, eps, opts) {
                 Ok(res) => {
                     assert!(!res.stats.degraded, "seed {seed}");
-                    let oracle = e.sequential_search(&q, eps, CostLimit::UNLIMITED).unwrap();
+                    let oracle = e
+                        .sequential_search(&q, eps, SearchOptions::default())
+                        .unwrap();
                     assert_eq!(res.id_set(), oracle.id_set(), "seed {seed}");
                 }
                 Err(tsss_core::EngineError::PageBudgetExceeded { budget: b }) => {

@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 
 use tsss_core::{
-    CostLimit, EngineConfig, SearchEngine, SearchOptions, SearchResult, SubsequenceMatch,
+    CostLimit, EngineConfig, Query, SearchEngine, SearchOptions, SearchResult, SubsequenceMatch,
 };
 use tsss_data::{MarketConfig, MarketSimulator, Series};
 use tsss_geometry::scale_shift::ScaleShift;
@@ -142,38 +142,37 @@ fn build_report() -> String {
     // accept-everything regime), and the degenerate constant query. The
     // locked `data_pages` also pin the scan's one-read-per-page contract,
     // which the read-ahead scanner must preserve exactly.
-    for (name, q, eps, cost) in [
-        ("seqscan/q0/eps2", &q0, 2.0, CostLimit::UNLIMITED),
-        ("seqscan/q3/eps8/cost", &q3, 8.0, cost_tight),
-        ("seqscan/q2/eps0.5", &q2, 0.5, CostLimit::UNLIMITED),
-        ("seqscan/q1/eps1e-6", &q1, 1e-6, CostLimit::UNLIMITED),
-        ("seqscan/q0/eps30", &q0, 30.0, CostLimit::UNLIMITED),
+    for (name, q, eps, opts) in [
+        ("seqscan/q0/eps2", &q0, 2.0, SearchOptions::default()),
+        ("seqscan/q3/eps8/cost", &q3, 8.0, with_cost),
+        ("seqscan/q2/eps0.5", &q2, 0.5, SearchOptions::default()),
+        ("seqscan/q1/eps1e-6", &q1, 1e-6, SearchOptions::default()),
+        ("seqscan/q0/eps30", &q0, 30.0, SearchOptions::default()),
     ] {
-        let res = e.sequential_search(q, eps, cost).unwrap();
+        let res = e.sequential_search(q, eps, opts).unwrap();
         assert_stage_invariant(name, &res);
         case(&mut out, name, &res, true);
     }
 
     // k-NN (plain and cost-constrained).
-    case_matches(&mut out, "nn/q0/k5", &e.nearest(&q0, 5).unwrap());
-    case_matches(
-        &mut out,
-        "nn_cost/q3/k5",
-        &e.nearest_with_cost(
-            &q3,
-            5,
-            CostLimit {
-                a_range: Some((0.5, 2.0)),
-                b_range: None,
-            },
-        )
-        .unwrap(),
-    );
+    let knn5 = Query::Nearest { k: 5 };
+    let res = e.execute(&q0, knn5, SearchOptions::default()).unwrap();
+    case_matches(&mut out, "nn/q0/k5", &res.matches);
+    let nn_cost = SearchOptions {
+        cost: CostLimit {
+            a_range: Some((0.5, 2.0)),
+            b_range: None,
+        },
+        ..Default::default()
+    };
+    let res = e.execute(&q3, knn5, nn_cost).unwrap();
+    case_matches(&mut out, "nn_cost/q3/k5", &res.matches);
 
     // Long queries: prefix stitching vs its brute-force oracle. The oracle
     // predates page accounting, so its pages are not locked.
     let ql = data[1].window(10, 40).unwrap().to_vec();
-    let res = e.search_long(&ql, 2.0, SearchOptions::default()).unwrap();
+    let long = Query::Long { epsilon: 2.0 };
+    let res = e.execute(&ql, long, SearchOptions::default()).unwrap();
     assert_stage_invariant("long/len40/eps2", &res);
     case(&mut out, "long/len40/eps2", &res, true);
     let res = e.sequential_search_long(&ql, 2.0).unwrap();
@@ -181,15 +180,23 @@ fn build_report() -> String {
     case(&mut out, "long_seq/len40/eps2", &res, false);
 
     // z-normalised search.
-    let res = e.search_znormalized(&q0, 1.0).unwrap();
+    let znorm = Query::ZNormalized { z_eps: 1.0 };
+    let res = e.execute(&q0, znorm, SearchOptions::default()).unwrap();
     assert_stage_invariant("znorm/q0/z1", &res);
     case(&mut out, "znorm/q0/z1", &res, true);
 
     // Parallel batch: per-query results and page counts must be identical
     // to the serial runs above regardless of interleaving.
     let queries = vec![q0.clone(), q1.clone(), q2.clone(), q3.clone()];
-    let batch = e
-        .search_batch(&queries, 2.0, SearchOptions::default(), 4)
+    let batch: Vec<SearchResult> = e
+        .execute_batch(
+            &queries,
+            Query::Range { epsilon: 2.0 },
+            SearchOptions::default(),
+            4,
+        )
+        .into_iter()
+        .collect::<Result<_, _>>()
         .unwrap();
     let serial: Vec<SearchResult> = queries
         .iter()
@@ -329,7 +336,10 @@ fn parallel_seqscans_are_bit_identical_to_serial() {
 
     let serial: Vec<SearchResult> = queries
         .iter()
-        .map(|(q, eps)| e.sequential_search(q, *eps, CostLimit::UNLIMITED).unwrap())
+        .map(|(q, eps)| {
+            e.sequential_search(q, *eps, SearchOptions::default())
+                .unwrap()
+        })
         .collect();
 
     let parallel: Vec<SearchResult> = std::thread::scope(|sc| {
@@ -337,7 +347,10 @@ fn parallel_seqscans_are_bit_identical_to_serial() {
             .iter()
             .map(|(q, eps)| {
                 let e = &e;
-                sc.spawn(move || e.sequential_search(q, *eps, CostLimit::UNLIMITED).unwrap())
+                sc.spawn(move || {
+                    e.sequential_search(q, *eps, SearchOptions::default())
+                        .unwrap()
+                })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -464,38 +477,16 @@ fn sharded_answers_are_shard_count_invariant() {
 
     let q = data[0].window(5, 16).unwrap().to_vec();
     let ql = data[1].window(10, 40).unwrap().to_vec();
-    for (name, base, r1, r4) in [
-        (
-            "range/eps2",
-            single.search(&q, 2.0, SearchOptions::default()).unwrap(),
-            n1.search(&q, 2.0, SearchOptions::default()).unwrap(),
-            n4.search(&q, 2.0, SearchOptions::default()).unwrap(),
-        ),
-        (
-            "knn/k7",
-            single
-                .nearest_search_opts(&q, 7, SearchOptions::default())
-                .unwrap(),
-            n1.nearest_search_opts(&q, 7, SearchOptions::default())
-                .unwrap(),
-            n4.nearest_search_opts(&q, 7, SearchOptions::default())
-                .unwrap(),
-        ),
-        (
-            "znorm/eps1",
-            single.search_znormalized(&q, 1.0).unwrap(),
-            n1.search_znormalized(&q, 1.0).unwrap(),
-            n4.search_znormalized(&q, 1.0).unwrap(),
-        ),
-        (
-            "long/len40",
-            single
-                .search_long(&ql, 2.0, SearchOptions::default())
-                .unwrap(),
-            n1.search_long(&ql, 2.0, SearchOptions::default()).unwrap(),
-            n4.search_long(&ql, 2.0, SearchOptions::default()).unwrap(),
-        ),
+    for (name, values, query) in [
+        ("range/eps2", &q, Query::Range { epsilon: 2.0 }),
+        ("knn/k7", &q, Query::Nearest { k: 7 }),
+        ("znorm/eps1", &q, Query::ZNormalized { z_eps: 1.0 }),
+        ("long/len40", &ql, Query::Long { epsilon: 2.0 }),
     ] {
+        let opts = SearchOptions::default();
+        let base = single.execute(values, query, opts).unwrap();
+        let r1 = n1.execute(values, query, opts).unwrap();
+        let r4 = n4.execute(values, query, opts).unwrap();
         assert_same(&format!("{name}/n1"), &base, &r1);
         assert_same(&format!("{name}/n4"), &base, &r4);
         assert_eq!(r1.stats.shards_ok, 1, "{name}");
@@ -507,14 +498,12 @@ fn sharded_answers_are_shard_count_invariant() {
     let batch: Vec<Vec<f64>> = (0..5)
         .map(|i| data[i % data.len()].window(3 + 7 * i, 16).unwrap().to_vec())
         .collect();
-    let base = single
-        .search_batch(&batch, 1.5, SearchOptions::default(), 1)
-        .unwrap();
+    let range = Query::Range { epsilon: 1.5 };
+    let base = single.execute_batch(&batch, range, SearchOptions::default(), 1);
     for workers in [1, 4] {
-        let got = n4
-            .search_batch(&batch, 1.5, SearchOptions::default(), workers)
-            .unwrap();
+        let got = n4.execute_batch(&batch, range, SearchOptions::default(), workers);
         for (i, (want, have)) in base.iter().zip(&got).enumerate() {
+            let (want, have) = (want.as_ref().unwrap(), have.as_ref().unwrap());
             assert_same(&format!("batch[{i}]/w{workers}"), want, have);
         }
     }

@@ -9,7 +9,7 @@
 // Test fixture: counters are tiny, narrowing casts cannot truncate.
 #![allow(clippy::cast_possible_truncation)]
 
-use tsss_core::{CostLimit, EngineConfig, SearchEngine, SearchOptions, SubseqId};
+use tsss_core::{CostLimit, EngineConfig, Query, SearchEngine, SearchOptions, SubseqId};
 use tsss_data::{MarketConfig, MarketSimulator, Series};
 use tsss_geometry::penetration::PenetrationMethod;
 use tsss_rand::Rng;
@@ -69,7 +69,7 @@ fn index_equals_oracle() {
             ..Default::default()
         };
         let fast = e.search(&query, eps, opts).unwrap();
-        let slow = e.sequential_search(&query, eps, cost).unwrap();
+        let slow = e.sequential_search(&query, eps, opts).unwrap();
         assert_eq!(fast.id_set(), slow.id_set());
         // Reported distances agree pairwise.
         for (a, b) in fast.matches.iter().zip(&slow.matches) {
@@ -110,7 +110,14 @@ fn znorm_search_equals_brute_force() {
         let z_eps = rng.f64_range(0.0, 4.0);
         let data = market(seed);
         let e = SearchEngine::build(&data, engine_cfg()).unwrap();
-        let got = e.search_znormalized(&query, z_eps).unwrap().id_set();
+        let got = e
+            .execute(
+                &query,
+                Query::ZNormalized { z_eps },
+                SearchOptions::default(),
+            )
+            .unwrap()
+            .id_set();
         let mut want = std::collections::BTreeSet::new();
         for (si, s) in data.iter().enumerate() {
             for off in 0..=s.len() - WINDOW {
@@ -152,7 +159,9 @@ fn dynamic_updates_preserve_oracle_equality() {
         assert!(e.remove_window(victim).unwrap());
         let q = data[2].window(11, WINDOW).unwrap().to_vec();
         let fast = e.search(&q, eps, SearchOptions::default()).unwrap();
-        let slow = e.sequential_search(&q, eps, CostLimit::UNLIMITED).unwrap();
+        let slow = e
+            .sequential_search(&q, eps, SearchOptions::default())
+            .unwrap();
         // The scan still sees the removed window (it scans raw data); the
         // index must match it everywhere else.
         let mut slow_ids = slow.id_set();
@@ -173,7 +182,10 @@ fn knn_and_range_search_are_consistent() {
         let data = market(seed);
         let e = SearchEngine::build(&data, engine_cfg()).unwrap();
         let q = data[3].window(20, WINDOW).unwrap().to_vec();
-        let nn = e.nearest(&q, k).unwrap();
+        let nn = e
+            .execute(&q, Query::Nearest { k }, SearchOptions::default())
+            .unwrap()
+            .matches;
         assert_eq!(nn.len(), k);
         let kth = nn.last().unwrap().distance;
         let range = e.search(&q, kth + 1e-9, SearchOptions::default()).unwrap();

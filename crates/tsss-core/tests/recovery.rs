@@ -7,7 +7,7 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use tsss_core::{
-    CostLimit, Deadline, DegradationPolicy, EngineConfig, EngineError, SearchEngine, SearchOptions,
+    Deadline, DegradationPolicy, EngineConfig, EngineError, Query, SearchEngine, SearchOptions,
 };
 use tsss_data::{MarketConfig, MarketSimulator, Series};
 
@@ -53,17 +53,13 @@ fn zero_deadline_is_a_typed_error_on_every_entry_point() {
     let zero = Deadline::uniform(0);
 
     assert_deadline_err("indexed", e.search(&q, 5.0, with_deadline(zero)));
-    assert_deadline_err(
-        "seqscan",
-        e.sequential_search_opts(&q, 5.0, with_deadline(zero)),
-    );
+    assert_deadline_err("seqscan", e.sequential_search(&q, 5.0, with_deadline(zero)));
     assert_deadline_err("knn", e.nearest_search_opts(&q, 3, with_deadline(zero)));
     let long_q = data[1].window(0, 2 * WINDOW).unwrap().to_vec();
-    assert_deadline_err("long", e.search_long(&long_q, 5.0, with_deadline(zero)));
-    assert_deadline_err(
-        "znormalized",
-        e.search_znormalized_opts(&q, 0.5, with_deadline(zero)),
-    );
+    let long = Query::Long { epsilon: 5.0 };
+    assert_deadline_err("long", e.execute(&long_q, long, with_deadline(zero)));
+    let znorm = Query::ZNormalized { z_eps: 0.5 };
+    assert_deadline_err("znormalized", e.execute(&q, znorm, with_deadline(zero)));
 }
 
 /// A generous deadline changes nothing: every entry point returns answers
@@ -75,6 +71,8 @@ fn generous_deadline_answers_are_bit_identical_to_unlimited() {
     let q = data[2].window(20, WINDOW).unwrap().to_vec();
     let long_q = data[3].window(5, 2 * WINDOW).unwrap().to_vec();
     let generous = with_deadline(Deadline::uniform(1_000_000_000));
+    let long = Query::Long { epsilon: 8.0 };
+    let znorm = Query::ZNormalized { z_eps: 0.5 };
 
     let pairs = [
         (
@@ -84,9 +82,9 @@ fn generous_deadline_answers_are_bit_identical_to_unlimited() {
         ),
         (
             "seqscan",
-            e.sequential_search_opts(&q, 8.0, SearchOptions::default())
+            e.sequential_search(&q, 8.0, SearchOptions::default())
                 .unwrap(),
-            e.sequential_search_opts(&q, 8.0, generous).unwrap(),
+            e.sequential_search(&q, 8.0, generous).unwrap(),
         ),
         (
             "knn",
@@ -96,15 +94,13 @@ fn generous_deadline_answers_are_bit_identical_to_unlimited() {
         ),
         (
             "long",
-            e.search_long(&long_q, 8.0, SearchOptions::default())
-                .unwrap(),
-            e.search_long(&long_q, 8.0, generous).unwrap(),
+            e.execute(&long_q, long, SearchOptions::default()).unwrap(),
+            e.execute(&long_q, long, generous).unwrap(),
         ),
         (
             "znormalized",
-            e.search_znormalized_opts(&q, 0.5, SearchOptions::default())
-                .unwrap(),
-            e.search_znormalized_opts(&q, 0.5, generous).unwrap(),
+            e.execute(&q, znorm, SearchOptions::default()).unwrap(),
+            e.execute(&q, znorm, generous).unwrap(),
         ),
     ];
     for (name, free, bounded) in pairs {
@@ -160,7 +156,7 @@ fn exhausted_query_in_a_batch_does_not_poison_the_others() {
 
     let opts = with_deadline(Deadline::uniform(budget));
     for workers in [1, 4] {
-        let results = e.search_batch_results(&queries, eps, opts, workers);
+        let results = e.execute_batch(&queries, Query::Range { epsilon: eps }, opts, workers);
         assert_eq!(results.len(), queries.len());
         let mut ok = 0usize;
         let mut exhausted = 0usize;
@@ -182,10 +178,12 @@ fn exhausted_query_in_a_batch_does_not_poison_the_others() {
         assert!(exhausted > 0, "workers {workers}: no query exceeded");
     }
 
-    // And `search_batch` (the Result-of-Vec wrapper) surfaces the first
+    // And collecting the batch into one `Result` surfaces the first
     // failure instead of fabricating a partial answer.
     assert!(matches!(
-        e.search_batch(&queries, eps, opts, 2),
+        e.execute_batch(&queries, Query::Range { epsilon: eps }, opts, 2)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>(),
         Err(EngineError::DeadlineExceeded { .. })
     ));
 }
@@ -253,7 +251,7 @@ fn breaker_trips_routes_reprobes_and_repair_closes_it() {
 
     let q = data[1].window(12, WINDOW).unwrap().to_vec();
     let oracle = pristine
-        .sequential_search(&q, 5.0, CostLimit::UNLIMITED)
+        .sequential_search(&q, 5.0, SearchOptions::default())
         .unwrap();
     let fallback = SearchOptions {
         degradation: DegradationPolicy::SeqScanFallback,

@@ -15,7 +15,7 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use tsss_core::{
-    BreakerState, DegradationPolicy, EngineConfig, EngineError, SearchEngine, SearchOptions,
+    BreakerState, DegradationPolicy, EngineConfig, EngineError, Query, SearchEngine, SearchOptions,
     SearchResult, ShardedEngine, SubsequenceMatch,
 };
 use tsss_data::{MarketConfig, MarketSimulator, Series};
@@ -65,30 +65,25 @@ fn smash(sharded: &mut ShardedEngine, sick: usize) {
     shard.tree_mut().clear_cache().unwrap();
 }
 
-/// Runs every single-query mode; tags name the mode in failure output.
-fn run_modes_single(e: &SearchEngine, data: &[Series]) -> Vec<(&'static str, SearchResult)> {
+/// Every single-query mode with its query values; tags name the mode in
+/// failure output.
+fn modes(data: &[Series]) -> Vec<(&'static str, Vec<f64>, Query)> {
     let q = data[0].window(3, WINDOW).unwrap().to_vec();
     let ql = data[1].window(10, 30).unwrap().to_vec();
     vec![
-        (
-            "range",
-            e.search(&q, 0.8, SearchOptions::default()).unwrap(),
-        ),
-        (
-            "knn",
-            e.nearest_search_opts(&q, 5, SearchOptions::default())
-                .unwrap(),
-        ),
-        (
-            "znorm",
-            e.search_znormalized_opts(&q, 1.0, SearchOptions::default())
-                .unwrap(),
-        ),
-        (
-            "long",
-            e.search_long(&ql, 2.0, SearchOptions::default()).unwrap(),
-        ),
+        ("range", q.clone(), Query::Range { epsilon: 0.8 }),
+        ("knn", q.clone(), Query::Nearest { k: 5 }),
+        ("znorm", q, Query::ZNormalized { z_eps: 1.0 }),
+        ("long", ql, Query::Long { epsilon: 2.0 }),
     ]
+}
+
+/// Runs every single-query mode on one engine.
+fn run_modes_single(e: &SearchEngine, data: &[Series]) -> Vec<(&'static str, SearchResult)> {
+    modes(data)
+        .into_iter()
+        .map(|(tag, q, query)| (tag, e.execute(&q, query, SearchOptions::default()).unwrap()))
+        .collect()
 }
 
 /// The same modes through the sharded engine, with per-mode outcomes.
@@ -96,20 +91,10 @@ fn run_modes_sharded(
     e: &ShardedEngine,
     data: &[Series],
 ) -> Vec<(&'static str, Result<SearchResult, EngineError>)> {
-    let q = data[0].window(3, WINDOW).unwrap().to_vec();
-    let ql = data[1].window(10, 30).unwrap().to_vec();
-    vec![
-        ("range", e.search(&q, 0.8, SearchOptions::default())),
-        (
-            "knn",
-            e.nearest_search_opts(&q, 5, SearchOptions::default()),
-        ),
-        (
-            "znorm",
-            e.search_znormalized_opts(&q, 1.0, SearchOptions::default()),
-        ),
-        ("long", e.search_long(&ql, 2.0, SearchOptions::default())),
-    ]
+    modes(data)
+        .into_iter()
+        .map(|(tag, q, query)| (tag, e.execute(&q, query, SearchOptions::default())))
+        .collect()
 }
 
 /// Asserts `got` is bit-for-bit `expected` after mapping the expected
@@ -224,7 +209,8 @@ fn batch_with_smashed_shard_isolates_per_query() {
         let q1 = data[2].window(7, WINDOW).unwrap().to_vec();
         let malformed = vec![0.0; WINDOW + 1];
         let batch = vec![q0.clone(), malformed, q1.clone()];
-        let results = sharded.search_batch_results(&batch, 0.8, SearchOptions::default(), 3);
+        let range = Query::Range { epsilon: 0.8 };
+        let results = sharded.execute_batch(&batch, range, SearchOptions::default(), 3);
         assert_eq!(results.len(), 3);
 
         let r0 = results[0].as_ref().unwrap();

@@ -216,7 +216,7 @@ impl<'a> QueryFit<'a> {
     /// `distance² = ‖vc‖² − a·(uc·vc)` is exact in real arithmetic but loses
     /// precision to cancellation, and the screening pass additionally
     /// reassociates its sums for speed; a candidate is rejected only when
-    /// the algebraic value beats `epsilon²` by more than [`SCREEN_REL_TOL`]
+    /// the algebraic value beats `epsilon²` by more than `SCREEN_REL_TOL`
     /// of the participating moment magnitudes, which dwarfs both error
     /// sources. Borderline candidates (and any NaN poisoning of the bound)
     /// fall through to the exact sequential fit, so every `Some(fit)` is

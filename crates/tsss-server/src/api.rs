@@ -74,6 +74,7 @@ pub fn status_of(e: &EngineError) -> u16 {
         EngineError::QueryLength { .. }
         | EngineError::QueryTooShort { .. }
         | EngineError::InvalidEpsilon(_)
+        | EngineError::LongQueryStride { .. }
         | EngineError::DatasetTooSmall { .. } => 400,
         EngineError::UnknownSeries(_) => 404,
         EngineError::TooLarge { .. } => 413,

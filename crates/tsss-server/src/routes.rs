@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use tsss_core::{
-    BreakerState, DurableEngine, EngineError, HealthReport, SearchEngine, SearchOptions,
+    BreakerState, DurableEngine, EngineError, HealthReport, Query, SearchEngine, SearchOptions,
     SearchResult, ShardedEngine,
 };
 use tsss_data::Series;
@@ -84,13 +84,6 @@ impl ServingSnapshot {
         }
     }
 
-    fn stride(&self) -> usize {
-        match self {
-            ServingSnapshot::Single(e) => e.config().stride,
-            ServingSnapshot::Sharded(s) => s.config().stride,
-        }
-    }
-
     /// Per-shard circuit-breaker positions, in shard order (one entry for
     /// a single engine).
     pub fn shard_breakers(&self) -> Vec<BreakerState> {
@@ -144,71 +137,17 @@ impl ServingSnapshot {
         }
     }
 
-    /// Range search — [`SearchEngine::search`] or the scatter-gather
-    /// [`ShardedEngine::search`].
-    pub fn search(
+    /// Runs one query — [`SearchEngine::execute`] or the scatter-gather
+    /// [`ShardedEngine::execute`].
+    pub fn execute(
         &self,
-        query: &[f64],
-        epsilon: f64,
+        values: &[f64],
+        query: Query,
         opts: SearchOptions,
     ) -> Result<SearchResult, EngineError> {
         match self {
-            ServingSnapshot::Single(e) => e.search(query, epsilon, opts),
-            ServingSnapshot::Sharded(s) => s.search(query, epsilon, opts),
-        }
-    }
-
-    /// k-nearest search (the sharded path re-tightens the global k-th
-    /// bound across shards).
-    pub fn nearest_search_opts(
-        &self,
-        query: &[f64],
-        k: usize,
-        opts: SearchOptions,
-    ) -> Result<SearchResult, EngineError> {
-        match self {
-            ServingSnapshot::Single(e) => e.nearest_search_opts(query, k, opts),
-            ServingSnapshot::Sharded(s) => s.nearest_search_opts(query, k, opts),
-        }
-    }
-
-    /// z-normalized search.
-    pub fn search_znormalized_opts(
-        &self,
-        query: &[f64],
-        z_eps: f64,
-        opts: SearchOptions,
-    ) -> Result<SearchResult, EngineError> {
-        match self {
-            ServingSnapshot::Single(e) => e.search_znormalized_opts(query, z_eps, opts),
-            ServingSnapshot::Sharded(s) => s.search_znormalized_opts(query, z_eps, opts),
-        }
-    }
-
-    /// Long-query search (piece decomposition).
-    pub fn search_long(
-        &self,
-        query: &[f64],
-        epsilon: f64,
-        opts: SearchOptions,
-    ) -> Result<SearchResult, EngineError> {
-        match self {
-            ServingSnapshot::Single(e) => e.search_long(query, epsilon, opts),
-            ServingSnapshot::Sharded(s) => s.search_long(query, epsilon, opts),
-        }
-    }
-
-    /// Batch search: per-query isolation either way.
-    pub fn search_batch_results(
-        &self,
-        queries: &[Vec<f64>],
-        epsilon: f64,
-        opts: SearchOptions,
-        workers: usize,
-    ) -> Vec<Result<SearchResult, EngineError>> {
-        match self {
-            ServingSnapshot::Single(e) => e.search_batch_results(queries, epsilon, opts, workers),
-            ServingSnapshot::Sharded(s) => s.search_batch_results(queries, epsilon, opts, workers),
+            ServingSnapshot::Single(e) => e.execute(values, query, opts),
+            ServingSnapshot::Sharded(s) => s.execute(values, query, opts),
         }
     }
 }
@@ -424,10 +363,9 @@ fn dispatch(state: &AppState, method: &str, path: &str, body: &[u8]) -> (u16, St
         ("POST", "/repair") => repair(state),
         ("POST", "/save") => save(state),
         ("POST", "/append") => with_body(body, |b| append(state, b)),
-        ("POST", "/search") => with_body(body, |b| search(state, b)),
-        ("POST", "/knn") => with_body(body, |b| knn(state, b)),
-        ("POST", "/znormalized") => with_body(body, |b| znormalized(state, b)),
-        ("POST", "/long") => with_body(body, |b| long(state, b)),
+        ("POST", "/search" | "/knn" | "/znormalized" | "/long") => {
+            with_body(body, |b| query(state, path, b))
+        }
         ("POST", "/batch") => with_body(body, |b| batch(state, b)),
         ("GET" | "POST", _) => Err(ApiError {
             status: 404,
@@ -657,16 +595,30 @@ fn stamp_stats(state: &AppState, stats: &mut tsss_core::SearchStats) {
     stats.wal_tail_records = state.gauges.wal_tail_records.load(Ordering::Relaxed);
 }
 
-fn run_search(
-    state: &AppState,
-    body: &Json,
-    f: impl FnOnce(&ServingSnapshot, &[f64], SearchOptions) -> Result<SearchResult, EngineError>,
-) -> Result<Json, ApiError> {
-    let query = require_f64_array(body, "query")?;
+/// The one query handler: `/search`, `/knn`, `/znormalized` and `/long`
+/// differ only in the [`Query`] their body names.
+fn query(state: &AppState, path: &str, body: &Json) -> Result<Json, ApiError> {
+    let mode = match path {
+        "/knn" => {
+            let k = require_u64(body, "k")?;
+            let k = usize::try_from(k).map_err(|_| ApiError::bad_request("\"k\" out of range"))?;
+            Query::Nearest { k }
+        }
+        "/znormalized" => Query::ZNormalized {
+            z_eps: require_f64(body, "z_eps")?,
+        },
+        "/long" => Query::Long {
+            epsilon: require_f64(body, "epsilon")?,
+        },
+        // "/search": the paper's range query.
+        _ => Query::Range {
+            epsilon: require_f64(body, "epsilon")?,
+        },
+    };
+    let values = require_f64_array(body, "query")?;
     let opts = parse_options(body)?;
     let limit = opt_limit(body)?;
-    let engine = snapshot(state);
-    match f(&engine, &query, opts) {
+    match snapshot(state).execute(&values, mode, opts) {
         Ok(mut res) => {
             stamp_stats(state, &mut res.stats);
             state.metrics.record_search(
@@ -683,36 +635,6 @@ fn run_search(
             Err(e.into())
         }
     }
-}
-
-fn search(state: &AppState, body: &Json) -> Result<Json, ApiError> {
-    let epsilon = require_f64(body, "epsilon")?;
-    run_search(state, body, |e, q, o| e.search(q, epsilon, o))
-}
-
-fn knn(state: &AppState, body: &Json) -> Result<Json, ApiError> {
-    let k = require_u64(body, "k")?;
-    let k = usize::try_from(k).map_err(|_| ApiError::bad_request("\"k\" out of range"))?;
-    run_search(state, body, |e, q, o| e.nearest_search_opts(q, k, o))
-}
-
-fn znormalized(state: &AppState, body: &Json) -> Result<Json, ApiError> {
-    let z_eps = require_f64(body, "z_eps")?;
-    run_search(state, body, |e, q, o| {
-        e.search_znormalized_opts(q, z_eps, o)
-    })
-}
-
-fn long(state: &AppState, body: &Json) -> Result<Json, ApiError> {
-    let epsilon = require_f64(body, "epsilon")?;
-    // `search_long` panics on stride ≠ 1 (the piece decomposition needs
-    // every offset indexed) — turn that contract into a client error.
-    if snapshot(state).stride() != 1 {
-        return Err(ApiError::bad_request(
-            "long queries require an engine built with stride 1",
-        ));
-    }
-    run_search(state, body, |e, q, o| e.search_long(q, epsilon, o))
 }
 
 fn batch(state: &AppState, body: &Json) -> Result<Json, ApiError> {
@@ -748,8 +670,11 @@ fn batch(state: &AppState, body: &Json) -> Result<Json, ApiError> {
         queries.push(vals?);
     }
 
-    let engine = snapshot(state);
-    let mut results = engine.search_batch_results(&queries, epsilon, opts, workers);
+    let range = Query::Range { epsilon };
+    let mut results = match &*snapshot(state) {
+        ServingSnapshot::Single(e) => e.execute_batch(&queries, range, opts, workers),
+        ServingSnapshot::Sharded(s) => s.execute_batch(&queries, range, opts, workers),
+    };
     for res in results.iter_mut().flatten() {
         stamp_stats(state, &mut res.stats);
     }
@@ -1146,39 +1071,53 @@ mod tests {
     fn sharded_state_answers_bit_identically_to_single() {
         let (single, data) = state();
         let (sharded, _) = sharded_state(4);
-        let body = query_body(&data, 0.5);
-        let (s1, p1) = handle(&single, "POST", "/search", body.as_bytes());
-        let (s2, p2) = handle(&sharded, "POST", "/search", body.as_bytes());
-        assert_eq!((s1, s2), (200, 200), "{p1}\n{p2}");
-        let j1 = Json::parse(&p1).unwrap();
-        let j2 = Json::parse(&p2).unwrap();
-        // The merged scatter-gather answer is the single engine's answer,
-        // match for match and bit for bit (same JSON rendering).
-        assert_eq!(
-            j1.get("total_matches").and_then(Json::as_u64),
-            j2.get("total_matches").and_then(Json::as_u64)
-        );
-        assert_eq!(
-            j1.get("matches").unwrap().encode(),
-            j2.get("matches").unwrap().encode()
-        );
-        // Shard accounting: 4 healthy domains answered, none degraded, and
-        // the stage identity survived the merge and the encoding.
-        let stats = j2.get("stats").unwrap();
-        assert_eq!(stats.get("shards_ok").and_then(Json::as_u64), Some(4));
-        assert_eq!(stats.get("degraded_shards").and_then(Json::as_u64), Some(0));
-        let c = stats.get("candidates").and_then(Json::as_u64).unwrap();
-        let v = stats.get("verified").and_then(Json::as_u64).unwrap();
-        let fa = stats.get("false_alarms").and_then(Json::as_u64).unwrap();
-        let cr = stats.get("cost_rejected").and_then(Json::as_u64).unwrap();
-        assert_eq!(c, v + fa + cr);
-        // A direct single-engine answer has no shards and says so.
-        let s1stats = j1.get("stats").unwrap();
-        assert_eq!(s1stats.get("shards_ok").and_then(Json::as_u64), Some(0));
-        assert_eq!(
-            s1stats.get("degraded_shards").and_then(Json::as_u64),
-            Some(0)
-        );
+        let q_json = encode_vals(&window_of(&data, 0, 3, WINDOW));
+        let long_json = encode_vals(&window_of(&data, 1, 0, WINDOW + WINDOW / 2));
+        for (route, body) in [
+            ("/search", query_body(&data, 0.5)),
+            ("/knn", format!("{{\"query\":{q_json},\"k\":5}}")),
+            (
+                "/znormalized",
+                format!("{{\"query\":{q_json},\"z_eps\":1.0}}"),
+            ),
+            (
+                "/long",
+                format!("{{\"query\":{long_json},\"epsilon\":2.0}}"),
+            ),
+        ] {
+            let (s1, p1) = handle(&single, "POST", route, body.as_bytes());
+            let (s2, p2) = handle(&sharded, "POST", route, body.as_bytes());
+            assert_eq!((s1, s2), (200, 200), "{route}: {p1}\n{p2}");
+            let j1 = Json::parse(&p1).unwrap();
+            let j2 = Json::parse(&p2).unwrap();
+            // The merged scatter-gather answer is the single engine's
+            // answer, match for match and bit for bit (same JSON rendering).
+            let total = j1.get("total_matches").and_then(Json::as_u64);
+            assert!(total.unwrap() >= 1, "{route}: the workload must match");
+            assert_eq!(total, j2.get("total_matches").and_then(Json::as_u64));
+            assert_eq!(
+                j1.get("matches").unwrap().encode(),
+                j2.get("matches").unwrap().encode(),
+                "{route}"
+            );
+            // Shard accounting: 4 healthy domains answered, none degraded,
+            // and the stage identity survived the merge and the encoding.
+            let stats = j2.get("stats").unwrap();
+            assert_eq!(stats.get("shards_ok").and_then(Json::as_u64), Some(4));
+            assert_eq!(stats.get("degraded_shards").and_then(Json::as_u64), Some(0));
+            let c = stats.get("candidates").and_then(Json::as_u64).unwrap();
+            let v = stats.get("verified").and_then(Json::as_u64).unwrap();
+            let fa = stats.get("false_alarms").and_then(Json::as_u64).unwrap();
+            let cr = stats.get("cost_rejected").and_then(Json::as_u64).unwrap();
+            assert_eq!(c, v + fa + cr, "{route}");
+            // A direct single-engine answer has no shards and says so.
+            let s1stats = j1.get("stats").unwrap();
+            assert_eq!(s1stats.get("shards_ok").and_then(Json::as_u64), Some(0));
+            assert_eq!(
+                s1stats.get("degraded_shards").and_then(Json::as_u64),
+                Some(0)
+            );
+        }
     }
 
     #[test]
@@ -1301,6 +1240,19 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(2)
         );
+    }
+
+    #[test]
+    fn long_route_on_a_coarser_stride_is_400() {
+        let data = MarketSimulator::new(MarketConfig::small(4, 80, 42)).generate();
+        let mut cfg = EngineConfig::small(WINDOW);
+        cfg.stride = 2;
+        let st = AppState::new(SearchEngine::build(&data, cfg).unwrap());
+        let long_json = encode_vals(&window_of(&data, 1, 0, WINDOW + WINDOW / 2));
+        let body = format!("{{\"query\":{long_json},\"epsilon\":0.5}}");
+        let (status, payload) = handle(&st, "POST", "/long", body.as_bytes());
+        assert_eq!(status, 400, "{payload}");
+        assert!(payload.contains("stride 1"), "{payload}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 // Demo fixture: day/stream counters are tiny, the narrowing casts are safe.
 #![allow(clippy::cast_possible_truncation)]
 
-use tsss::core::{EngineConfig, SearchEngine, SearchOptions, SubseqId};
+use tsss::core::{EngineConfig, Query, SearchEngine, SearchOptions, SubseqId};
 use tsss::data::{MarketConfig, MarketSimulator, Series};
 
 const WINDOW: usize = 24;
@@ -92,7 +92,9 @@ fn main() {
         }
 
         // 3. Query for the pattern. Only alert on windows ending today.
-        let result = engine.search(&pattern, eps, opts).expect("pattern query");
+        let result = engine
+            .execute(&pattern, Query::Range { epsilon: eps }, opts)
+            .expect("pattern query");
         for m in &result.matches {
             let ends_today = m.id.offset as usize + WINDOW == today + 1;
             if ends_today && alerted.insert(m.id) {

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use tsss::core::{CostLimit, EngineConfig, SearchEngine, SearchOptions};
+use tsss::core::{EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss::data::{MarketConfig, MarketSimulator, QueryWorkload, WorkloadConfig};
 use tsss::geometry::penetration::PenetrationMethod;
 
@@ -51,23 +51,24 @@ fn main() {
         let mut row = [0.0f64; 6];
         for q in &workload.queries {
             let eps = eps_frac * tsss::geometry::se::se_norm(&q.values);
+            let range = Query::Range { epsilon: eps };
 
             let seq = engine
-                .sequential_search(&q.values, eps, CostLimit::UNLIMITED)
+                .sequential_search(&q.values, eps, SearchOptions::default())
                 .unwrap();
             row[0] += seq.stats.elapsed.as_secs_f64() * 1e6;
             row[1] += seq.stats.total_pages() as f64;
 
             let ee = engine
-                .search(&q.values, eps, SearchOptions::default())
+                .execute(&q.values, range, SearchOptions::default())
                 .unwrap();
             row[2] += ee.stats.elapsed.as_secs_f64() * 1e6;
             row[3] += ee.stats.total_pages() as f64;
 
             let sph = engine
-                .search(
+                .execute(
                     &q.values,
-                    eps,
+                    range,
                     SearchOptions {
                         method: PenetrationMethod::BoundingSpheres,
                         ..Default::default()

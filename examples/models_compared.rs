@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example models_compared`
 
-use tsss::core::{EngineConfig, SearchEngine, SearchOptions};
+use tsss::core::{EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss::data::{MarketConfig, MarketSimulator, Series};
 
 const WINDOW: usize = 32;
@@ -50,8 +50,9 @@ fn main() {
     let eps = 0.25 * tsss::geometry::se::se_norm(&query);
 
     // Paper model.
+    let range = Query::Range { epsilon: eps };
     let ss = engine
-        .search(&query, eps, SearchOptions::default())
+        .execute(&query, range, SearchOptions::default())
         .expect("valid query");
     let ss_has_mirror = ss
         .matches
@@ -77,7 +78,13 @@ fn main() {
     }
 
     // Modern model, same index.
-    let z = engine.search_znormalized(&query, 2.0).expect("valid query");
+    let z = engine
+        .execute(
+            &query,
+            Query::ZNormalized { z_eps: 2.0 },
+            SearchOptions::default(),
+        )
+        .expect("valid query");
     let z_has_mirror = z.matches.iter().any(|m| m.id.series as usize == mirror_idx);
     let z_has_flat = z.matches.iter().any(|m| m.id.series as usize == flat_idx);
     println!(
@@ -97,7 +104,7 @@ fn main() {
     engine.save_to_path(&path).expect("save engine");
     let reloaded = SearchEngine::load_from_path(&path).expect("load engine");
     let again = reloaded
-        .search(&query, eps, SearchOptions::default())
+        .execute(&query, range, SearchOptions::default())
         .expect("valid query");
     assert_eq!(ss.id_set(), again.id_set());
     println!(

@@ -1,7 +1,7 @@
 //! Parallel batch search over one shared engine.
 //!
 //! `SearchEngine` is `Send + Sync`: after the build, any number of threads
-//! can query it concurrently. `search_batch` packages the common case —
+//! can query it concurrently. `execute_batch` packages the common case —
 //! answer a whole batch of queries on N worker threads — and returns the
 //! exact results a serial loop would produce, in query order, including
 //! each query's own page-access counts (the paper's Figure 5 metric), which
@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use tsss::core::{EngineConfig, SearchEngine, SearchOptions};
+use tsss::core::{EngineConfig, Query, SearchEngine, SearchOptions, SearchResult};
 use tsss::data::{MarketConfig, MarketSimulator, QueryWorkload, WorkloadConfig};
 
 const WINDOW: usize = 64;
@@ -45,17 +45,13 @@ fn main() {
 
     // Serial reference: one thread, one query at a time.
     let t0 = Instant::now();
-    let serial = engine
-        .search_batch(&queries, epsilon, SearchOptions::default(), 1)
-        .expect("valid queries");
+    let serial = batch(&engine, &queries, epsilon, 1);
     let serial_wall = t0.elapsed();
 
     // The same batch on all available cores.
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let t0 = Instant::now();
-    let parallel = engine
-        .search_batch(&queries, epsilon, SearchOptions::default(), workers)
-        .expect("valid queries");
+    let parallel = batch(&engine, &queries, epsilon, workers);
     let parallel_wall = t0.elapsed();
 
     // Same answers, same per-query costs — only the wall clock moved.
@@ -78,4 +74,23 @@ fn main() {
         serial_wall.as_secs_f64() / parallel_wall.as_secs_f64()
     );
     println!("\nper-query match sets and page counts are identical — asserted above");
+}
+
+/// A range batch on `workers` threads, every query expected to answer.
+fn batch(
+    engine: &SearchEngine,
+    queries: &[Vec<f64>],
+    epsilon: f64,
+    workers: usize,
+) -> Vec<SearchResult> {
+    engine
+        .execute_batch(
+            queries,
+            Query::Range { epsilon },
+            SearchOptions::default(),
+            workers,
+        )
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("valid queries")
 }

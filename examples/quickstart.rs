@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use tsss::core::{EngineConfig, SearchEngine, SearchOptions};
+use tsss::core::{EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss::data::{MarketConfig, MarketSimulator};
 use tsss::geometry::scale_shift::ScaleShift;
 
@@ -36,7 +36,11 @@ fn main() {
 
     // 4. Search with a small error bound.
     let result = engine
-        .search(&query, 1e-6, SearchOptions::default())
+        .execute(
+            &query,
+            Query::Range { epsilon: 1e-6 },
+            SearchOptions::default(),
+        )
         .expect("well-formed query");
 
     println!(

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use tsss::core::{CostLimit, EngineConfig, SearchEngine, SearchOptions};
+use tsss::core::{CostLimit, EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss::data::{MarketConfig, MarketSimulator};
 
 const WINDOW: usize = 64;
@@ -55,7 +55,9 @@ fn main() {
         },
         ..Default::default()
     };
-    let result = engine.search(&reference, eps, opts).expect("valid query");
+    let result = engine
+        .execute(&reference, Query::Range { epsilon: eps }, opts)
+        .expect("valid query");
 
     // Keep each stock's best-matching window.
     let mut best_per_stock: BTreeMap<u32, (f64, f64, f64)> = BTreeMap::new();
@@ -94,8 +96,9 @@ fn main() {
     // low-volatility windows (distance is measured in the target's
     // amplitude), so rank with the cost-constrained k-NN.
     let nearest = engine
-        .nearest_with_cost(&reference, 8, opts.cost)
-        .expect("valid query");
+        .execute(&reference, Query::Nearest { k: 8 }, opts)
+        .expect("valid query")
+        .matches;
     println!("\nnearest co-moving windows market-wide (cost-constrained k-NN):");
     for m in nearest
         .iter()

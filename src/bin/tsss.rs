@@ -24,7 +24,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use tsss::core::{CostLimit, DurableEngine, EngineConfig, SearchEngine, SearchOptions};
+use tsss::core::{CostLimit, DurableEngine, EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss::data::csv;
 use tsss::data::{MarketConfig, MarketSimulator};
 
@@ -284,7 +284,7 @@ fn cmd_query(a: &Args) -> Result<(), String> {
         ..Default::default()
     };
     let res = engine
-        .search(&query, epsilon, opts)
+        .execute(&query, Query::Range { epsilon }, opts)
         .map_err(|e| e.to_string())?;
     println!(
         "{} match(es); {} candidates ({} verified, {} false alarms, {} cost-rejected), {} pages, {:?}",
@@ -348,7 +348,14 @@ fn cmd_batch(a: &Args) -> Result<(), String> {
     )?;
     let t0 = std::time::Instant::now();
     let results = engine
-        .search_batch(&queries, epsilon, SearchOptions::default(), workers)
+        .execute_batch(
+            &queries,
+            Query::Range { epsilon },
+            SearchOptions::default(),
+            workers,
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .map_err(|e| e.to_string())?;
     let wall = t0.elapsed();
     let mut total_matches = 0usize;
@@ -378,7 +385,7 @@ fn cmd_nn(a: &Args) -> Result<(), String> {
     let query = load_query(a.require("query")?, engine.config().window_len)?;
     let k: usize = a.get_parsed("k", 10)?;
     let res = engine
-        .nearest_search(&query, k, CostLimit::UNLIMITED)
+        .execute(&query, Query::Nearest { k }, SearchOptions::default())
         .map_err(|e| e.to_string())?;
     println!(
         "{} nearest subsequence(s); {} frontier candidates ({} verified), {} pages, {:?}:",
@@ -535,7 +542,11 @@ fn cmd_demo() -> Result<(), String> {
     let query = disguise.apply(source);
     println!("query: stock 7, days 50..82, scaled ×3 and shifted −25");
     let res = engine
-        .search(&query, 1e-6, SearchOptions::default())
+        .execute(
+            &query,
+            Query::Range { epsilon: 1e-6 },
+            SearchOptions::default(),
+        )
         .map_err(|e| e.to_string())?;
     let best = res.matches.first().ok_or("demo found no match")?;
     println!(

@@ -13,8 +13,8 @@
 //!   page-access accounting (the Figure 5 metric),
 //! * [`index`] — R-tree / R*-tree with line-penetration search (paper §6),
 //! * [`dft`] — FFT and the `f_c`-coefficient feature extractor (paper §7),
-//! * [`core`] — the end-to-end engine: build, search, sequential baseline,
-//!   k-NN, long queries,
+//! * [`core`] — the end-to-end engine: build, then `execute` a `Query`
+//!   (range, k-NN, long, z-normalised), plus the sequential baseline,
 //! * [`data`] — synthetic stock-market data and query workloads,
 //! * [`server`] — a dependency-free HTTP/1.1 front door: JSON endpoints
 //!   with bounded-queue admission control and per-request QoS (deadlines,
@@ -23,7 +23,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use tsss::core::{EngineConfig, SearchEngine, SearchOptions};
+//! use tsss::core::{EngineConfig, Query, SearchEngine, SearchOptions};
 //! use tsss::data::{MarketConfig, MarketSimulator};
 //!
 //! // 20 synthetic stocks, 100 observations each.
@@ -35,7 +35,8 @@
 //! let query = secret.apply(market[3].window(40, 16).unwrap());
 //!
 //! // …and the engine recovers it, reporting the transformation.
-//! let hits = engine.search(&query, 1e-6, SearchOptions::default()).unwrap();
+//! let range = Query::Range { epsilon: 1e-6 };
+//! let hits = engine.execute(&query, range, SearchOptions::default()).unwrap();
 //! let best = &hits.matches[0];
 //! assert_eq!((best.id.series, best.id.offset), (3, 40));
 //! assert!((best.transform.a - 0.5).abs() < 1e-6); // the inverse disguise

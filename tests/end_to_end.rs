@@ -5,7 +5,7 @@
 // Test fixture: counters are tiny, narrowing casts cannot truncate.
 #![allow(clippy::cast_possible_truncation)]
 
-use tsss::core::{CostLimit, EngineConfig, SearchEngine, SearchOptions};
+use tsss::core::{CostLimit, EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss::data::{MarketConfig, MarketSimulator, QueryWorkload, Series, WorkloadConfig};
 use tsss::geometry::penetration::PenetrationMethod;
 use tsss::geometry::scale_shift::min_scale_shift_distance;
@@ -42,7 +42,7 @@ fn recall_is_exactly_one_for_every_epsilon_and_method() {
     for q in &queries.queries {
         for eps in [0.0, 0.5, 2.0, 10.0, 50.0] {
             let oracle = e
-                .sequential_search(&q.values, eps, CostLimit::UNLIMITED)
+                .sequential_search(&q.values, eps, SearchOptions::default())
                 .unwrap();
             for method in [
                 PenetrationMethod::EnteringExiting,
@@ -108,7 +108,9 @@ fn index_pruning_skips_most_of_the_database_at_small_epsilon() {
     let e = engine(&data);
     let q = data[5].window(60, WINDOW).unwrap().to_vec();
     let tree = e.search(&q, 0.0, SearchOptions::default()).unwrap();
-    let seq = e.sequential_search(&q, 0.0, CostLimit::UNLIMITED).unwrap();
+    let seq = e
+        .sequential_search(&q, 0.0, SearchOptions::default())
+        .unwrap();
     assert_eq!(seq.stats.candidates as usize, e.num_windows());
     // In 6-d feature space a line through the origin still grazes a fair
     // share of the (few, coarse) leaves at this scale; the fraction drops
@@ -139,7 +141,7 @@ fn transformation_cost_limits_are_honoured_end_to_end() {
         assert!(m.transform.b.abs() <= 5.0);
     }
     // And the same limits produce the same set on the scan.
-    let seq = e.sequential_search(&q, 20.0, opts.cost).unwrap();
+    let seq = e.sequential_search(&q, 20.0, opts).unwrap();
     assert_eq!(res.id_set(), seq.id_set());
 }
 
@@ -198,7 +200,10 @@ fn nearest_neighbour_agrees_with_the_distance_oracle() {
         .iter()
         .map(|v| v * 0.1 + 100.0)
         .collect();
-    let got = e.nearest(&q, 5).unwrap();
+    let got = e
+        .execute(&q, Query::Nearest { k: 5 }, SearchOptions::default())
+        .unwrap()
+        .matches;
     // Oracle.
     let mut all: Vec<f64> = Vec::new();
     for s in &data {
@@ -221,7 +226,8 @@ fn long_queries_match_their_oracle_via_facade() {
     let data = market();
     let e = engine(&data);
     let q = data[7].window(20, 80).unwrap().to_vec();
-    let fast = e.search_long(&q, 3.0, SearchOptions::default()).unwrap();
+    let long = Query::Long { epsilon: 3.0 };
+    let fast = e.execute(&q, long, SearchOptions::default()).unwrap();
     let brute = e.sequential_search_long(&q, 3.0).unwrap();
     assert_eq!(fast.id_set(), brute.id_set());
 }

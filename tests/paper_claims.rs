@@ -2,7 +2,7 @@
 //! reproduction lives in `tsss-bench` (release builds); these tests pin the
 //! *direction* of every claim at a size debug builds handle quickly.
 
-use tsss::core::{CostLimit, EngineConfig, SearchEngine, SearchOptions};
+use tsss::core::{EngineConfig, SearchEngine, SearchOptions};
 use tsss::data::{MarketConfig, MarketSimulator, QueryWorkload, Series, WorkloadConfig};
 use tsss::geometry::penetration::PenetrationMethod;
 
@@ -45,7 +45,9 @@ fn sequential_scan_page_cost_is_the_file_size() {
     let expect = total_values.div_ceil(e.config().page_size / 8) as u64;
     let q = &workload(&data, 1)[0];
     for eps in [0.0, 5.0, 100.0] {
-        let res = e.sequential_search(q, eps, CostLimit::UNLIMITED).unwrap();
+        let res = e
+            .sequential_search(q, eps, SearchOptions::default())
+            .unwrap();
         assert_eq!(res.stats.data_pages, expect, "eps {eps}");
     }
 }
@@ -70,7 +72,7 @@ fn exact_search_is_far_cheaper_than_the_scan() {
             .index
             .candidates_checked;
         seq_checked += e
-            .sequential_search(q, 0.0, CostLimit::UNLIMITED)
+            .sequential_search(q, 0.0, SearchOptions::default())
             .unwrap()
             .stats
             .candidates;
