@@ -85,8 +85,8 @@ pub struct DurableEngine {
 
 impl DurableEngine {
     /// Wraps an engine with no log and no save path: appends are
-    /// acknowledged from memory only (`durable == false`). The mode the
-    /// server falls back to when given an in-memory engine.
+    /// acknowledged from memory only (`durable == false`). How an
+    /// in-memory engine is handed to the server.
     pub fn new_volatile(engine: SearchEngine) -> Self {
         Self {
             engine,

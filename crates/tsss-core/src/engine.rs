@@ -93,33 +93,11 @@ impl SearchEngine {
         cfg.validate();
         let extractor = cfg.fc.map(|fc| FeatureExtractor::new(cfg.window_len, fc));
         let mut store = PagedSeriesStore::new(cfg.page_size, cfg.data_buffer_frames);
-
-        let mut entries: Vec<DataEntry> = Vec::new();
-        let mut se_buf = vec![0.0; cfg.window_len];
-        let mut max_se_norm = 0.0f64;
-        for (si, s) in data.iter().enumerate() {
+        for s in data {
             store.add_series_with_values(s.name.clone(), &s.values)?;
-            for off in window_offsets(s.values.len(), cfg.window_len, cfg.stride) {
-                // analyze::allow(index): window_offsets only yields offsets with off + window_len <= values.len().
-                let window = &s.values[off..off + cfg.window_len];
-                max_se_norm = max_se_norm.max(tsss_geometry::se::se_norm(window));
-                let feat = feature_of(&extractor, window, &mut se_buf);
-                let id = SubseqId::try_new(si, off)?;
-                entries.push(DataEntry::new(feat, id.pack()));
-            }
         }
-
-        let tree = match cfg.build {
-            crate::config::BuildMethod::BulkStr => bulk_load(cfg.tree_config(), entries)?,
-            crate::config::BuildMethod::BulkPolar => bulk_load_polar(cfg.tree_config(), entries)?,
-            crate::config::BuildMethod::Insert => {
-                let mut t = RTree::new(cfg.tree_config())?;
-                for e in entries {
-                    t.insert(e.point.into_vec(), e.id)?;
-                }
-                t
-            }
-        };
+        let (tree, max_se_norm) =
+            index_windows(&cfg, &extractor, data.iter().map(|s| s.values.as_slice()))?;
 
         Ok(Self {
             cfg,
@@ -704,33 +682,10 @@ impl SearchEngine {
     /// repair can rebuild the index, not the data.
     pub fn repair(&mut self) -> Result<RepairReport, EngineError> {
         let all = self.store.read_everything()?;
-        let mut entries: Vec<DataEntry> = Vec::new();
-        let mut se_buf = vec![0.0; self.cfg.window_len];
-        let mut max_se_norm = 0.0f64;
-        for (si, values) in all.iter().enumerate() {
-            for off in window_offsets(values.len(), self.cfg.window_len, self.cfg.stride) {
-                // analyze::allow(index): window_offsets only yields offsets with off + window_len <= values.len().
-                let window = &values[off..off + self.cfg.window_len];
-                max_se_norm = max_se_norm.max(tsss_geometry::se::se_norm(window));
-                let feat = feature_of(&self.extractor, window, &mut se_buf);
-                let id = SubseqId::try_new(si, off)?;
-                entries.push(DataEntry::new(feat, id.pack()));
-            }
-        }
-        let windows_reindexed = entries.len();
-        self.tree = match self.cfg.build {
-            crate::config::BuildMethod::BulkStr => bulk_load(self.cfg.tree_config(), entries)?,
-            crate::config::BuildMethod::BulkPolar => {
-                bulk_load_polar(self.cfg.tree_config(), entries)?
-            }
-            crate::config::BuildMethod::Insert => {
-                let mut t = RTree::new(self.cfg.tree_config())?;
-                for e in entries {
-                    t.insert(e.point.into_vec(), e.id)?;
-                }
-                t
-            }
-        };
+        let (tree, max_se_norm) =
+            index_windows(&self.cfg, &self.extractor, all.iter().map(Vec::as_slice))?;
+        self.tree = tree;
+        let windows_reindexed = self.tree.len();
         // The recomputed bound covers every window in the data file — a
         // superset of what is indexed — so adopting it exactly is sound for
         // the z-normalised probe and tightens any looseness left by
@@ -822,6 +777,42 @@ pub(crate) fn work_steal<T: Sync, R: Send>(
     // Every index in 0..len was claimed by exactly one worker.
     claimed.sort_unstable_by_key(|&(i, _)| i);
     claimed.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Indexes every window of `series` (in series-index order) with the
+/// configured [`crate::BuildMethod`]: the one index-build path of
+/// [`SearchEngine::build`] and [`SearchEngine::repair`]. Returns the tree
+/// and the exact SE-norm bound over the indexed windows.
+fn index_windows<'a>(
+    cfg: &EngineConfig,
+    extractor: &Option<FeatureExtractor>,
+    series: impl Iterator<Item = &'a [f64]>,
+) -> Result<(RTree, f64), EngineError> {
+    let mut entries: Vec<DataEntry> = Vec::new();
+    let mut se_buf = vec![0.0; cfg.window_len];
+    let mut max_se_norm = 0.0f64;
+    for (si, values) in series.enumerate() {
+        for off in window_offsets(values.len(), cfg.window_len, cfg.stride) {
+            // analyze::allow(index): window_offsets only yields offsets with off + window_len <= values.len().
+            let window = &values[off..off + cfg.window_len];
+            max_se_norm = max_se_norm.max(tsss_geometry::se::se_norm(window));
+            let feat = feature_of(extractor, window, &mut se_buf);
+            let id = SubseqId::try_new(si, off)?;
+            entries.push(DataEntry::new(feat, id.pack()));
+        }
+    }
+    let tree = match cfg.build {
+        crate::config::BuildMethod::BulkStr => bulk_load(cfg.tree_config(), entries)?,
+        crate::config::BuildMethod::BulkPolar => bulk_load_polar(cfg.tree_config(), entries)?,
+        crate::config::BuildMethod::Insert => {
+            let mut t = RTree::new(cfg.tree_config())?;
+            for e in entries {
+                t.insert(e.point.into_vec(), e.id)?;
+            }
+            t
+        }
+    };
+    Ok((tree, max_se_norm))
 }
 
 /// SE-transform + optional DFT feature extraction of one window.

@@ -138,15 +138,7 @@ impl SearchEngine {
     /// # Errors
     /// `InvalidData` on malformed input; propagates I/O errors.
     pub fn load_from<R: Read + ?Sized>(r: &mut R) -> io::Result<Self> {
-        match Self::load_from_inner(r, false)? {
-            LoadOutcome::Intact(e) => Ok(e),
-            // Defensive: strict mode asks the inner loader not to repair, so
-            // this arm is dead; report it as corruption rather than aborting.
-            LoadOutcome::Repaired(_) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "strict load unexpectedly repaired the index stream",
-            )),
-        }
+        Self::load_from_inner(r, false).map(|(e, _)| e)
     }
 
     /// Loads an engine, tolerating a corrupt or truncated **index stream**:
@@ -164,16 +156,15 @@ impl SearchEngine {
     /// `InvalidData` when the configuration or data stream is damaged;
     /// propagates I/O errors.
     pub fn load_repairing<R: Read + ?Sized>(r: &mut R) -> io::Result<(Self, bool)> {
-        match Self::load_from_inner(r, true)? {
-            LoadOutcome::Intact(e) => Ok((e, false)),
-            LoadOutcome::Repaired(e) => Ok((e, true)),
-        }
+        Self::load_from_inner(r, true)
     }
 
+    /// Loads an engine and reports whether its index was rebuilt from the
+    /// data stream, which only `tolerate_index` allows.
     fn load_from_inner<R: Read + ?Sized>(
         r: &mut R,
         tolerate_index: bool,
-    ) -> io::Result<LoadOutcome> {
+    ) -> io::Result<(SearchEngine, bool)> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         expect_versioned_magic(r, MAGIC_PREFIX, VERSION)?;
         let meta = get_checked_block(r, MAX_META_BYTES)?;
@@ -195,12 +186,10 @@ impl SearchEngine {
             Ok(tree)
         });
         match tree_result {
-            Ok(tree) => Ok(LoadOutcome::Intact(SearchEngine::from_parts(
-                cfg,
-                tree,
-                store,
-                max_se_norm,
-            ))),
+            Ok(tree) => Ok((
+                SearchEngine::from_parts(cfg, tree, store, max_se_norm),
+                false,
+            )),
             Err(e) if tolerate_index && e.kind() == io::ErrorKind::InvalidData => {
                 // The data stream is intact; rebuild the index from it.
                 let placeholder = RTree::new(cfg.tree_config())
@@ -209,7 +198,7 @@ impl SearchEngine {
                 engine
                     .repair()
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                Ok(LoadOutcome::Repaired(engine))
+                Ok((engine, true))
             }
             Err(e) => Err(e),
         }
@@ -243,13 +232,6 @@ impl SearchEngine {
         let mut r = io::BufReader::new(std::fs::File::open(path)?);
         Self::load_repairing(&mut r)
     }
-}
-
-/// Outcome of a tolerant load: the index stream parsed, or it was rebuilt
-/// from the data stream.
-enum LoadOutcome {
-    Intact(SearchEngine),
-    Repaired(SearchEngine),
 }
 
 #[cfg(test)]

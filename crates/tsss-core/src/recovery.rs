@@ -33,15 +33,17 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// The circuit breaker's position (see the module docs for the machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Variants are declared in severity order, so `max` over several
+/// breakers is the most degraded one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum BreakerState {
     /// Healthy: queries probe the index.
     #[default]
     Closed,
-    /// Tripped: `SeqScanFallback` queries skip the index entirely.
-    Open,
     /// Probation: the next query probes the index once to test recovery.
     HalfOpen,
+    /// Tripped: `SeqScanFallback` queries skip the index entirely.
+    Open,
 }
 
 impl std::fmt::Display for BreakerState {
@@ -184,7 +186,7 @@ impl CircuitBreaker {
 
 /// Point-in-time health of an engine, as reported by
 /// [`crate::SearchEngine::health`] and the `tsss health` subcommand.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HealthReport {
     /// Current breaker position.
     pub breaker: BreakerState,
@@ -313,6 +315,13 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.allows_probe());
         assert_eq!(b.trips(), 1);
+    }
+
+    #[test]
+    fn the_worst_of_mixed_breakers_is_the_most_severe() {
+        use BreakerState::{Closed, HalfOpen, Open};
+        assert_eq!([Closed, HalfOpen, Closed].into_iter().max(), Some(HalfOpen));
+        assert_eq!([HalfOpen, Open, Closed].into_iter().max(), Some(Open));
     }
 
     #[test]

@@ -407,19 +407,14 @@ impl ShardedEngine {
         })
     }
 
-    /// The most degraded breaker position across shards: `Open` if any
-    /// shard's breaker is open, else `HalfOpen` if any is probing, else
-    /// `Closed`.
+    /// The most degraded breaker position across shards (see
+    /// [`BreakerState`]'s severity order).
     fn worst_breaker(&self) -> BreakerState {
-        let mut worst = BreakerState::Closed;
-        for e in &self.shards {
-            match e.breaker_state() {
-                BreakerState::Open => return BreakerState::Open,
-                BreakerState::HalfOpen => worst = BreakerState::HalfOpen,
-                BreakerState::Closed => {}
-            }
-        }
-        worst
+        self.shards
+            .iter()
+            .map(SearchEngine::breaker_state)
+            .max()
+            .unwrap_or_default()
     }
 }
 

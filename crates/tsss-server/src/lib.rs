@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tsss_core::{DurableEngine, SearchEngine};
+use tsss_core::DurableEngine;
 
 use admission::{AdmissionQueue, PushOutcome};
 use routes::AppState;
@@ -83,7 +83,6 @@ impl Default for ServerConfig {
 /// A running server: acceptor thread + worker pool over one engine.
 pub struct Server {
     addr: SocketAddr,
-    state: Arc<AppState>,
     queue: Arc<AdmissionQueue<TcpStream>>,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
@@ -91,30 +90,17 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the pool, and starts accepting over a volatile
-    /// (memory-only) engine: `/append` acknowledgements do not survive a
-    /// crash and `/save` is rejected.
+    /// Binds, spawns the pool, and starts accepting over `master`. With a
+    /// durable master every acknowledged `/append` is fsynced to the
+    /// write-ahead log first, and `/save` checkpoints the engine and
+    /// truncates the log; over a volatile one
+    /// ([`DurableEngine::new_volatile`]) `/append` acknowledgements do not
+    /// survive a crash and `/save` is rejected.
     ///
     /// # Errors
     /// Propagates the bind failure.
-    pub fn start(engine: SearchEngine, cfg: &ServerConfig) -> io::Result<Server> {
-        Self::start_with_state(Arc::new(AppState::new_sharded(engine, cfg.shards)), cfg)
-    }
-
-    /// As [`Server::start`], but over a durable master engine: every
-    /// acknowledged `/append` is fsynced to the write-ahead log first, and
-    /// `/save` checkpoints the engine and truncates the log.
-    ///
-    /// # Errors
-    /// Propagates the bind failure.
-    pub fn start_durable(master: DurableEngine, cfg: &ServerConfig) -> io::Result<Server> {
-        Self::start_with_state(
-            Arc::new(AppState::new_durable_sharded(master, cfg.shards)),
-            cfg,
-        )
-    }
-
-    fn start_with_state(state: Arc<AppState>, cfg: &ServerConfig) -> io::Result<Server> {
+    pub fn start(master: DurableEngine, cfg: &ServerConfig) -> io::Result<Server> {
+        let state = Arc::new(AppState::new_durable_sharded(master, cfg.shards));
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_capacity));
@@ -131,7 +117,6 @@ impl Server {
             .collect();
 
         let acceptor = {
-            let state = Arc::clone(&state);
             let queue = Arc::clone(&queue);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || accept_loop(&listener, &state, &queue, &stop))
@@ -139,7 +124,6 @@ impl Server {
 
         Ok(Server {
             addr,
-            state,
             queue,
             stop,
             acceptor: Some(acceptor),
@@ -150,11 +134,6 @@ impl Server {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The shared state (metrics and engine), e.g. for inspection in tests.
-    pub fn state(&self) -> &AppState {
-        &self.state
     }
 
     /// Signals shutdown and waits for every thread: in-flight requests

@@ -5,19 +5,18 @@
 //! searches it with no lock held, so `/search` latency is independent of
 //! `/append` traffic. Mutations (`/append`, `/repair`, `/save`) serialize
 //! on the ingest mutex guarding the durable master engine; after each
-//! mutation the master is republished — serialized through its own
-//! persistence format into a fresh engine and swapped in for readers —
-//! and the snapshot epoch advances by one. The epoch and the WAL tail
-//! size are stamped into every search's stats so clients can tell exactly
-//! which generation answered them.
+//! mutation the master is republished as one immutable `Published`
+//! value — a fresh snapshot, the next epoch, and the master's ingest
+//! health — swapped in for readers. Every read clones that one value, so
+//! the epoch and WAL tail size stamped into a search's stats name exactly
+//! the generation that answered it.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use tsss_core::{
     BreakerState, DurableEngine, EngineError, HealthReport, Query, SearchEngine, SearchOptions,
-    SearchResult, ShardedEngine,
+    SearchResult, SearchStats, ShardedEngine,
 };
 use tsss_data::Series;
 
@@ -28,28 +27,11 @@ use crate::api::{
 use crate::json::Json;
 use crate::metrics::Metrics;
 
-/// Ingest-side health, cached at every snapshot publication (and after
-/// `/save`) so `/health` and `/metrics` answer without touching the ingest
-/// lock — they must stay responsive while an append or rebuild holds it.
-#[derive(Default)]
-struct IngestGauges {
-    /// Mirror of [`tsss_core::HealthReport::append_tail_unindexed`] on the
-    /// master engine.
-    append_tail_unindexed: AtomicBool,
-    /// Mirror of [`tsss_core::HealthReport::max_norm_loose`] on the master.
-    max_norm_loose: AtomicBool,
-    /// Acknowledged appends in the WAL, not yet folded into a save.
-    wal_tail_records: AtomicU64,
-    /// WAL records replayed when the master was opened.
-    wal_replayed: AtomicU64,
-    /// Whether appends are write-ahead logged (false for a volatile engine).
-    durable: AtomicBool,
-}
-
 /// What query endpoints run against: the published immutable snapshot,
 /// served either by one engine or by a scatter-gather sharded view with
-/// per-shard fault isolation. Chosen at startup ([`AppState::new_sharded`]
-/// / `ServerConfig::shards`) and rebuilt on every snapshot publication.
+/// per-shard fault isolation. Chosen at startup
+/// ([`AppState::new_durable_sharded`] / `ServerConfig::shards`) and rebuilt
+/// on every snapshot publication.
 pub enum ServingSnapshot {
     /// A single engine — one fault domain, the default. Boxed so the
     /// variants stay comparably sized; the snapshot lives behind an `Arc`.
@@ -102,23 +84,9 @@ impl ServingSnapshot {
         match self {
             ServingSnapshot::Single(e) => e.health(),
             ServingSnapshot::Sharded(s) => {
-                let mut agg = HealthReport {
-                    breaker: BreakerState::Closed,
-                    strikes: 0,
-                    seqscan_served: 0,
-                    breaker_trips: 0,
-                    quarantined_pages: Vec::new(),
-                    index_retries: 0,
-                    data_retries: 0,
-                    append_tail_unindexed: false,
-                    max_norm_loose: false,
-                    wal_tail_records: 0,
-                    wal_replayed: 0,
-                };
+                let mut agg = HealthReport::default();
                 for r in s.health() {
-                    if breaker_rank(r.breaker) > breaker_rank(agg.breaker) {
-                        agg.breaker = r.breaker;
-                    }
+                    agg.breaker = agg.breaker.max(r.breaker);
                     // Strikes count *consecutive* corrupt probes within one
                     // domain; across domains the worst one is the signal.
                     agg.strikes = agg.strikes.max(r.strikes);
@@ -152,114 +120,80 @@ impl ServingSnapshot {
     }
 }
 
-/// Severity order for folding breakers across shards: an open breaker
-/// anywhere outranks half-open, which outranks closed.
-fn breaker_rank(b: BreakerState) -> u8 {
-    match b {
-        BreakerState::Closed => 0,
-        BreakerState::HalfOpen => 1,
-        BreakerState::Open => 2,
+/// One publication of the serving state, immutable once swapped in: the
+/// snapshot queries run against, its generation, and the master's health
+/// as of that publication. A read clones one `Arc<Published>` and answers,
+/// stamps and reports from it, so no response pairs one generation's
+/// answer with another's epoch.
+struct Published {
+    snapshot: Arc<ServingSnapshot>,
+    /// `0` at startup, then one more per publication.
+    epoch: u64,
+    /// The master's [`DurableEngine::health`] at publication. Reads use
+    /// only its ingest-side fields (WAL tail and replay counts, unindexed
+    /// tail, loose norm bound); query-path health comes from `snapshot`.
+    ingest: HealthReport,
+}
+
+impl Published {
+    /// Stamps the serving-layer fields into a result's stats: which
+    /// generation answered, and how deep the WAL tail was when it was
+    /// published.
+    fn stamp(&self, stats: &mut SearchStats) {
+        stats.epoch = self.epoch;
+        stats.wal_tail_records = self.ingest.wal_tail_records;
     }
 }
 
 /// State shared by every worker thread.
 pub struct AppState {
-    /// The published immutable snapshot all query endpoints read. The lock
-    /// is held only to clone or swap the `Arc` — never across a search.
-    snapshot: RwLock<Arc<ServingSnapshot>>,
+    /// The current [`Published`] value all read endpoints use. The lock is
+    /// held only to clone or swap the `Arc` — never across a search. The
+    /// name is what `tsss-analyze`'s declared `ingest → snapshot` lock
+    /// order refers to.
+    snapshot: RwLock<Arc<Published>>,
     /// Fault domains every publication partitions the snapshot into
     /// (`1` = serve the engine directly); fixed at startup.
     shards: usize,
     /// The durable master engine; appends, repairs and saves serialize here.
     ingest: Mutex<DurableEngine>,
-    /// Snapshot generation: bumped once per publication, `0` until the
-    /// first mutation.
-    epoch: AtomicU64,
-    /// Lock-free cache of the master's ingest-side health.
-    gauges: IngestGauges,
+    /// Whether appends are write-ahead logged (false for a volatile master).
+    durable: bool,
     /// Server-wide counters.
     pub metrics: Metrics,
 }
 
 impl AppState {
-    /// Wraps a volatile (memory-only) engine for serving: same API, but
+    /// Wraps a master engine for serving, with queries answered across
+    /// `shards` fault domains: `<= 1` serves the engine directly, more
+    /// serves a scatter-gather [`ShardedEngine`] (clamped to the number of
+    /// series). Ingest stays single-master: every publication partitions
+    /// the master afresh. A volatile master
+    /// ([`DurableEngine::new_volatile`]) serves the same API, but its
     /// `/append` acknowledgements do not survive a crash and `/save` is
     /// rejected.
-    pub fn new(engine: SearchEngine) -> AppState {
-        Self::new_sharded(engine, 1)
-    }
-
-    /// As [`AppState::new`], but queries are served by a scatter-gather
-    /// [`ShardedEngine`] over `shards` independent fault domains (clamped
-    /// to the number of series; `<= 1` serves the engine directly).
-    /// Ingest stays single-master: every publication re-partitions the
-    /// fresh snapshot.
-    pub fn new_sharded(engine: SearchEngine, shards: usize) -> AppState {
-        Self::new_durable_sharded(DurableEngine::new_volatile(engine), shards)
-    }
-
-    /// Wraps a durable master engine for serving.
-    pub fn new_durable(master: DurableEngine) -> AppState {
-        Self::new_durable_sharded(master, 1)
-    }
-
-    /// As [`AppState::new_durable`], with queries served across `shards`
-    /// fault domains (see [`AppState::new_sharded`]).
     pub fn new_durable_sharded(master: DurableEngine, shards: usize) -> AppState {
-        // The first snapshot is cloned out of the master by the same
-        // save/load roundtrip `publish` uses, so an engine that cannot
-        // snapshot fails at startup rather than on the first mutation.
+        // The first snapshot is made the way `publish` makes every later
+        // one, so an engine that cannot snapshot fails at startup rather
+        // than on the first mutation.
         let snapshot = make_snapshot(master.engine(), shards)
-            .expect("a loaded engine must roundtrip through its own persistence format");
-        let state = AppState {
-            snapshot: RwLock::new(Arc::new(snapshot)),
+            .expect("a loaded engine must snapshot for serving");
+        AppState {
+            snapshot: RwLock::new(Arc::new(Published {
+                snapshot: Arc::new(snapshot),
+                epoch: 0,
+                ingest: master.health(),
+            })),
             shards,
+            durable: master.is_durable(),
             ingest: Mutex::new(master),
-            epoch: AtomicU64::new(0),
-            gauges: IngestGauges::default(),
             metrics: Metrics::default(),
-        };
-        {
-            let master = lock_ingest(&state);
-            state.refresh_gauges(&master);
         }
-        state
-    }
-
-    /// The current snapshot generation.
-    pub fn epoch(&self) -> u64 {
-        // Ordering::Relaxed: the epoch is an advisory generation stamp —
-        // readers correlate it loosely with the snapshot they cloned and
-        // no memory is published through it.
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Recaches the master's ingest-side health into the lock-free gauges.
-    ///
-    /// Every gauge store and load is `Relaxed`: the gauges are an advisory
-    /// cache refreshed under the ingest lock and read lock-free by
-    /// `/health`, `/metrics` and stats stamping. Slight staleness between
-    /// fields is acceptable and nothing synchronizes through them.
-    fn refresh_gauges(&self, master: &DurableEngine) {
-        let h = master.health();
-        let g = &self.gauges;
-        g.append_tail_unindexed
-            // Ordering::Relaxed: advisory gauge cache (doc comment above).
-            .store(h.append_tail_unindexed, Ordering::Relaxed);
-        // Ordering::Relaxed: advisory gauge cache (doc comment above).
-        g.max_norm_loose.store(h.max_norm_loose, Ordering::Relaxed);
-        g.wal_tail_records
-            // Ordering::Relaxed: advisory gauge cache (doc comment above).
-            .store(h.wal_tail_records, Ordering::Relaxed);
-        // Ordering::Relaxed: advisory gauge cache (doc comment above).
-        g.wal_replayed.store(h.wal_replayed, Ordering::Relaxed);
-        // Ordering::Relaxed: advisory gauge cache (doc comment above).
-        g.durable.store(master.is_durable(), Ordering::Relaxed);
     }
 }
 
-/// Clones the current snapshot `Arc` — queries then run with no lock held.
-pub fn snapshot(state: &AppState) -> Arc<ServingSnapshot> {
+/// Clones the current published value — reads then run with no lock held.
+fn published(state: &AppState) -> Arc<Published> {
     // Poison recovery: this lock is held only to clone or swap the Arc,
     // never across engine work, so a poisoned lock still guards a fully
     // consistent pointer.
@@ -268,6 +202,11 @@ pub fn snapshot(state: &AppState) -> Arc<ServingSnapshot> {
         .read()
         .unwrap_or_else(PoisonError::into_inner)
         .clone()
+}
+
+/// Clones the current snapshot `Arc` — queries then run with no lock held.
+pub fn snapshot(state: &AppState) -> Arc<ServingSnapshot> {
+    Arc::clone(&published(state).snapshot)
 }
 
 /// Locks the ingest master, recovering from a poisoned mutex.
@@ -298,9 +237,9 @@ fn lock_ingest(state: &AppState) -> MutexGuard<'_, DurableEngine> {
     }
 }
 
-/// Publishes the master's current state as a fresh immutable snapshot and
-/// bumps the epoch. Runs under the ingest lock; readers only ever block
-/// for the pointer swap.
+/// Publishes the master's current state as a fresh immutable snapshot at
+/// the next epoch. Runs under the ingest lock; readers only ever block for
+/// the pointer swap.
 fn publish(state: &AppState, master: &DurableEngine) -> Result<u64, ApiError> {
     let fresh = make_snapshot(master.engine(), state.shards).map_err(|e| ApiError {
         status: 500,
@@ -311,24 +250,38 @@ fn publish(state: &AppState, master: &DurableEngine) -> Result<u64, ApiError> {
                 .to_string(),
         ),
     })?;
-    {
-        let mut slot = state
-            .snapshot
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        *slot = Arc::new(fresh);
-    }
-    // Ordering::Relaxed: advisory generation stamp (see `AppState::epoch`).
-    let epoch = state.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-    state.refresh_gauges(master);
+    let epoch = swap_published(state, master, |cur| (Arc::new(fresh), cur.epoch + 1));
     state.metrics.bump(&state.metrics.snapshots_published_total);
     Ok(epoch)
 }
 
-/// Roundtrips an engine through its own persistence format — the snapshot
-/// mechanism. Serialization guarantees the copy is bit-identical to what a
-/// save/reload would produce, so snapshot answers can never drift from
-/// post-restart answers.
+/// Swaps in the next [`Published`] value: `next` maps the current one to
+/// the snapshot and epoch to publish, which are paired with `master`'s
+/// health as of now. Callers hold the ingest lock, so `master` is exactly
+/// the state being published; returns the published epoch.
+fn swap_published(
+    state: &AppState,
+    master: &DurableEngine,
+    next: impl FnOnce(&Published) -> (Arc<ServingSnapshot>, u64),
+) -> u64 {
+    let ingest = master.health();
+    let mut slot = state
+        .snapshot
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    let (snapshot, epoch) = next(&slot);
+    *slot = Arc::new(Published {
+        snapshot,
+        epoch,
+        ingest,
+    });
+    epoch
+}
+
+/// Roundtrips an engine through its own persistence format — the
+/// single-engine snapshot. Serialization guarantees the copy is
+/// bit-identical to what a save/reload would produce, so snapshot answers
+/// can never drift from post-restart answers.
 fn clone_engine(engine: &SearchEngine) -> io::Result<SearchEngine> {
     let mut buf = Vec::new();
     engine.save_to(&mut buf)?;
@@ -336,14 +289,15 @@ fn clone_engine(engine: &SearchEngine) -> io::Result<SearchEngine> {
 }
 
 /// Builds the serving snapshot for a publication: a roundtripped clone of
-/// the master, re-partitioned into a sharded view when the server was
-/// configured with more than one fault domain.
+/// the master, or — when the server was configured with more than one
+/// fault domain — the master's data partitioned straight into a sharded
+/// view (a partition rebuilds every shard from the data, so it needs no
+/// clone first).
 fn make_snapshot(engine: &SearchEngine, shards: usize) -> io::Result<ServingSnapshot> {
-    let fresh = clone_engine(engine)?;
     if shards <= 1 {
-        return Ok(ServingSnapshot::Single(Box::new(fresh)));
+        return Ok(ServingSnapshot::Single(Box::new(clone_engine(engine)?)));
     }
-    ShardedEngine::from_engine(&fresh, shards)
+    ShardedEngine::from_engine(engine, shards)
         .map(ServingSnapshot::Sharded)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
@@ -398,33 +352,29 @@ fn with_body(
 }
 
 fn health(state: &AppState) -> Result<Json, ApiError> {
-    let engine = snapshot(state);
-    let mut h = engine.health();
+    let published = published(state);
+    let engine = &published.snapshot;
     // Query-path health (breaker, quarantine, retries) comes from the
     // snapshot, which is what queries actually run against. Ingest-path
-    // health comes from the gauge cache, not the master — this endpoint
-    // must answer while an append or rebuild holds the ingest lock.
-    let g = &state.gauges;
-    // Ordering::Relaxed: advisory gauge read (see `refresh_gauges`).
-    h.append_tail_unindexed = g.append_tail_unindexed.load(Ordering::Relaxed);
-    // Ordering::Relaxed: advisory gauge read (see `refresh_gauges`).
-    h.max_norm_loose = g.max_norm_loose.load(Ordering::Relaxed);
-    // Ordering::Relaxed: advisory gauge read (see `refresh_gauges`).
-    h.wal_tail_records = g.wal_tail_records.load(Ordering::Relaxed);
-    // Ordering::Relaxed: advisory gauge read (see `refresh_gauges`).
-    h.wal_replayed = g.wal_replayed.load(Ordering::Relaxed);
+    // health comes from the master as published, not from the master
+    // itself — this endpoint must answer while an append or rebuild holds
+    // the ingest lock.
+    let ingest = &published.ingest;
+    let h = HealthReport {
+        append_tail_unindexed: ingest.append_tail_unindexed,
+        max_norm_loose: ingest.max_norm_loose,
+        wal_tail_records: ingest.wal_tail_records,
+        wal_replayed: ingest.wal_replayed,
+        ..engine.health()
+    };
     let mut j = encode_health(&h);
     if let Json::Obj(map) = &mut j {
         map.insert("num_series".to_string(), Json::from(engine.num_series()));
         map.insert("num_windows".to_string(), Json::from(engine.num_windows()));
         map.insert("shards".to_string(), Json::from(engine.num_shards()));
-        map.insert("shard_breakers".to_string(), encode_shard_breakers(&engine));
-        map.insert("epoch".to_string(), Json::from(state.epoch()));
-        map.insert(
-            "durable".to_string(),
-            // Ordering::Relaxed: advisory gauge read (see `refresh_gauges`).
-            Json::from(state.gauges.durable.load(Ordering::Relaxed)),
-        );
+        map.insert("shard_breakers".to_string(), encode_shard_breakers(engine));
+        map.insert("epoch".to_string(), Json::from(published.epoch));
+        map.insert("durable".to_string(), Json::from(state.durable));
     }
     Ok(j)
 }
@@ -444,20 +394,16 @@ fn encode_shard_breakers(snapshot: &ServingSnapshot) -> Json {
 fn metrics_json(state: &AppState) -> Json {
     let mut j = state.metrics.to_json();
     if let Json::Obj(map) = &mut j {
-        let engine = snapshot(state);
+        let published = published(state);
+        let engine = &published.snapshot;
         map.insert("shards".to_string(), Json::from(engine.num_shards()));
-        map.insert("shard_breakers".to_string(), encode_shard_breakers(&engine));
-        map.insert("epoch".to_string(), Json::from(state.epoch()));
+        map.insert("shard_breakers".to_string(), encode_shard_breakers(engine));
+        map.insert("epoch".to_string(), Json::from(published.epoch));
         map.insert(
             "wal_tail_records".to_string(),
-            // Ordering::Relaxed: advisory gauge read (see `refresh_gauges`).
-            Json::from(state.gauges.wal_tail_records.load(Ordering::Relaxed)),
+            Json::from(published.ingest.wal_tail_records),
         );
-        map.insert(
-            "durable".to_string(),
-            // Ordering::Relaxed: advisory gauge read (see `refresh_gauges`).
-            Json::from(state.gauges.durable.load(Ordering::Relaxed)),
-        );
+        map.insert("durable".to_string(), Json::from(state.durable));
     }
     j
 }
@@ -483,8 +429,8 @@ fn save(state: &AppState) -> Result<Json, ApiError> {
     master.save()?;
     state.metrics.bump(&state.metrics.saves_total);
     // The WAL is now empty; the in-memory engine did not change, so the
-    // gauges refresh without a full republish.
-    state.refresh_gauges(&master);
+    // same snapshot and epoch are republished with the fresh health.
+    swap_published(state, &master, |cur| (Arc::clone(&cur.snapshot), cur.epoch));
     Ok(Json::obj([
         ("saved", Json::from(true)),
         ("wal_tail_records", Json::from(master.wal_tail_records())),
@@ -543,9 +489,9 @@ fn append(state: &AppState, body: &Json) -> Result<Json, ApiError> {
         }
     }
     // Publish whatever state the master is now in — success or failure —
-    // so readers see exactly what the master holds and the health gauges
-    // are fresh. A failed append may still have mutated the master (e.g.
-    // values stored with the tail unindexed).
+    // so readers see exactly what the master holds and its published
+    // health is fresh. A failed append may still have mutated the master
+    // (e.g. values stored with the tail unindexed).
     let published = publish(state, &master);
     let series = match applied {
         Ok(s) => s,
@@ -587,14 +533,6 @@ fn opt_limit(body: &Json) -> Result<Option<usize>, ApiError> {
     }
 }
 
-/// Stamps the serving-layer fields into a result's stats: which snapshot
-/// generation answered, and how deep the WAL tail was at that moment.
-fn stamp_stats(state: &AppState, stats: &mut tsss_core::SearchStats) {
-    stats.epoch = state.epoch();
-    // Ordering::Relaxed: advisory gauge read (see `refresh_gauges`).
-    stats.wal_tail_records = state.gauges.wal_tail_records.load(Ordering::Relaxed);
-}
-
 /// The one query handler: `/search`, `/knn`, `/znormalized` and `/long`
 /// differ only in the [`Query`] their body names.
 fn query(state: &AppState, path: &str, body: &Json) -> Result<Json, ApiError> {
@@ -618,9 +556,10 @@ fn query(state: &AppState, path: &str, body: &Json) -> Result<Json, ApiError> {
     let values = require_f64_array(body, "query")?;
     let opts = parse_options(body)?;
     let limit = opt_limit(body)?;
-    match snapshot(state).execute(&values, mode, opts) {
+    let published = published(state);
+    match published.snapshot.execute(&values, mode, opts) {
         Ok(mut res) => {
-            stamp_stats(state, &mut res.stats);
+            published.stamp(&mut res.stats);
             state.metrics.record_search(
                 res.stats.candidates,
                 res.stats.verified,
@@ -671,12 +610,13 @@ fn batch(state: &AppState, body: &Json) -> Result<Json, ApiError> {
     }
 
     let range = Query::Range { epsilon };
-    let mut results = match &*snapshot(state) {
+    let published = published(state);
+    let mut results = match &*published.snapshot {
         ServingSnapshot::Single(e) => e.execute_batch(&queries, range, opts, workers),
         ServingSnapshot::Sharded(s) => s.execute_batch(&queries, range, opts, workers),
     };
     for res in results.iter_mut().flatten() {
-        stamp_stats(state, &mut res.stats);
+        published.stamp(&mut res.stats);
     }
     let mut encoded = Vec::with_capacity(results.len());
     for r in &results {
@@ -716,9 +656,17 @@ mod tests {
 
     const WINDOW: usize = 16;
 
+    /// Serves `engine` from a volatile (memory-only) master across `shards`.
+    fn serve(engine: SearchEngine, shards: usize) -> AppState {
+        AppState::new_durable_sharded(DurableEngine::new_volatile(engine), shards)
+    }
+
     fn state() -> (AppState, Vec<tsss_data::Series>) {
         let data = MarketSimulator::new(MarketConfig::small(4, 80, 42)).generate();
-        let st = AppState::new(SearchEngine::build(&data, EngineConfig::small(WINDOW)).unwrap());
+        let st = serve(
+            SearchEngine::build(&data, EngineConfig::small(WINDOW)).unwrap(),
+            1,
+        );
         (st, data)
     }
 
@@ -880,7 +828,7 @@ mod tests {
         let path = dir.join("engine.tsss");
         engine.save_to_path(&path).unwrap();
         std::fs::remove_file(DurableEngine::wal_path_for(&path)).ok();
-        let st = AppState::new_durable(DurableEngine::open(&path).unwrap());
+        let st = AppState::new_durable_sharded(DurableEngine::open(&path).unwrap(), 1);
 
         let (status, payload) = handle(&st, "POST", "/append", br#"{"series":0,"values":[1,2,3]}"#);
         assert_eq!(status, 200, "{payload}");
@@ -1060,7 +1008,7 @@ mod tests {
 
     fn sharded_state(shards: usize) -> (AppState, Vec<tsss_data::Series>) {
         let data = MarketSimulator::new(MarketConfig::small(4, 80, 42)).generate();
-        let st = AppState::new_sharded(
+        let st = serve(
             SearchEngine::build(&data, EngineConfig::small(WINDOW)).unwrap(),
             shards,
         );
@@ -1247,7 +1195,7 @@ mod tests {
         let data = MarketSimulator::new(MarketConfig::small(4, 80, 42)).generate();
         let mut cfg = EngineConfig::small(WINDOW);
         cfg.stride = 2;
-        let st = AppState::new(SearchEngine::build(&data, cfg).unwrap());
+        let st = serve(SearchEngine::build(&data, cfg).unwrap(), 1);
         let long_json = encode_vals(&window_of(&data, 1, 0, WINDOW + WINDOW / 2));
         let body = format!("{{\"query\":{long_json},\"epsilon\":0.5}}");
         let (status, payload) = handle(&st, "POST", "/long", body.as_bytes());
@@ -1265,5 +1213,111 @@ mod tests {
             br#"{"query":[1,2,3],"epsilon":0.5}"#,
         );
         assert_eq!(status, 400);
+    }
+
+    /// Every read answers, stamps and reports from one published state.
+    /// One writer appends while two readers race it. At ε = 1e12 every
+    /// window matches, so each `/search` and `/batch` answer's
+    /// `total_matches`, and each `/health` report's `num_windows`, must
+    /// equal the `num_windows` the writer was acknowledged at the epoch
+    /// the response names.
+    #[test]
+    fn every_response_reports_the_epoch_that_answered_it() {
+        for (st, data) in [state(), sharded_state(2)] {
+            assert_reads_match_their_epoch(&st, &data);
+        }
+    }
+
+    /// Races 200 three-value appends, round-robin over the 4 series,
+    /// against two readers.
+    fn assert_reads_match_their_epoch(st: &AppState, data: &[tsss_data::Series]) {
+        use std::collections::BTreeMap;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let health = ok_json(st, "GET", "/health", "");
+        assert_eq!(field(&health, "epoch"), 0);
+        let mut acked = BTreeMap::from([(0, field(&health, "num_windows"))]);
+        let q = encode_vals(&window_of(data, 0, 3, WINDOW));
+        let search = format!("{{\"query\":{q},\"epsilon\":1e12,\"limit\":0}}");
+        let batch = format!("{{\"queries\":[{q}],\"epsilon\":1e12,\"limit\":0}}");
+        // Relaxed: a stop flag only; the reads travel back through join.
+        let done = AtomicBool::new(false);
+        let reads: Vec<_> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|r| {
+                    let (done, search, batch) = (&done, &search, &batch);
+                    s.spawn(move || {
+                        let mut reads = Vec::new();
+                        for k in r.. {
+                            reads.push(read_once(st, k, search, batch));
+                            if done.load(Ordering::Relaxed) {
+                                break;
+                            }
+                        }
+                        reads
+                    })
+                })
+                .collect();
+            for i in 0..200 {
+                let body = format!("{{\"series\":{},\"values\":[1,2,3]}}", i % 4);
+                let ack = ok_json(st, "POST", "/append", &body);
+                acked.insert(field(&ack, "epoch"), field(&ack, "num_windows"));
+            }
+            done.store(true, Ordering::Relaxed);
+            readers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(acked.len(), 201, "one publication per append");
+        let bad: Vec<_> = reads
+            .iter()
+            .filter_map(|&(route, epoch, n)| {
+                let want = acked.get(&epoch).copied();
+                (want != Some(n)).then_some((route, epoch, n, want))
+            })
+            .collect();
+        assert!(
+            bad.is_empty(),
+            "{} shard(s): {} of {} responses reported another epoch's answer; \
+             first (route, epoch, reported, acknowledged): {:?}",
+            snapshot(st).num_shards(),
+            bad.len(),
+            reads.len(),
+            &bad[..bad.len().min(5)]
+        );
+    }
+
+    /// One read of the race, cycling `/search`, `/batch`, `/health` by
+    /// `k`: the route, the epoch it reported, and the count it reported.
+    fn read_once(st: &AppState, k: usize, search: &str, batch: &str) -> (&'static str, u64, u64) {
+        match k % 3 {
+            0 => {
+                let j = ok_json(st, "POST", "/search", search);
+                let epoch = field(j.get("stats").unwrap(), "epoch");
+                ("/search", epoch, field(&j, "total_matches"))
+            }
+            1 => {
+                let j = ok_json(st, "POST", "/batch", batch);
+                let r = &j.get("results").and_then(Json::as_array).unwrap()[0];
+                let epoch = field(r.get("stats").unwrap(), "epoch");
+                ("/batch", epoch, field(r, "total_matches"))
+            }
+            _ => {
+                let j = ok_json(st, "GET", "/health", "");
+                ("/health", field(&j, "epoch"), field(&j, "num_windows"))
+            }
+        }
+    }
+
+    /// Handles one request that must succeed and parses its body.
+    fn ok_json(st: &AppState, method: &str, route: &str, body: &str) -> Json {
+        let (status, payload) = handle(st, method, route, body.as_bytes());
+        assert_eq!(status, 200, "{route}: {payload}");
+        Json::parse(&payload).unwrap()
+    }
+
+    fn field(j: &Json, key: &str) -> u64 {
+        j.get(key).and_then(Json::as_u64).unwrap()
     }
 }

@@ -5,17 +5,22 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use tsss_core::{EngineConfig, SearchEngine};
+use tsss_core::{DurableEngine, EngineConfig, SearchEngine};
 use tsss_data::{MarketConfig, MarketSimulator, Series};
 use tsss_server::json::Json;
 use tsss_server::{Server, ServerConfig};
 
 const WINDOW: usize = 16;
 
+/// Serves `engine` from a volatile (memory-only) master.
+fn start(engine: SearchEngine, cfg: &ServerConfig) -> Server {
+    Server::start(DurableEngine::new_volatile(engine), cfg).unwrap()
+}
+
 fn fixture() -> (Server, Vec<Series>) {
     let data = MarketSimulator::new(MarketConfig::small(4, 80, 99)).generate();
     let engine = SearchEngine::build(&data, EngineConfig::small(WINDOW)).unwrap();
-    let server = Server::start(engine, &ServerConfig::default()).unwrap();
+    let server = start(engine, &ServerConfig::default());
     (server, data)
 }
 
@@ -344,14 +349,13 @@ fn keep_alive_serves_many_requests_on_one_connection() {
 fn keep_alive_request_cap_closes_the_connection() {
     let data = MarketSimulator::new(MarketConfig::small(4, 80, 99)).generate();
     let engine = SearchEngine::build(&data, EngineConfig::small(WINDOW)).unwrap();
-    let server = Server::start(
+    let server = start(
         engine,
         &ServerConfig {
             keep_alive_requests: 2,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
 
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream

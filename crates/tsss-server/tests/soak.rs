@@ -16,12 +16,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tsss_core::{EngineConfig, SearchEngine};
+use tsss_core::{DurableEngine, EngineConfig, SearchEngine};
 use tsss_data::{MarketConfig, MarketSimulator, Series};
 use tsss_server::json::Json;
 use tsss_server::{Server, ServerConfig};
 
 const WINDOW: usize = 16;
+
+/// Serves `engine` from a volatile (memory-only) master.
+fn start(engine: SearchEngine, cfg: &ServerConfig) -> Server {
+    Server::start(DurableEngine::new_volatile(engine), cfg).unwrap()
+}
 
 fn build_engine(companies: usize, days: usize) -> (SearchEngine, Vec<Series>) {
     let data = MarketSimulator::new(MarketConfig::small(companies, days, 4242)).generate();
@@ -84,15 +89,14 @@ fn mixed_endpoint_soak_yields_no_malformed_responses_and_bounded_p99() {
     const QUERIES_PER_CLIENT: usize = 25;
 
     let (engine, data) = build_engine(6, 120);
-    let server = Server::start(
+    let server = start(
         engine,
         &ServerConfig {
             workers: 4,
             queue_capacity: 32,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = server.addr();
     let data = Arc::new(data);
 
@@ -180,15 +184,14 @@ fn saturating_the_admission_queue_sheds_with_429_not_hangs() {
     // One worker, one queue slot: the server can hold two connections;
     // everything beyond that must shed fast.
     let (engine, data) = build_engine(8, 250);
-    let server = Server::start(
+    let server = start(
         engine,
         &ServerConfig {
             workers: 1,
             queue_capacity: 1,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = server.addr();
     let data = Arc::new(data);
 

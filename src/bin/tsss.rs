@@ -517,7 +517,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
             cfg.shards.min(master.engine().num_series().max(1))
         );
     }
-    let server = tsss::server::Server::start_durable(master, &cfg)
+    let server = tsss::server::Server::start(master, &cfg)
         .map_err(|e| format!("binding {}: {e}", cfg.addr))?;
     println!("listening on http://{}", server.addr());
     println!(
