@@ -126,10 +126,16 @@ fn bench_rtree() {
         tsss_index::bulk::bulk_load(TreeConfig::paper(6), points.clone()).expect("valid config");
     let line = Line::scaling(&pseudo_series(6, 77));
     bench("rtree/line_query_20k", 100, || {
-        tree.line_query(&line, 1.0, PenetrationMethod::EnteringExiting)
+        tree.line_query(&line, 1.0, PenetrationMethod::EnteringExiting, None)
             .expect("healthy store")
             .matches
             .len()
+    });
+    bench("rtree/nearest_k10_20k", 100, || {
+        tree.nearest(&line)
+            .take(10)
+            .map(|m| m.expect("healthy store").id)
+            .sum::<u64>()
     });
 }
 

@@ -22,6 +22,12 @@ pub enum EngineError {
         /// Length of the offending query.
         got: usize,
     },
+    /// Every query value must be a finite number: a NaN or infinity would
+    /// poison the fit and every distance computed from it.
+    NonFiniteQuery {
+        /// Position of the first non-finite value.
+        index: usize,
+    },
     /// The error bound must be non-negative and finite.
     InvalidEpsilon(f64),
     /// Long queries need an engine built with stride 1: the piece
@@ -162,6 +168,9 @@ impl fmt::Display for EngineError {
             EngineError::QueryTooShort { min, got } => {
                 write!(f, "long query must be at least {min} values, got {got}")
             }
+            EngineError::NonFiniteQuery { index } => {
+                write!(f, "query value at index {index} is not a finite number")
+            }
             EngineError::InvalidEpsilon(e) => {
                 write!(f, "error bound must be finite and non-negative, got {e}")
             }
@@ -218,6 +227,10 @@ mod tests {
             (
                 EngineError::QueryTooShort { min: 128, got: 10 },
                 "at least 128",
+            ),
+            (
+                EngineError::NonFiniteQuery { index: 3 },
+                "index 3 is not a finite number",
             ),
             (EngineError::InvalidEpsilon(-1.0), "-1"),
             (

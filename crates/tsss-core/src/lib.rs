@@ -69,7 +69,7 @@ pub use error::EngineError;
 pub use id::SubseqId;
 pub use pipeline::{
     CandidateSource, Candidates, DeadlineMeter, IndexProbe, PieceStitchSource, Query, QueryPlan,
-    RawAccess, SeqScanLongSource, SeqScanSource, Verifier, VerifyModel,
+    RawAccess, SeqScanSource, Verifier, VerifyModel,
 };
 pub use recovery::{BreakerState, HealthReport, RepairReport};
 pub use result::{SearchResult, SearchStats, SubsequenceMatch};

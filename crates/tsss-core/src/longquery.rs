@@ -21,12 +21,13 @@
 use crate::config::SearchOptions;
 use crate::engine::SearchEngine;
 use crate::error::EngineError;
-use crate::pipeline::{QueryPlan, SeqScanLongSource};
+use crate::pipeline::{QueryPlan, SeqScanSource};
 use crate::result::SearchResult;
 
 impl SearchEngine {
     /// Brute-force oracle for long queries (test/verification facility):
-    /// scans every possible start position.
+    /// scans every possible start position. A long plan has stride 1, so
+    /// the sequential scan's stride grid is every start position.
     ///
     /// # Errors
     /// Same validation as a [`crate::Query::Long`].
@@ -36,7 +37,7 @@ impl SearchEngine {
         epsilon: f64,
     ) -> Result<SearchResult, EngineError> {
         let plan = QueryPlan::long(self, query, epsilon, SearchOptions::default())?;
-        self.run_pipeline(&plan, &SeqScanLongSource)
+        self.run_pipeline(&plan, &SeqScanSource)
     }
 }
 

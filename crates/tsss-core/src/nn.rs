@@ -9,19 +9,18 @@
 //! so candidates retrieved in ascending feature distance can be verified
 //! until the k-th exact distance drops below the feature distance of the
 //! last unverified candidate — at which point no unseen candidate can
-//! improve the answer.
-
-use std::collections::BTreeMap;
+//! improve the answer. The candidates come from one resumable best-first
+//! walk of the R-tree ([`tsss_index::RTree::nearest`]), so no index page is
+//! read twice.
 
 use tsss_index::LineQueryStats;
-use tsss_storage::StatsScope;
 
 use crate::config::SearchOptions;
 use crate::engine::SearchEngine;
 use crate::error::EngineError;
 use crate::id::SubseqId;
 use crate::pipeline::{
-    CandidateSource, Candidates, DeadlineMeter, QueryPlan, RawAccess, SeqScanSource, Verifier,
+    CandidateSource, Candidates, QueryPlan, RawAccess, SeqScanSource, Spend, Verifier,
 };
 use crate::result::{SearchResult, SubsequenceMatch};
 
@@ -29,7 +28,7 @@ impl SearchEngine {
     /// A [`crate::Query::Nearest`]: the `k` indexed subsequences nearest to
     /// `query` under the paper's dissimilarity (minimum scale-shift
     /// distance), ascending, with the pipeline's per-stage statistics
-    /// (`candidates` = unique windows pulled from the best-first frontier,
+    /// (`candidates` = windows pulled from the best-first walk,
     /// `verified`/`cost_rejected` partitioning them, and exact per-query
     /// page counts). Returns fewer when the index holds fewer windows.
     ///
@@ -41,15 +40,16 @@ impl SearchEngine {
     /// "same trend" ranking.
     ///
     /// The frontier drives the shared pipeline iteratively: each round
-    /// retrieves the next best-first batch from the index, verifies the
-    /// not-yet-seen candidates through the one [`Verifier`], and stops as
-    /// soon as the k-th exact distance is at most the feature distance of
-    /// the last retrieved candidate (no unseen window can improve the
-    /// answer, since feature distances lower-bound exact distances).
-    /// `stats.verified` counts all exactly-verified candidates; the k best
-    /// of them are returned, so `matches.len() ≤ stats.verified`.
-    /// `opts.deadline` and `opts.page_budget` are checked once per frontier
-    /// round and once at the end (the deadline also per candidate).
+    /// pulls the next best-first batch from one walk of the index, verifies
+    /// it through the one [`Verifier`], and stops as soon as the k-th exact
+    /// distance is at most the feature distance of the last pulled
+    /// candidate (no unseen window can improve the answer, since feature
+    /// distances lower-bound exact distances). `stats.verified` counts all
+    /// exactly-verified candidates; the k best of them are returned, so
+    /// `matches.len() ≤ stats.verified`. Page accounting is
+    /// [`SearchEngine::run_pipeline`]'s: `opts.deadline` and
+    /// `opts.page_budget` are checked once per frontier round and once at
+    /// the end (the deadline also per candidate).
     ///
     /// A numerically-constant query degenerates (its SE-line collapses to
     /// the origin, so the frontier order is meaningless): the ranking is
@@ -61,94 +61,61 @@ impl SearchEngine {
         opts: SearchOptions,
     ) -> Result<SearchResult, EngineError> {
         let plan = QueryPlan::ranking(self, query, opts)?;
-        let t0 = std::time::Instant::now();
-        let index_stats = self.index_stats();
-        let data_stats = self.data_stats();
-        let index_scope = index_stats.local_scope();
-        let data_scope = data_stats.local_scope();
-        let mut meter = DeadlineMeter::new(plan.options().deadline);
-
-        let mut res = if k == 0 || self.num_windows() == 0 {
-            SearchResult::default()
-        } else if plan.degenerate() {
-            let cands = SeqScanSource.candidates(self, &plan, &mut meter)?;
-            let mut res = Verifier.verify(self, &plan, cands, &mut meter)?;
-            res.matches.truncate(k);
-            res
-        } else {
-            self.nearest_frontier(
-                &plan,
-                k.min(self.num_windows()),
-                &mut meter,
-                &index_scope,
-                &data_scope,
-            )?
-        };
-        let idx = index_scope.finish();
-        let dat = data_scope.finish();
-        meter.charge_pages_to(idx.total_accesses() + dat.total_accesses())?;
-        charge_page_budget(opts.page_budget, idx.total_accesses())?;
-        res.stats.index_pages = idx.total_accesses();
-        res.stats.data_pages = dat.total_accesses();
-        res.stats.retries = idx.retries + dat.retries;
-        res.stats.steps_spent = meter.steps();
-        res.stats.breaker = self.breaker_state();
-        res.stats.elapsed = t0.elapsed();
-        Ok(res)
+        self.accounted(&plan, |spend| {
+            if k == 0 || self.num_windows() == 0 {
+                Ok(SearchResult::default())
+            } else if plan.degenerate() {
+                let cands = SeqScanSource.candidates(self, &plan, &mut spend.meter)?;
+                let mut res = Verifier.verify(self, &plan, cands, &mut spend.meter)?;
+                res.matches.truncate(k);
+                Ok(res)
+            } else {
+                self.nearest_frontier(&plan, k.min(self.num_windows()), spend)
+            }
+        })
     }
 
     /// The filter-and-refine frontier loop over a non-degenerate ranking
-    /// plan. Verified fits are cached across rounds: the best-first pop
-    /// sequence is deterministic, so a larger batch is always a prefix
-    /// extension of the previous one and only its tail needs verifying.
-    /// The deadline and page budget are checked cooperatively once per
-    /// round against the scopes' running page tallies (the deadline also
-    /// per candidate inside the shared verifier).
+    /// plan. Round `r` extends the pulled prefix of the best-first walk to
+    /// `max(2k, 8)·2^r` candidates (capped at the window count) and
+    /// verifies only the extension. The
+    /// deadline and page budget are checked cooperatively once per round
+    /// against the pages spent so far (the deadline also per candidate
+    /// inside the shared verifier).
     fn nearest_frontier(
         &self,
         plan: &QueryPlan<'_>,
         k: usize,
-        meter: &mut DeadlineMeter,
-        index_scope: &StatsScope<'_>,
-        data_scope: &StatsScope<'_>,
+        spend: &mut Spend<'_>,
     ) -> Result<SearchResult, EngineError> {
         let line = self.query_line(plan.query());
+        let mut walk = self.tree().nearest(&line);
         let mut res = SearchResult::default();
-        // All verified matches seen so far, in canonical order.
+        // All verified matches so far, in canonical order.
         let mut pool: Vec<SubsequenceMatch> = Vec::new();
-        let mut seen: BTreeMap<SubseqId, ()> = BTreeMap::new();
-
+        let mut pulled = 0;
         let mut fetch = (2 * k).max(8);
         loop {
-            // Per-round cooperative checks on the pages spent so far.
-            let index_pages = index_scope.counts().total_accesses();
-            meter.charge_pages_to(index_pages + data_scope.counts().total_accesses())?;
-            charge_page_budget(plan.options().page_budget, index_pages)?;
-            let candidates = self.tree().nearest_to_line(&line, fetch)?;
+            spend.charge_pages()?;
+            let batch = walk
+                .by_ref()
+                .take(fetch - pulled)
+                .collect::<Result<Vec<_>, _>>()?;
+            pulled += batch.len();
             // Exhausted: we have already pulled every window — exact answers
             // are final regardless of bounds.
-            let exhausted = candidates.len() < fetch || fetch >= self.num_windows();
-            let max_feature_dist = candidates
-                .last()
-                .map(|c| c.distance)
-                .unwrap_or(f64::INFINITY);
+            let exhausted = pulled < fetch || fetch >= self.num_windows();
+            let max_feature_dist = batch.last().map_or(f64::INFINITY, |c| c.distance);
 
-            // Refine through the shared verifier — only the candidates this
-            // round added.
-            let fresh: Vec<SubseqId> = candidates
-                .iter()
-                .map(|c| SubseqId::unpack(c.id))
-                .filter(|id| seen.insert(*id, ()).is_none())
-                .collect();
             let round = Verifier.verify(
                 self,
                 plan,
                 Candidates {
-                    ids: fresh,
+                    ids: batch.iter().map(|c| SubseqId::unpack(c.id)).collect(),
                     index: LineQueryStats::default(),
                     raw: RawAccess::Paged,
                 },
-                meter,
+                &mut spend.meter,
             )?;
             res.stats.candidates += round.stats.candidates;
             res.stats.verified += round.stats.verified;
@@ -170,15 +137,6 @@ impl SearchEngine {
             }
             fetch = (fetch * 2).min(self.num_windows());
         }
-    }
-}
-
-/// Fails a frontier that has read more index pages than `budget` — the
-/// k-NN form of the probe's [`crate::SearchOptions::page_budget`] cap.
-fn charge_page_budget(budget: Option<u64>, index_pages: u64) -> Result<(), EngineError> {
-    match budget {
-        Some(budget) if index_pages > budget => Err(EngineError::PageBudgetExceeded { budget }),
-        _ => Ok(()),
     }
 }
 
@@ -357,6 +315,27 @@ mod tests {
             // The k best of the verified pool are returned.
             assert!((res.matches.len() as u64) <= s.verified);
             assert!(s.index_pages > 0 && s.data_pages > 0);
+        }
+    }
+
+    #[test]
+    fn knn_reads_each_index_page_at_most_once() {
+        let (e, data) = engine();
+        for (series, offset) in [(1, 5), (3, 25), (4, 40)] {
+            let src = data[series].window(offset, 16).unwrap();
+            let q = ScaleShift { a: 0.2, b: 55.0 }.apply(src);
+            for k in [1, 3, 10] {
+                let res = e
+                    .execute(&q, Query::Nearest { k }, SearchOptions::default())
+                    .unwrap();
+                assert!(res.stats.candidates > 0);
+                assert!(
+                    res.stats.index_pages <= e.index_extent() as u64,
+                    "k = {k}: {} index pages read from an index of {}",
+                    res.stats.index_pages,
+                    e.index_extent()
+                );
+            }
         }
     }
 

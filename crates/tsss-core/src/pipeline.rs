@@ -14,7 +14,8 @@
 //!    ids. Implementations: the R-tree line/radius probe
 //!    ([`IndexProbe`]), the full sequential scan ([`SeqScanSource`]), and
 //!    the long-query piece intersection ([`PieceStitchSource`]). The k-NN
-//!    frontier drives the pipeline iteratively (see [`crate::nn`]).
+//!    frontier drives the pipeline iteratively, pulling candidates from one
+//!    resumable best-first walk of the R-tree (see [`crate::nn`]).
 //! 3. **Verify** ([`Verifier`]): fetch each candidate's raw window,
 //!    compute the optimal `(a, b)` fit (or the z-distance), drop false
 //!    alarms, apply the user's transformation-cost limits, sort by
@@ -23,10 +24,11 @@
 //! [`SearchEngine::execute`] is the one entry point: it binds a [`Query`]
 //! to the engine as a plan and picks the source. The pipeline runner
 //! ([`SearchEngine::run_pipeline`]) owns the cross-cutting concerns
-//! exactly once: thread-local page accounting scopes, wall-clock timing,
-//! and the translation of storage damage into typed
-//! [`EngineError::Corrupt`] values (which a [`Query::Range`] may degrade
-//! around — see [`crate::DegradationPolicy`]).
+//! exactly once, for the k-NN frontier too: thread-local page accounting
+//! scopes, the deadline meter and page budget, wall-clock timing, and the
+//! translation of storage damage into typed [`EngineError::Corrupt`]
+//! values (which a [`Query::Range`] may degrade around — see
+//! [`crate::DegradationPolicy`]).
 //!
 //! Per-stage statistics have **one meaning on every path** (asserted by
 //! the differential equivalence suite):
@@ -38,6 +40,7 @@ use std::collections::BTreeSet;
 
 use tsss_geometry::scale_shift::{is_numerically_constant, QueryFit};
 use tsss_index::LineQueryStats;
+use tsss_storage::StatsScope;
 
 use crate::config::{Deadline, SearchOptions};
 use crate::engine::SearchEngine;
@@ -104,9 +107,9 @@ pub enum VerifyModel {
 /// A validated, fully-decided query: what to search for, how candidates
 /// are filtered in feature space, and how survivors are verified.
 ///
-/// Construction performs *all* input validation (query length, ε) and
-/// decides the constant-query degenerate case once, so candidate sources
-/// and the verifier never re-check.
+/// Construction performs *all* input validation (query length, finite
+/// query values, ε) and decides the constant-query degenerate case once,
+/// so candidate sources and the verifier never re-check.
 #[derive(Debug, Clone)]
 pub struct QueryPlan<'q> {
     query: &'q [f64],
@@ -126,8 +129,8 @@ impl<'q> QueryPlan<'q> {
     /// model.
     ///
     /// # Errors
-    /// [`EngineError::QueryLength`] / [`EngineError::InvalidEpsilon`] on
-    /// malformed input.
+    /// [`EngineError::QueryLength`] / [`EngineError::NonFiniteQuery`] /
+    /// [`EngineError::InvalidEpsilon`] on malformed input.
     pub fn exact(
         engine: &SearchEngine,
         query: &'q [f64],
@@ -141,6 +144,7 @@ impl<'q> QueryPlan<'q> {
                 got: query.len(),
             });
         }
+        Self::check_values(query)?;
         Self::check_epsilon(epsilon)?;
         Ok(Self {
             query,
@@ -155,10 +159,11 @@ impl<'q> QueryPlan<'q> {
     /// Plans a long query (at least one window; verified at full length).
     ///
     /// # Errors
-    /// [`EngineError::QueryTooShort`] / [`EngineError::InvalidEpsilon`] on
-    /// malformed input; [`EngineError::LongQueryStride`] when the engine's
-    /// stride is not 1 — the piece decomposition needs every offset
-    /// indexed (the paper's setting).
+    /// [`EngineError::QueryTooShort`] / [`EngineError::NonFiniteQuery`] /
+    /// [`EngineError::InvalidEpsilon`] on malformed input;
+    /// [`EngineError::LongQueryStride`] when the engine's stride is not 1 —
+    /// the piece decomposition needs every offset indexed (the paper's
+    /// setting).
     pub fn long(
         engine: &SearchEngine,
         query: &'q [f64],
@@ -176,6 +181,7 @@ impl<'q> QueryPlan<'q> {
                 got: query.len(),
             });
         }
+        Self::check_values(query)?;
         Self::check_epsilon(epsilon)?;
         Ok(Self {
             query,
@@ -201,8 +207,8 @@ impl<'q> QueryPlan<'q> {
     /// window, and the verifier checks exact z-distances.
     ///
     /// # Errors
-    /// [`EngineError::QueryLength`] / [`EngineError::InvalidEpsilon`] on
-    /// malformed input.
+    /// [`EngineError::QueryLength`] / [`EngineError::NonFiniteQuery`] /
+    /// [`EngineError::InvalidEpsilon`] on malformed input.
     pub fn znormalized(
         engine: &SearchEngine,
         query: &'q [f64],
@@ -216,6 +222,7 @@ impl<'q> QueryPlan<'q> {
                 got: query.len(),
             });
         }
+        Self::check_values(query)?;
         Self::check_epsilon(z_eps)?;
         let degenerate = is_numerically_constant(query);
         let epsilon = if degenerate {
@@ -257,7 +264,8 @@ impl<'q> QueryPlan<'q> {
     /// `opts.cost` reject.
     ///
     /// # Errors
-    /// [`EngineError::QueryLength`] on a malformed query.
+    /// [`EngineError::QueryLength`] / [`EngineError::NonFiniteQuery`] on a
+    /// malformed query.
     pub fn ranking(
         engine: &SearchEngine,
         query: &'q [f64],
@@ -270,6 +278,7 @@ impl<'q> QueryPlan<'q> {
                 got: query.len(),
             });
         }
+        Self::check_values(query)?;
         Ok(Self {
             query,
             epsilon: f64::INFINITY,
@@ -278,6 +287,13 @@ impl<'q> QueryPlan<'q> {
             verify_len: n,
             degenerate: is_numerically_constant(query),
         })
+    }
+
+    fn check_values(query: &[f64]) -> Result<(), EngineError> {
+        match query.iter().position(|v| !v.is_finite()) {
+            Some(index) => Err(EngineError::NonFiniteQuery { index }),
+            None => Ok(()),
+        }
     }
 
     fn check_epsilon(epsilon: f64) -> Result<(), EngineError> {
@@ -470,14 +486,14 @@ impl CandidateSource for IndexProbe {
         meter: &mut DeadlineMeter,
     ) -> Result<Candidates, EngineError> {
         let outcome = if plan.degenerate() {
-            engine.tree().radius_query_with_budget(
+            engine.tree().radius_query(
                 &vec![0.0; engine.config().feature_dim()],
                 plan.epsilon(),
                 plan.options().page_budget,
             )?
         } else {
             let line = engine.query_line(plan.query());
-            engine.tree().line_query_with_budget(
+            engine.tree().line_query(
                 &line,
                 plan.epsilon(),
                 plan.options().method,
@@ -499,10 +515,11 @@ impl CandidateSource for IndexProbe {
     }
 }
 
-/// The sequential-scan oracle: every indexed window offset is a
+/// The sequential-scan oracle: every window offset on the stride grid is a
 /// candidate, read in one pass over the raw pages. No index, no pruning —
-/// the recall baseline (paper experiment set 1) and the degradation
-/// fallback.
+/// the recall baseline (paper experiment set 1), the degradation fallback,
+/// and, under a long plan (stride 1, verified at full query length), the
+/// brute-force long-query oracle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeqScanSource;
 
@@ -519,39 +536,6 @@ impl CandidateSource for SeqScanSource {
         let mut ids = Vec::new();
         for (si, values) in all.iter().enumerate() {
             for off in window_offsets(values.len(), n, stride) {
-                ids.push(SubseqId::try_new(si, off)?);
-            }
-        }
-        Ok(Candidates {
-            ids,
-            index: LineQueryStats::default(),
-            raw: RawAccess::Snapshot(all),
-        })
-    }
-}
-
-/// Brute-force candidate enumeration for long queries: every start
-/// position where a `verify_len` window fits, regardless of the stride
-/// grid (the paper's setting is stride 1). The test/verification oracle
-/// for [`PieceStitchSource`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SeqScanLongSource;
-
-impl CandidateSource for SeqScanLongSource {
-    fn candidates(
-        &self,
-        engine: &SearchEngine,
-        plan: &QueryPlan<'_>,
-        _meter: &mut DeadlineMeter,
-    ) -> Result<Candidates, EngineError> {
-        let total_len = plan.verify_len();
-        let all = engine.read_everything()?;
-        let mut ids = Vec::new();
-        for (si, values) in all.iter().enumerate() {
-            if values.len() < total_len {
-                continue;
-            }
-            for off in 0..=values.len() - total_len {
                 ids.push(SubseqId::try_new(si, off)?);
             }
         }
@@ -600,7 +584,7 @@ impl CandidateSource for PieceStitchSource {
             let spent = index.internal_visited + index.leaves_visited;
             let outcome = engine
                 .tree()
-                .line_query_with_budget(
+                .line_query(
                     &line,
                     plan.epsilon(),
                     plan.options().method,
@@ -664,18 +648,42 @@ impl CandidateSource for PieceStitchSource {
 // The pipeline runner
 // ---------------------------------------------------------------------
 
+/// One query's spend: the thread-local page-accounting scopes over the
+/// index and data files, and the deadline meter the stages charge. Opened
+/// and stamped into the result by [`SearchEngine::accounted`].
+pub(crate) struct Spend<'s> {
+    index: StatsScope<'s>,
+    data: StatsScope<'s>,
+    page_budget: Option<u64>,
+    pub(crate) meter: DeadlineMeter,
+}
+
+impl Spend<'_> {
+    /// The cooperative stage-boundary check: charges the pages this thread
+    /// has read so far to the deadline, and fails a query that has read
+    /// more index pages than its page budget.
+    pub(crate) fn charge_pages(&mut self) -> Result<(), EngineError> {
+        let index = self.index.counts().total_accesses();
+        self.meter
+            .charge_pages_to(index + self.data.counts().total_accesses())?;
+        match self.page_budget {
+            Some(budget) if index > budget => Err(EngineError::PageBudgetExceeded { budget }),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl SearchEngine {
     /// Runs the full pipeline: open the thread-local page-accounting
     /// scopes, generate candidates from `source`, verify them, and stamp
     /// the page counts and wall-clock into the result.
     ///
-    /// This is the *only* place page accounting and timing happen — every
-    /// [`Query`] mode is a [`QueryPlan`] constructor plus this call (the
-    /// k-NN frontier drives the stages itself, with the same scope
-    /// discipline; see [`crate::nn`]).
-    /// The per-query counts are exact even when queries run concurrently:
-    /// the scopes tally the calling thread only, while still feeding the
-    /// engine's global counters.
+    /// Every [`Query`] mode is a [`QueryPlan`] constructor plus this call,
+    /// except the k-NN frontier, which drives the stages itself under the
+    /// same accounting code (see [`crate::nn`]). The per-query counts are
+    /// exact even when queries run concurrently: the scopes tally the
+    /// calling thread only, while still feeding the engine's global
+    /// counters.
     ///
     /// # Errors
     /// Whatever the source or verifier surfaces —
@@ -688,28 +696,43 @@ impl SearchEngine {
         plan: &QueryPlan<'_>,
         source: &dyn CandidateSource,
     ) -> Result<SearchResult, EngineError> {
+        self.accounted(plan, |spend| {
+            let cands = source.candidates(self, plan, &mut spend.meter)?;
+            // Stage boundary: the candidate stage's true page spend (the
+            // scope tally subsumes any node-visit estimate the source
+            // charged).
+            spend.charge_pages()?;
+            Verifier.verify(self, plan, cands, &mut spend.meter)
+        })
+    }
+
+    /// Runs `stages` under one query's accounting, the only place page
+    /// accounting and timing happen: opens the thread-local page scopes
+    /// and the plan's deadline meter, makes the final page check of
+    /// [`Spend::charge_pages`], and stamps the page counts, retries,
+    /// steps, breaker state and wall-clock into the result.
+    pub(crate) fn accounted(
+        &self,
+        plan: &QueryPlan<'_>,
+        stages: impl FnOnce(&mut Spend<'_>) -> Result<SearchResult, EngineError>,
+    ) -> Result<SearchResult, EngineError> {
         let t0 = std::time::Instant::now();
         let index_stats = self.index_stats();
         let data_stats = self.data_stats();
-        let index_scope = index_stats.local_scope();
-        let data_scope = data_stats.local_scope();
-        let mut meter = DeadlineMeter::new(plan.options().deadline);
-
-        let cands = source.candidates(self, plan, &mut meter)?;
-        // Stage boundary: the candidate stage's true page spend (the scope
-        // tally subsumes any node-visit estimate the source charged).
-        meter.charge_pages_to(
-            index_scope.counts().total_accesses() + data_scope.counts().total_accesses(),
-        )?;
-        let mut res = Verifier.verify(self, plan, cands, &mut meter)?;
-
-        let idx = index_scope.finish();
-        let dat = data_scope.finish();
-        meter.charge_pages_to(idx.total_accesses() + dat.total_accesses())?;
+        let mut spend = Spend {
+            index: index_stats.local_scope(),
+            data: data_stats.local_scope(),
+            page_budget: plan.options().page_budget,
+            meter: DeadlineMeter::new(plan.options().deadline),
+        };
+        let mut res = stages(&mut spend)?;
+        spend.charge_pages()?;
+        let idx = spend.index.finish();
+        let dat = spend.data.finish();
         res.stats.index_pages = idx.total_accesses();
         res.stats.data_pages = dat.total_accesses();
         res.stats.retries = idx.retries + dat.retries;
-        res.stats.steps_spent = meter.steps();
+        res.stats.steps_spent = spend.meter.steps();
         res.stats.breaker = self.breaker_state();
         res.stats.elapsed = t0.elapsed();
         Ok(res)
@@ -948,6 +971,30 @@ mod tests {
         assert!(!plan.degenerate());
         assert_eq!(plan.verify_len(), 16);
         assert_eq!(plan.epsilon(), 2.0);
+    }
+
+    #[test]
+    fn non_finite_query_values_are_rejected_by_every_mode() {
+        let (e, data) = engine();
+        let opts = SearchOptions::default();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut q = data[0].window(0, 16).unwrap().to_vec();
+            q[7] = bad;
+            let mut long = data[0].window(0, 40).unwrap().to_vec();
+            long[23] = bad;
+            let want = |index| Err(EngineError::NonFiniteQuery { index });
+            for query in [
+                Query::Range { epsilon: 1e9 },
+                Query::Nearest { k: 3 },
+                Query::ZNormalized { z_eps: 1.0 },
+            ] {
+                assert_eq!(e.execute(&q, query, opts), want(7), "{query:?}, {bad}");
+            }
+            let query = Query::Long { epsilon: 1e9 };
+            assert_eq!(e.execute(&long, query, opts), want(23), "{bad}");
+            assert_eq!(e.sequential_search(&q, 1e9, opts), want(7), "{bad}");
+            assert_eq!(e.sequential_search_long(&long, 1e9), want(23), "{bad}");
+        }
     }
 
     #[test]

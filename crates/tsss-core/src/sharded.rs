@@ -608,6 +608,12 @@ mod tests {
             .search(&query(&data), -1.0, SearchOptions::default())
             .unwrap_err();
         assert!(matches!(err, EngineError::InvalidEpsilon(_)));
+        let mut nan = query(&data);
+        nan[2] = f64::NAN;
+        let err = sharded
+            .search(&nan, 0.5, SearchOptions::default())
+            .unwrap_err();
+        assert_eq!(err, EngineError::NonFiniteQuery { index: 2 });
     }
 
     #[test]

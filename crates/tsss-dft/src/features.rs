@@ -93,13 +93,6 @@ impl FeatureExtractor {
         }
         out
     }
-
-    /// Identity "extractor" support: when callers disable dimensionality
-    /// reduction the engine indexes the SE-transformed window directly; this
-    /// helper reports the dimension such an index would have.
-    pub fn full_dim(&self) -> usize {
-        self.window_len
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +118,6 @@ mod tests {
         assert_eq!(fe.feature_dim(), 6);
         assert_eq!(fe.window_len(), 128);
         assert_eq!(fe.fc(), 3);
-        assert_eq!(fe.full_dim(), 128);
         assert_eq!(fe.extract(&vec![0.0; 128]).len(), 6);
     }
 

@@ -56,16 +56,6 @@ impl SphereStats {
         self.outer_reject + self.inner_accept + self.fallback
     }
 
-    /// Fraction of queries the spheres could not decide (ran the fallback).
-    pub fn fallback_rate(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.fallback as f64 / t as f64
-        }
-    }
-
     /// Merges another statistics record into this one.
     pub fn merge(&mut self, other: &SphereStats) {
         self.outer_reject += other.outer_reject;
@@ -298,6 +288,5 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.total(), 17);
-        assert!((a.fallback_rate() - 4.0 / 17.0).abs() < 1e-12);
     }
 }

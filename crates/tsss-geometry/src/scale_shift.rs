@@ -40,13 +40,6 @@ impl ScaleShift {
         x.iter().map(|v| self.a * v + self.b).collect()
     }
 
-    /// Applies `F_{a,b}` in place.
-    pub fn apply_in_place(&self, x: &mut [f64]) {
-        for v in x {
-            *v = self.a * *v + self.b;
-        }
-    }
-
     /// The inverse transformation, if `a ≠ 0`: `F⁻¹(y) = (y − b·N)/a`.
     ///
     /// Returns `None` for the non-invertible `a = 0` case (which maps every
@@ -454,14 +447,6 @@ mod tests {
         let shift = ScaleShift { a: 1.0, b: 20.0 };
         let f = shift.compose(&scale);
         assert_eq!(f.apply(&B), C.to_vec());
-    }
-
-    #[test]
-    fn apply_in_place_agrees_with_apply() {
-        let f = ScaleShift { a: -1.5, b: 3.0 };
-        let mut x = A.to_vec();
-        f.apply_in_place(&mut x);
-        assert_eq!(x, f.apply(&A));
     }
 
     #[test]

@@ -195,16 +195,6 @@ pub fn mean(u: &[f64]) -> f64 {
     }
 }
 
-/// `out ← a·x + y`, the classic AXPY kernel.
-#[inline]
-pub fn axpy(a: f64, x: &[f64], y: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len(), out.len());
-    for ((o, xi), yi) in out.iter_mut().zip(x).zip(y) {
-        *o = a * xi + yi;
-    }
-}
-
 /// `out ← u − v`.
 #[inline]
 pub fn sub(u: &[f64], v: &[f64], out: &mut [f64]) {
@@ -213,39 +203,6 @@ pub fn sub(u: &[f64], v: &[f64], out: &mut [f64]) {
     for ((o, a), b) in out.iter_mut().zip(u).zip(v) {
         *o = a - b;
     }
-}
-
-/// `u ← c·u`, in place.
-#[inline]
-pub fn scale_in_place(u: &mut [f64], c: f64) {
-    for x in u {
-        *x *= c;
-    }
-}
-
-/// `u ← u + c` component-wise (a vertical shift by offset `c`, i.e. `u + c·N`).
-#[inline]
-pub fn shift_in_place(u: &mut [f64], c: f64) {
-    for x in u {
-        *x += c;
-    }
-}
-
-/// Returns `‖a·u − v‖²` without materialising `a·u`.
-///
-/// This is the inner kernel of the leaf-level check of Theorem 2: the
-/// distance between a point of the query's SE-line (`a·T_se(u)`) and a stored
-/// feature point (`T_se(v)`).
-#[inline]
-pub fn scaled_dist_sq(a: f64, u: &[f64], v: &[f64]) -> f64 {
-    debug_assert_eq!(u.len(), v.len());
-    u.iter()
-        .zip(v)
-        .map(|(x, y)| {
-            let d = a * x - y;
-            d * d
-        })
-        .sum()
 }
 
 /// True when every component of `u` differs from the matching component of
@@ -324,34 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn axpy_computes_a_x_plus_y() {
-        let mut out = [0.0; 3];
-        axpy(2.0, &[1.0, 2.0, 3.0], &[10.0, 10.0, 10.0], &mut out);
-        assert_eq!(out, [12.0, 14.0, 16.0]);
-    }
-
-    #[test]
     fn sub_and_scale_and_shift() {
         let mut out = [0.0; 2];
         sub(&[5.0, 7.0], &[2.0, 3.0], &mut out);
         assert_eq!(out, [3.0, 4.0]);
-        scale_in_place(&mut out, 2.0);
-        assert_eq!(out, [6.0, 8.0]);
-        shift_in_place(&mut out, -6.0);
-        assert_eq!(out, [0.0, 2.0]);
-    }
-
-    #[test]
-    fn scaled_dist_sq_matches_explicit() {
-        let u = [1.0, 2.0, 3.0];
-        let v = [2.0, 2.0, 2.0];
-        let a = 1.5;
-        let explicit: f64 = u
-            .iter()
-            .zip(&v)
-            .map(|(x, y)| (a * x - y) * (a * x - y))
-            .sum();
-        assert!((scaled_dist_sq(a, &u, &v) - explicit).abs() < 1e-12);
     }
 
     #[test]

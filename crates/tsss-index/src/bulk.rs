@@ -314,14 +314,14 @@ mod tests {
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.1]).unwrap();
         for eps in [0.0, 2.0, 10.0] {
             let a: std::collections::BTreeSet<u64> = bulk
-                .line_query(&line, eps, PenetrationMethod::EnteringExiting)
+                .line_query(&line, eps, PenetrationMethod::EnteringExiting, None)
                 .unwrap()
                 .matches
                 .iter()
                 .map(|m| m.id)
                 .collect();
             let b: std::collections::BTreeSet<u64> = incr
-                .line_query(&line, eps, PenetrationMethod::EnteringExiting)
+                .line_query(&line, eps, PenetrationMethod::EnteringExiting, None)
                 .unwrap()
                 .matches
                 .iter()

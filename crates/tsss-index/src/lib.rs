@@ -14,11 +14,12 @@
 //!   \[16\] (the paper's choice: `M = 20`, `m = 40 %·M`, `p = 30 %·M`),
 //! * [`bulk`] — Sort-Tile-Recursive bulk loading for fast index
 //!   construction in the benchmarks,
-//! * [`query`] — range / box / **line-penetration** search (the paper's
-//!   algorithm) with pluggable penetration strategies and exact node-access
-//!   accounting,
-//! * [`nn`] — best-first nearest-neighbour search under point-to-line
-//!   distance (the extension the paper sketches via Corollary 1).
+//! * [`query`] — **line-penetration** search (the paper's algorithm) with
+//!   pluggable penetration strategies, and its radius twin, as one
+//!   budgeted traversal with exact node-access accounting,
+//! * [`nn`] — resumable best-first nearest-neighbour search under
+//!   point-to-line distance (the extension the paper sketches via
+//!   Corollary 1).
 
 #![forbid(unsafe_code)]
 // Tests assert bit-exact determinism and build small fixtures, where exact

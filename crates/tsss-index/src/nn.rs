@@ -6,7 +6,9 @@
 //! indexed SE/feature point closest to the query's SE-line. The paper defers
 //! the algorithm for space reasons; we implement the standard
 //! Hjaltason–Samet best-first traversal with a priority queue keyed by a
-//! lower bound on the line-to-MBR distance.
+//! lower bound on the line-to-MBR distance. [`RTree::nearest`] returns it
+//! as an iterator that keeps its queue between pulls, so a caller that
+//! needs more neighbours resumes the one walk instead of starting over.
 //!
 //! The lower bound `min_t dist(L(t), box)` is computed *exactly*:
 //! `f(t) = dist²(L(t), box)` is a convex piecewise-quadratic function of `t`
@@ -155,57 +157,57 @@ impl Ord for HeapItem {
 }
 
 impl RTree {
-    /// The `k` indexed points nearest to `line` (ascending distance).
+    /// The indexed points in ascending distance to `line`: a best-first
+    /// walk that reads a page only when its bound reaches the front of the
+    /// queue. The walk keeps its queue between pulls, so taking `k` and
+    /// then `k'` more reads exactly the pages that taking `k + k'` at once
+    /// would.
     ///
-    /// Ties at equal distance are broken arbitrarily. Returns fewer than `k`
-    /// matches when the tree holds fewer points.
+    /// Ties at equal distance are broken arbitrarily but deterministically.
+    /// A failed page read is yielded once and ends the walk.
     ///
-    /// # Errors
-    /// Any storage or decoding failure met during the traversal.
-    pub fn nearest_to_line(&self, line: &Line, k: usize) -> Result<Vec<Match>, IndexError> {
+    /// # Panics
+    /// Panics when the line's dimension differs from the tree's.
+    pub fn nearest<'a>(
+        &'a self,
+        line: &'a Line,
+    ) -> impl Iterator<Item = Result<Match, IndexError>> + 'a {
         assert_eq!(line.dim(), self.config().dim, "line dimension mismatch");
-        let mut out = Vec::with_capacity(k.min(self.len()));
-        if k == 0 || self.is_empty() {
-            return Ok(out);
-        }
         let mut heap = BinaryHeap::new();
-        heap.push(HeapItem::Node {
-            page: self.root_page(),
-            bound: 0.0,
-        });
-        while let Some(item) = heap.pop() {
-            match item {
-                HeapItem::Point { entry } => {
-                    out.push(entry);
-                    if out.len() == k {
-                        break;
+        if !self.is_empty() {
+            heap.push(HeapItem::Node {
+                page: self.root_page(),
+                bound: 0.0,
+            });
+        }
+        std::iter::from_fn(move || loop {
+            let page = match heap.pop()? {
+                HeapItem::Point { entry } => return Some(Ok(entry)),
+                HeapItem::Node { page, .. } => page,
+            };
+            match self.read_node(page) {
+                Ok(Node::Leaf(slab)) => {
+                    for (id, point) in slab.rows() {
+                        let distance = pld_sq(point, line).sqrt();
+                        heap.push(HeapItem::Point {
+                            entry: Match { id, distance },
+                        });
                     }
                 }
-                HeapItem::Node { page, .. } => match self.read_node(page)? {
-                    Node::Leaf(slab) => {
-                        for (id, point) in slab.rows() {
-                            let d = pld_sq(point, line).sqrt();
-                            heap.push(HeapItem::Point {
-                                entry: Match {
-                                    id,
-                                    point: point.to_vec(),
-                                    distance: d,
-                                },
-                            });
-                        }
+                Ok(Node::Internal(entries)) => {
+                    for e in entries {
+                        heap.push(HeapItem::Node {
+                            page: e.page,
+                            bound: line_mbr_min_dist(line, &e.mbr),
+                        });
                     }
-                    Node::Internal(entries) => {
-                        for e in entries {
-                            heap.push(HeapItem::Node {
-                                page: e.page,
-                                bound: line_mbr_min_dist(line, &e.mbr),
-                            });
-                        }
-                    }
-                },
+                }
+                Err(e) => {
+                    heap.clear();
+                    return Some(Err(e));
+                }
             }
-        }
-        Ok(out)
+        })
     }
 }
 
@@ -227,6 +229,10 @@ mod tests {
             t.insert(p.clone(), i as u64).unwrap();
         }
         (t, pts)
+    }
+
+    fn knn(t: &RTree, line: &Line, k: usize) -> Vec<Match> {
+        t.nearest(line).take(k).collect::<Result<_, _>>().unwrap()
     }
 
     #[test]
@@ -263,7 +269,7 @@ mod tests {
     fn nearest_one_matches_brute_force() {
         let (t, pts) = build(300);
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 0.85]).unwrap();
-        let got = t.nearest_to_line(&line, 1).unwrap();
+        let got = knn(&t, &line, 1);
         assert_eq!(got.len(), 1);
         let best_brute = pts
             .iter()
@@ -277,7 +283,7 @@ mod tests {
         let (t, pts) = build(250);
         let line = Line::new(vec![10.0, -5.0], vec![0.3, 1.0]).unwrap();
         let k = 10;
-        let got = t.nearest_to_line(&line, k).unwrap();
+        let got = knn(&t, &line, k);
         assert_eq!(got.len(), k);
         for w in got.windows(2) {
             assert!(w[0].distance <= w[1].distance + 1e-12);
@@ -293,7 +299,7 @@ mod tests {
     fn k_larger_than_tree_returns_everything() {
         let (t, pts) = build(20);
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
-        let got = t.nearest_to_line(&line, 100).unwrap();
+        let got = knn(&t, &line, 100);
         assert_eq!(got.len(), pts.len());
     }
 
@@ -301,9 +307,9 @@ mod tests {
     fn k_zero_and_empty_tree() {
         let (t, _) = build(20);
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
-        assert!(t.nearest_to_line(&line, 0).unwrap().is_empty());
+        assert!(knn(&t, &line, 0).is_empty());
         let empty = RTree::new(cfg()).unwrap();
-        assert!(empty.nearest_to_line(&line, 3).unwrap().is_empty());
+        assert!(knn(&empty, &line, 3).is_empty());
     }
 
     #[test]
@@ -311,7 +317,7 @@ mod tests {
         let (t, _) = build(600);
         t.stats().reset();
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
-        let _ = t.nearest_to_line(&line, 1).unwrap();
+        let _ = knn(&t, &line, 1);
         let nn_reads = t.stats().reads();
         t.stats().reset();
         let _ = t.dump().unwrap();

@@ -211,7 +211,7 @@ mod tests {
         for eps in [0.0, 5.0, 25.0] {
             let a: Vec<u64> = {
                 let mut v: Vec<u64> = t
-                    .line_query(&line, eps, PenetrationMethod::EnteringExiting)
+                    .line_query(&line, eps, PenetrationMethod::EnteringExiting, None)
                     .unwrap()
                     .matches
                     .iter()
@@ -222,7 +222,7 @@ mod tests {
             };
             let b: Vec<u64> = {
                 let mut v: Vec<u64> = u
-                    .line_query(&line, eps, PenetrationMethod::EnteringExiting)
+                    .line_query(&line, eps, PenetrationMethod::EnteringExiting, None)
                     .unwrap()
                     .matches
                     .iter()

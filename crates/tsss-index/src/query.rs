@@ -1,4 +1,4 @@
-//! Search operations over the R-tree.
+//! Range search over the R-tree.
 //!
 //! The paper's searching step (§6) is the **line-penetration query**: given
 //! the query's SE-line and an error bound ε, traverse only the children
@@ -7,9 +7,9 @@
 //! implements exactly that with a pluggable [`PenetrationMethod`] — the
 //! paper's experiment sets 2 and 3 differ only in that plug.
 //!
-//! Conventional box and radius queries are also provided: they are the
-//! ground-truth oracles in the tests and the building blocks of the
-//! baselines.
+//! [`RTree::radius_query`] is the same traversal with a ball in place of
+//! the line: the probe for a numerically-constant query, whose SE-line
+//! collapses to the origin. Both run one budgeted depth-first walk.
 
 use tsss_geometry::line::{pld_sq, Line};
 use tsss_geometry::penetration::{penetrates, PenetrationMethod, SphereStats};
@@ -48,14 +48,12 @@ impl LineQueryStats {
     }
 }
 
-/// A match returned by a query: the stored point, its record id and its
+/// A match returned by a query: the stored point's record id and its
 /// distance to the query object (line or point).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Match {
     /// Record identifier supplied at insertion time.
     pub id: u64,
-    /// The indexed point.
-    pub point: Vec<f64>,
     /// Distance to the query object.
     pub distance: f64,
 }
@@ -63,29 +61,24 @@ pub struct Match {
 /// Result of a query: matches plus traversal statistics.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOutcome {
-    /// All matching entries (unordered).
+    /// All matching entries, in traversal order.
     pub matches: Vec<Match>,
     /// Traversal statistics.
     pub stats: LineQueryStats,
 }
 
 impl RTree {
-    /// Fails the traversal once it has already visited `budget` pages and
-    /// is about to visit one more.
-    fn charge(budget: Option<u64>, stats: &LineQueryStats) -> Result<(), IndexError> {
-        match budget {
-            Some(b) if stats.internal_visited + stats.leaves_visited >= b => {
-                Err(IndexError::BudgetExhausted { budget: b })
-            }
-            _ => Ok(()),
-        }
-    }
-
     /// The paper's search (§6): every indexed point within `epsilon` of
     /// `line`, pruned by ε-MBR penetration (Theorem 3).
     ///
+    /// `budget` caps the pages the traversal may visit: it aborts with
+    /// [`IndexError::BudgetExhausted`] before visiting page `budget + 1` —
+    /// the guard against runaway queries over a damaged or degenerate
+    /// tree. `None` is unbounded.
+    ///
     /// # Errors
-    /// Any storage or decoding failure met during the traversal.
+    /// [`IndexError::BudgetExhausted`] when the budget runs out, or any
+    /// storage/decoding failure met during the traversal.
     ///
     /// # Panics
     /// Panics when the line's dimension differs from the tree's.
@@ -94,138 +87,32 @@ impl RTree {
         line: &Line,
         epsilon: f64,
         method: PenetrationMethod,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.line_query_with_budget(line, epsilon, method, None)
-    }
-
-    /// [`RTree::line_query`] with an optional per-query page-access budget:
-    /// the traversal aborts with [`IndexError::BudgetExhausted`] before
-    /// visiting page `budget + 1` — the guard against runaway queries over
-    /// a damaged or degenerate tree.
-    ///
-    /// # Errors
-    /// [`IndexError::BudgetExhausted`] when the budget runs out, or any
-    /// storage/decoding failure.
-    ///
-    /// # Panics
-    /// Panics when the line's dimension differs from the tree's.
-    pub fn line_query_with_budget(
-        &self,
-        line: &Line,
-        epsilon: f64,
-        method: PenetrationMethod,
         budget: Option<u64>,
     ) -> Result<QueryOutcome, IndexError> {
         assert_eq!(line.dim(), self.config().dim, "line dimension mismatch");
         assert!(epsilon >= 0.0, "epsilon must be non-negative");
-        let mut out = QueryOutcome::default();
-        let eps_sq = epsilon * epsilon;
-        let root = self.root_page();
-        self.line_query_node(root, line, epsilon, eps_sq, method, budget, &mut out)?;
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn line_query_node(
-        &self,
-        page: tsss_storage::PageId,
-        line: &Line,
-        epsilon: f64,
-        eps_sq: f64,
-        method: PenetrationMethod,
-        budget: Option<u64>,
-        out: &mut QueryOutcome,
-    ) -> Result<(), IndexError> {
-        Self::charge(budget, &out.stats)?;
-        match self.read_node(page)? {
-            Node::Leaf(slab) => {
-                out.stats.leaves_visited += 1;
-                for (id, point) in slab.rows() {
-                    out.stats.candidates_checked += 1;
-                    let d_sq = pld_sq(point, line);
-                    if d_sq <= eps_sq {
-                        out.matches.push(Match {
-                            id,
-                            point: point.to_vec(),
-                            distance: d_sq.sqrt(),
-                        });
-                    }
-                }
-            }
-            Node::Internal(entries) => {
-                out.stats.internal_visited += 1;
-                for e in entries {
-                    out.stats.penetration_tests += 1;
-                    let enlarged = e.mbr.enlarged(epsilon);
-                    if penetrates(line, &enlarged, method, &mut out.stats.sphere) {
-                        self.line_query_node(e.page, line, epsilon, eps_sq, method, budget, out)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// All points contained in `query_box` (a classic R-tree window query).
-    ///
-    /// # Errors
-    /// Any storage or decoding failure met during the traversal.
-    pub fn box_query(&self, query_box: &Mbr) -> Result<QueryOutcome, IndexError> {
-        assert_eq!(query_box.dim(), self.config().dim, "box dimension mismatch");
-        let mut out = QueryOutcome::default();
-        let root = self.root_page();
-        self.box_query_node(root, query_box, &mut out)?;
-        Ok(out)
-    }
-
-    fn box_query_node(
-        &self,
-        page: tsss_storage::PageId,
-        query_box: &Mbr,
-        out: &mut QueryOutcome,
-    ) -> Result<(), IndexError> {
-        match self.read_node(page)? {
-            Node::Leaf(slab) => {
-                out.stats.leaves_visited += 1;
-                for (id, point) in slab.rows() {
-                    out.stats.candidates_checked += 1;
-                    if query_box.contains_point(point) {
-                        out.matches.push(Match {
-                            id,
-                            point: point.to_vec(),
-                            distance: 0.0,
-                        });
-                    }
-                }
-            }
-            Node::Internal(entries) => {
-                out.stats.internal_visited += 1;
-                for e in entries {
-                    if e.mbr.intersects(query_box) {
-                        self.box_query_node(e.page, query_box, out)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.range_walk(
+            budget,
+            |mbr, stats| {
+                stats.penetration_tests += 1;
+                penetrates(line, &mbr.enlarged(epsilon), method, &mut stats.sphere)
+            },
+            |point| pld_sq(point, line),
+            epsilon * epsilon,
+        )
     }
 
     /// All points within Euclidean distance `radius` of `center` — the
-    /// F-index style range query, used by baselines and tests.
-    ///
-    /// # Errors
-    /// Any storage or decoding failure met during the traversal.
-    pub fn radius_query(&self, center: &[f64], radius: f64) -> Result<QueryOutcome, IndexError> {
-        self.radius_query_with_budget(center, radius, None)
-    }
-
-    /// [`RTree::radius_query`] with an optional per-query page-access
-    /// budget (see [`RTree::line_query_with_budget`]).
+    /// F-index style range query, under the same optional page `budget` as
+    /// [`RTree::line_query`].
     ///
     /// # Errors
     /// [`IndexError::BudgetExhausted`] when the budget runs out, or any
-    /// storage/decoding failure.
-    pub fn radius_query_with_budget(
+    /// storage/decoding failure met during the traversal.
+    ///
+    /// # Panics
+    /// Panics when the center's dimension differs from the tree's.
+    pub fn radius_query(
         &self,
         center: &[f64],
         radius: f64,
@@ -233,46 +120,61 @@ impl RTree {
     ) -> Result<QueryOutcome, IndexError> {
         assert_eq!(center.len(), self.config().dim, "center dimension mismatch");
         assert!(radius >= 0.0, "radius must be non-negative");
-        let mut out = QueryOutcome::default();
-        let root = self.root_page();
-        self.radius_query_node(root, center, radius * radius, budget, &mut out)?;
-        Ok(out)
+        let radius_sq = radius * radius;
+        self.range_walk(
+            budget,
+            |mbr, _| mbr.min_dist_sq_to_point(center) <= radius_sq,
+            |point| tsss_geometry::vector::dist_sq(point, center),
+            radius_sq,
+        )
     }
 
-    fn radius_query_node(
+    /// The one range traversal: a depth-first walk from the root that
+    /// descends into every child whose MBR passes `descend`, and keeps
+    /// every leaf point whose `dist_sq` is at most `limit_sq`. Pages are
+    /// visited in pre-order, children in entry order, so the matches come
+    /// out in a fixed order. Fails before visiting page `budget + 1`.
+    fn range_walk(
         &self,
-        page: tsss_storage::PageId,
-        center: &[f64],
-        radius_sq: f64,
         budget: Option<u64>,
-        out: &mut QueryOutcome,
-    ) -> Result<(), IndexError> {
-        Self::charge(budget, &out.stats)?;
-        match self.read_node(page)? {
-            Node::Leaf(slab) => {
-                out.stats.leaves_visited += 1;
-                for (id, point) in slab.rows() {
-                    out.stats.candidates_checked += 1;
-                    let d_sq = tsss_geometry::vector::dist_sq(point, center);
-                    if d_sq <= radius_sq {
-                        out.matches.push(Match {
-                            id,
-                            point: point.to_vec(),
-                            distance: d_sq.sqrt(),
-                        });
+        mut descend: impl FnMut(&Mbr, &mut LineQueryStats) -> bool,
+        dist_sq: impl Fn(&[f64]) -> f64,
+        limit_sq: f64,
+    ) -> Result<QueryOutcome, IndexError> {
+        let mut out = QueryOutcome::default();
+        let mut stack = vec![self.root_page()];
+        while let Some(page) = stack.pop() {
+            let visited = out.stats.internal_visited + out.stats.leaves_visited;
+            if let Some(budget) = budget.filter(|&b| visited >= b) {
+                return Err(IndexError::BudgetExhausted { budget });
+            }
+            match self.read_node(page)? {
+                Node::Leaf(slab) => {
+                    out.stats.leaves_visited += 1;
+                    for (id, point) in slab.rows() {
+                        out.stats.candidates_checked += 1;
+                        let d_sq = dist_sq(point);
+                        if d_sq <= limit_sq {
+                            out.matches.push(Match {
+                                id,
+                                distance: d_sq.sqrt(),
+                            });
+                        }
                     }
                 }
-            }
-            Node::Internal(entries) => {
-                out.stats.internal_visited += 1;
-                for e in entries {
-                    if e.mbr.min_dist_sq_to_point(center) <= radius_sq {
-                        self.radius_query_node(e.page, center, radius_sq, budget, out)?;
+                Node::Internal(entries) => {
+                    out.stats.internal_visited += 1;
+                    // Tested last to first, so the stack pops them in entry
+                    // order.
+                    for e in entries.iter().rev() {
+                        if descend(&e.mbr, &mut out.stats) {
+                            stack.push(e.page);
+                        }
                     }
                 }
             }
         }
-        Ok(())
+        Ok(out)
     }
 }
 
@@ -297,33 +199,12 @@ mod tests {
     }
 
     #[test]
-    fn box_query_matches_linear_filter() {
-        let (t, pts) = build(200);
-        let qb = Mbr::new(vec![20.0, 10.0], vec![60.0, 50.0]).unwrap();
-        let got: std::collections::BTreeSet<u64> = t
-            .box_query(&qb)
-            .unwrap()
-            .matches
-            .iter()
-            .map(|m| m.id)
-            .collect();
-        let want: std::collections::BTreeSet<u64> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| qb.contains_point(p))
-            .map(|(i, _)| i as u64)
-            .collect();
-        assert_eq!(got, want);
-        assert!(!want.is_empty(), "fixture should have matches");
-    }
-
-    #[test]
     fn radius_query_matches_linear_filter() {
         let (t, pts) = build(200);
         let center = [50.0, 50.0];
         let r = 25.0;
         let got: std::collections::BTreeSet<u64> = t
-            .radius_query(&center, r)
+            .radius_query(&center, r, None)
             .unwrap()
             .matches
             .iter()
@@ -349,7 +230,7 @@ mod tests {
         ] {
             for eps in [0.0, 1.0, 5.0, 20.0] {
                 let got: std::collections::BTreeSet<u64> = t
-                    .line_query(&line, eps, method)
+                    .line_query(&line, eps, method, None)
                     .unwrap()
                     .matches
                     .iter()
@@ -368,13 +249,13 @@ mod tests {
 
     #[test]
     fn line_query_reports_distances() {
-        let (t, _) = build(100);
+        let (t, pts) = build(100);
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
         let out = t
-            .line_query(&line, 10.0, PenetrationMethod::EnteringExiting)
+            .line_query(&line, 10.0, PenetrationMethod::EnteringExiting, None)
             .unwrap();
         for m in &out.matches {
-            let expect = pld_sq(&m.point, &line).sqrt();
+            let expect = pld_sq(&pts[m.id as usize], &line).sqrt();
             assert!((m.distance - expect).abs() < 1e-9);
             assert!(m.distance <= 10.0 + 1e-9);
         }
@@ -385,13 +266,11 @@ mod tests {
         let (t, _) = build(500);
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 0.0]).unwrap();
         let out = t
-            .line_query(&line, 1.0, PenetrationMethod::EnteringExiting)
+            .line_query(&line, 1.0, PenetrationMethod::EnteringExiting, None)
             .unwrap();
         // A thin strip query should not need every leaf.
         let total_leaves = {
-            let full = t
-                .box_query(&Mbr::new(vec![-1e9, -1e9], vec![1e9, 1e9]).unwrap())
-                .unwrap();
+            let full = t.radius_query(&[0.0, 0.0], 1e9, None).unwrap();
             full.stats.leaves_visited
         };
         assert!(
@@ -407,11 +286,11 @@ mod tests {
         let (t, _) = build(300);
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 2.0]).unwrap();
         let plain = t
-            .line_query(&line, 2.0, PenetrationMethod::EnteringExiting)
+            .line_query(&line, 2.0, PenetrationMethod::EnteringExiting, None)
             .unwrap();
         assert_eq!(plain.stats.sphere.total(), 0);
         let sph = t
-            .line_query(&line, 2.0, PenetrationMethod::BoundingSpheres)
+            .line_query(&line, 2.0, PenetrationMethod::BoundingSpheres, None)
             .unwrap();
         assert_eq!(
             sph.stats.sphere.total(),
@@ -425,12 +304,12 @@ mod tests {
         let t = RTree::new(cfg()).unwrap();
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
         assert!(t
-            .line_query(&line, 100.0, PenetrationMethod::EnteringExiting)
+            .line_query(&line, 100.0, PenetrationMethod::EnteringExiting, None)
             .unwrap()
             .matches
             .is_empty());
         assert!(t
-            .radius_query(&[0.0, 0.0], 100.0)
+            .radius_query(&[0.0, 0.0], 100.0, None)
             .unwrap()
             .matches
             .is_empty());
@@ -445,7 +324,7 @@ mod tests {
         }
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
         let out = t
-            .line_query(&line, 0.0, PenetrationMethod::EnteringExiting)
+            .line_query(&line, 0.0, PenetrationMethod::EnteringExiting, None)
             .unwrap();
         assert_eq!(out.matches.len(), 50);
         assert!(out.matches.iter().all(|m| m.id < 100));
@@ -457,7 +336,7 @@ mod tests {
         t.stats().reset();
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.3]).unwrap();
         let out = t
-            .line_query(&line, 3.0, PenetrationMethod::EnteringExiting)
+            .line_query(&line, 3.0, PenetrationMethod::EnteringExiting, None)
             .unwrap();
         assert_eq!(
             t.stats().reads(),
@@ -472,14 +351,14 @@ mod tests {
         let (t, _) = build(500);
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.3]).unwrap();
         let full = t
-            .line_query_with_budget(&line, 3.0, PenetrationMethod::EnteringExiting, None)
+            .line_query(&line, 3.0, PenetrationMethod::EnteringExiting, None)
             .unwrap();
         let needed = full.stats.internal_visited + full.stats.leaves_visited;
         assert!(needed > 1);
         // One page short of enough: must abort with BudgetExhausted.
         t.stats().reset();
         let err = t
-            .line_query_with_budget(
+            .line_query(
                 &line,
                 3.0,
                 PenetrationMethod::EnteringExiting,
@@ -493,7 +372,7 @@ mod tests {
         );
         // Exactly enough: same answer as unbudgeted.
         let again = t
-            .line_query_with_budget(&line, 3.0, PenetrationMethod::EnteringExiting, Some(needed))
+            .line_query(&line, 3.0, PenetrationMethod::EnteringExiting, Some(needed))
             .unwrap();
         assert_eq!(again.matches.len(), full.matches.len());
     }
@@ -501,9 +380,7 @@ mod tests {
     #[test]
     fn zero_budget_rejects_even_the_root_visit() {
         let (t, _) = build(50);
-        let err = t
-            .radius_query_with_budget(&[0.0, 0.0], 10.0, Some(0))
-            .unwrap_err();
+        let err = t.radius_query(&[0.0, 0.0], 10.0, Some(0)).unwrap_err();
         assert_eq!(err, IndexError::BudgetExhausted { budget: 0 });
     }
 }

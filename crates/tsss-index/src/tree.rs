@@ -226,12 +226,12 @@ enum UpResult {
 /// for i in 0..100u64 {
 ///     tree.insert(vec![i as f64, (i % 7) as f64], i).unwrap();
 /// }
-/// // All points within 0.5 of the x-axis:
+/// // All points within 0.5 of the x-axis (no page budget):
 /// let axis = Line::new(vec![0.0, 0.0], vec![1.0, 0.0]).unwrap();
 /// let hits = tree
-///     .line_query(&axis, 0.5, PenetrationMethod::EnteringExiting)
+///     .line_query(&axis, 0.5, PenetrationMethod::EnteringExiting, None)
 ///     .unwrap();
-/// assert!(hits.matches.iter().all(|m| m.point[1] <= 0.5));
+/// assert!(hits.matches.iter().all(|m| m.id % 7 == 0));
 /// ```
 #[derive(Debug)]
 pub struct RTree {

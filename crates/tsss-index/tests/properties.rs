@@ -101,7 +101,7 @@ fn tree_matches_model_under_churn() {
             PenetrationMethod::BoundingSpheres,
         ] {
             let got: BTreeSet<u64> = tree
-                .line_query(&line, eps, method)
+                .line_query(&line, eps, method, None)
                 .unwrap()
                 .matches
                 .iter()
@@ -142,52 +142,20 @@ fn bulk_load_equals_incremental_build() {
             incr.insert(e.point.to_vec(), e.id).unwrap();
         }
         let a: BTreeSet<u64> = bulk
-            .radius_query(&center, radius)
+            .radius_query(&center, radius, None)
             .unwrap()
             .matches
             .iter()
             .map(|m| m.id)
             .collect();
         let b: BTreeSet<u64> = incr
-            .radius_query(&center, radius)
+            .radius_query(&center, radius, None)
             .unwrap()
             .matches
             .iter()
             .map(|m| m.id)
             .collect();
         assert_eq!(a, b);
-    }
-}
-
-#[test]
-fn box_query_equals_linear_filter() {
-    let mut rng = Rng::seed_from_u64(0x1DE_0003);
-    for _ in 0..64 {
-        let n_points = 1 + rng.usize_below(149);
-        let points: Vec<Vec<f64>> = (0..n_points).map(|_| point(&mut rng)).collect();
-        let low = point(&mut rng);
-        let ext = rng.f64_vec(3, 0.0, 80.0);
-
-        let mut tree = RTree::new(cfg(SplitPolicy::RStar)).unwrap();
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(p.clone(), i as u64).unwrap();
-        }
-        let high: Vec<f64> = low.iter().zip(&ext).map(|(l, e)| l + e).collect();
-        let qb = Mbr::new(low, high).unwrap();
-        let got: BTreeSet<u64> = tree
-            .box_query(&qb)
-            .unwrap()
-            .matches
-            .iter()
-            .map(|m| m.id)
-            .collect();
-        let want: BTreeSet<u64> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| qb.contains_point(p))
-            .map(|(i, _)| i as u64)
-            .collect();
-        assert_eq!(got, want);
     }
 }
 
@@ -205,7 +173,11 @@ fn nn_matches_brute_force() {
             tree.insert(p.clone(), i as u64).unwrap();
         }
         let line = Line::new(vec![0.0; 3], dir).unwrap();
-        let got = tree.nearest_to_line(&line, k).unwrap();
+        let got: Vec<_> = tree
+            .nearest(&line)
+            .take(k)
+            .collect::<Result<_, _>>()
+            .unwrap();
         let mut brute: Vec<f64> = points.iter().map(|p| pld_sq(p, &line).sqrt()).collect();
         brute.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(got.len(), k.min(points.len()));

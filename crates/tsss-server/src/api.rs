@@ -73,6 +73,7 @@ pub fn status_of(e: &EngineError) -> u16 {
     match e {
         EngineError::QueryLength { .. }
         | EngineError::QueryTooShort { .. }
+        | EngineError::NonFiniteQuery { .. }
         | EngineError::InvalidEpsilon(_)
         | EngineError::LongQueryStride { .. }
         | EngineError::DatasetTooSmall { .. } => 400,
@@ -382,6 +383,7 @@ mod tests {
             }),
             400
         );
+        assert_eq!(status_of(&EngineError::NonFiniteQuery { index: 0 }), 400);
         assert_eq!(status_of(&EngineError::UnknownSeries(9)), 404);
         assert_eq!(
             status_of(&EngineError::TooLarge {
