@@ -136,6 +136,25 @@ impl PagedSeriesStore {
         Ok(())
     }
 
+    /// A copy-on-write twin of the store: the same catalogue and extent
+    /// tables over a [`BufferPool::fork`] of its pages, with a cold cache
+    /// and fresh access counters. Neither store sees the other's later
+    /// appends or damage.
+    ///
+    /// # Errors
+    /// [`EngineError::Corrupt`] when flushing a dirty frame fails.
+    pub fn fork(&self) -> Result<Self, EngineError> {
+        Ok(Self {
+            pool: self.pool.fork()?,
+            pages: self.pages.clone(),
+            values_per_page: self.values_per_page,
+            total: self.total,
+            names: self.names.clone(),
+            extents: self.extents.clone(),
+            lengths: self.lengths.clone(),
+        })
+    }
+
     /// Wraps the underlying page store — the hook the fault-injection layer
     /// uses to interpose on data-file I/O.
     pub fn wrap_store(

@@ -113,7 +113,8 @@ impl SearchEngine {
         })
     }
 
-    /// Reassembles an engine from persisted parts (see `persist`).
+    /// Reassembles an engine from persisted or forked parts, with a fresh
+    /// breaker, quarantine and insert count.
     pub(crate) fn from_parts(
         cfg: EngineConfig,
         tree: RTree,
@@ -133,6 +134,33 @@ impl SearchEngine {
             max_norm_loose: false,
             inserts_since_rebuild: 0,
         }
+    }
+
+    /// A copy-on-write twin of the engine: its index and data file fork
+    /// their pages (one pointer per page, nothing serialized), so the
+    /// twin answers every query exactly as a save and reload would, page
+    /// counts included. Like a reload it starts with a closed breaker, an
+    /// empty quarantine and fresh counters; unlike one it keeps the index
+    /// state a reload cannot see — the unindexed-tail and loose-bound
+    /// flags, and [`SearchEngine::inserts_since_rebuild`], so
+    /// [`SearchEngine::str_rebuild_due`] keeps counting on a twin that
+    /// grows by insertion. Neither engine sees the other's later
+    /// mutations or damage.
+    ///
+    /// # Errors
+    /// [`EngineError::Corrupt`] when a buffered dirty page cannot be
+    /// written back before the fork.
+    pub fn fork(&self) -> Result<SearchEngine, EngineError> {
+        let mut twin = Self::from_parts(
+            self.cfg.clone(),
+            self.tree.fork()?,
+            self.store.fork()?,
+            self.max_se_norm,
+        );
+        twin.append_tail_unindexed = self.append_tail_unindexed;
+        twin.max_norm_loose = self.max_norm_loose;
+        twin.inserts_since_rebuild = self.inserts_since_rebuild;
+        Ok(twin)
     }
 
     /// Upper bound on the SE-norm (fluctuation energy) of any window ever

@@ -68,7 +68,10 @@ use crate::result::{SearchResult, SearchStats, SubsequenceMatch};
 /// See the [module docs](self) for the partition/merge contract. Built
 /// with [`ShardedEngine::build`] (from raw series) or
 /// [`ShardedEngine::from_engine`] (re-partitioning an existing engine's
-/// data file, e.g. when serving).
+/// data file, e.g. when serving), then grown copy-on-write by
+/// [`ShardedEngine::fork`] plus [`ShardedEngine::append_values`] /
+/// [`ShardedEngine::append_series`], which touch only the shard holding
+/// the series.
 #[derive(Debug)]
 pub struct ShardedEngine {
     cfg: EngineConfig,
@@ -103,8 +106,10 @@ impl ShardedEngine {
     }
 
     /// Re-partitions an existing engine's authoritative data file into a
-    /// sharded twin with the same configuration — how the serving layer
-    /// turns one published snapshot into N fault domains.
+    /// sharded twin with the same configuration, STR-building every
+    /// shard — how the serving layer turns the master into N fault
+    /// domains at start-up, and whenever a per-shard delta cannot
+    /// describe a change (a repair, a half-landed append).
     ///
     /// # Errors
     /// [`EngineError::Corrupt`] when the source data file cannot be read,
@@ -194,6 +199,97 @@ impl ShardedEngine {
     /// The first shard's [`SearchEngine::repair`] error, if any.
     pub fn repair(&mut self) -> Result<Vec<RepairReport>, EngineError> {
         self.shards.iter_mut().map(SearchEngine::repair).collect()
+    }
+
+    // ------------------------------------------------------------------
+    // Copy-on-write maintenance
+    // ------------------------------------------------------------------
+
+    /// A copy-on-write twin: every shard is [`SearchEngine::fork`]ed, so
+    /// the twin shares every page frame with this engine and costs one
+    /// pointer per page. Each twin shard starts with a fresh breaker,
+    /// quarantine and counters.
+    ///
+    /// # Errors
+    /// As [`SearchEngine::fork`].
+    pub fn fork(&self) -> Result<Self, EngineError> {
+        let shards = self
+            .shards
+            .iter()
+            .map(SearchEngine::fork)
+            .collect::<Result<_, _>>()?;
+        Ok(ShardedEngine {
+            cfg: self.cfg.clone(),
+            shards,
+        })
+    }
+
+    /// The length of global series `series`.
+    ///
+    /// # Errors
+    /// [`EngineError::UnknownSeries`] for a bad index.
+    pub fn series_len(&self, series: usize) -> Result<usize, EngineError> {
+        let local = series / self.shards.len().max(1);
+        self.shards
+            .get(self.shard_of(series))
+            .and_then(|e| e.series_len(local).ok())
+            .ok_or(EngineError::UnknownSeries(series))
+    }
+
+    /// Appends `values` to global series `series` on the one shard that
+    /// holds it, as its local series `series / N` — the sharded
+    /// [`SearchEngine::append_values`]; no other shard is touched.
+    /// Matches then equal those of a fresh partition, though a shard grown
+    /// by insertion is not STR-packed, so its page counts may differ.
+    /// Once that shard's own [`SearchEngine::str_rebuild_due`] fires, it
+    /// alone is rebuilt.
+    ///
+    /// # Errors
+    /// [`EngineError::UnknownSeries`] for a bad index; otherwise as
+    /// [`SearchEngine::append_values`] and [`SearchEngine::repair`].
+    pub fn append_values(&mut self, series: usize, values: &[f64]) -> Result<(), EngineError> {
+        let local = series / self.shards.len().max(1);
+        let shard = self.shard_of(series);
+        let engine = self
+            .shards
+            .get_mut(shard)
+            .ok_or(EngineError::UnknownSeries(series))?;
+        engine
+            .series_len(local)
+            .map_err(|_| EngineError::UnknownSeries(series))?;
+        engine.append_values(local, values)?;
+        rebuild_if_due(engine)
+    }
+
+    /// Adds `series` as the next global series, on the shard and at the
+    /// local index a fresh partition would give it, and returns its
+    /// global index — the sharded [`SearchEngine::append_series`],
+    /// rebuilding that one shard when its insert count is due.
+    ///
+    /// # Errors
+    /// [`EngineError::ShardUnavailable`] when the shard's series count no
+    /// longer fits the round-robin partition; otherwise as
+    /// [`SearchEngine::append_series`] and [`SearchEngine::repair`].
+    pub fn append_series(&mut self, series: &Series) -> Result<usize, EngineError> {
+        let global = self.num_series();
+        let local = global / self.shards.len().max(1);
+        let shard = self.shard_of(global);
+        let engine = self
+            .shards
+            .get_mut(shard)
+            .ok_or(EngineError::UnknownSeries(global))?;
+        if engine.num_series() != local {
+            return Err(EngineError::ShardUnavailable {
+                shard,
+                detail: format!(
+                    "holds {} series, but series {global} belongs at local index {local}",
+                    engine.num_series()
+                ),
+            });
+        }
+        engine.append_series(series)?;
+        rebuild_if_due(engine)?;
+        Ok(global)
     }
 
     // ------------------------------------------------------------------
@@ -416,6 +512,16 @@ impl ShardedEngine {
             .max()
             .unwrap_or_default()
     }
+}
+
+/// Rebuilds a shard grown by insertion once its own
+/// [`SearchEngine::str_rebuild_due`] fires — the per-shard twin of the
+/// server's rebuild of the master.
+fn rebuild_if_due(shard: &mut SearchEngine) -> Result<(), EngineError> {
+    if shard.str_rebuild_due() {
+        shard.repair()?;
+    }
+    Ok(())
 }
 
 /// True for errors that damage or exhaust *one shard's slice* of a query

@@ -109,16 +109,6 @@ impl Mbr {
                 .all(|(h, oh)| oh <= h)
     }
 
-    /// True when the boxes share at least one point.
-    pub fn intersects(&self, other: &Mbr) -> bool {
-        debug_assert_eq!(other.dim(), self.dim());
-        self.low
-            .iter()
-            .zip(self.high.iter())
-            .zip(other.low.iter().zip(other.high.iter()))
-            .all(|((l, h), (ol, oh))| l <= oh && ol <= h)
-    }
-
     /// The **ε-MBR**: this box grown by `eps` on every side (paper §6.1).
     pub fn enlarged(&self, eps: f64) -> Mbr {
         assert!(eps >= 0.0, "epsilon enlargement must be non-negative");
@@ -298,15 +288,6 @@ mod tests {
         assert!(outer.contains_mbr(&inner));
         assert!(!inner.contains_mbr(&outer));
         assert!(outer.contains_mbr(&outer));
-    }
-
-    #[test]
-    fn intersects_detects_touching_and_disjoint() {
-        let a = unit_box();
-        let touching = Mbr::new(vec![1.0, 0.0], vec![2.0, 1.0]).unwrap();
-        let disjoint = Mbr::new(vec![1.5, 0.0], vec![2.0, 1.0]).unwrap();
-        assert!(a.intersects(&touching));
-        assert!(!a.intersects(&disjoint));
     }
 
     #[test]

@@ -254,6 +254,34 @@ mod tests {
     }
 
     #[test]
+    fn a_fork_answers_as_the_roundtrip_and_diverges_on_its_own() {
+        let mut t = build_tree(300);
+        let u = roundtrip(&mut t);
+        let mut f = t.fork().unwrap();
+        let line = Line::new(vec![0.0; 3], vec![1.0, 0.9, 1.2]).unwrap();
+        let probe = |tree: &RTree| {
+            tree.stats().reset();
+            let hits = tree
+                .line_query(&line, 25.0, PenetrationMethod::EnteringExiting, None)
+                .unwrap();
+            let ids: Vec<u64> = hits.matches.iter().map(|m| m.id).collect();
+            (ids, tree.stats().reads())
+        };
+        // Page for page: same matches in the same order, same reads.
+        assert_eq!(probe(&f), probe(&u));
+        let before = (probe(&t), t.dump().unwrap());
+        for i in 0..200u64 {
+            f.insert(vec![50.0, 50.0, (i % 89) as f64], 10_000 + i)
+                .unwrap();
+        }
+        assert!(f.delete(&[50.0, 50.0, 0.0], 10_000).unwrap());
+        f.check_invariants().unwrap();
+        assert_eq!(f.len(), 499);
+        assert_eq!((probe(&t), t.dump().unwrap()), before);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
     fn empty_tree_roundtrips() {
         let mut t = RTree::new(TreeConfig::uniform(
             2,

@@ -306,6 +306,24 @@ impl RTree {
         Ok(self.pool.clear_cache()?)
     }
 
+    /// A copy-on-write twin of the tree: same configuration, root, height
+    /// and entries, over a [`BufferPool::fork`] of its pages — one pointer
+    /// per page, no bytes copied — with a cold cache and fresh access
+    /// counters. Neither tree sees the other's later inserts or damage.
+    ///
+    /// # Errors
+    /// Any storage failure while writing dirty frames back.
+    pub fn fork(&self) -> Result<RTree, IndexError> {
+        let pool = self.pool.fork()?;
+        Ok(Self::from_parts(
+            self.cfg.clone(),
+            pool,
+            self.root,
+            self.height,
+            self.len,
+        ))
+    }
+
     /// Flushes cached frames and runs `f` against the backing page store
     /// (used by persistence).
     pub(crate) fn with_store<R>(

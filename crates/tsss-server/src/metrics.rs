@@ -35,6 +35,10 @@ pub struct Metrics {
     /// Snapshot publications: how many times a fresh immutable engine was
     /// swapped in for readers after a mutation.
     pub snapshots_published_total: AtomicU64,
+    /// Sharded publications that partitioned the master afresh because no
+    /// per-shard delta could describe the change (`/repair`, a half-landed
+    /// append, a raised shard count, a failed delta or guard).
+    pub snapshot_partitions_total: AtomicU64,
     /// Background STR rebuilds triggered by the insert-degradation
     /// threshold after an append.
     pub str_rebuilds_total: AtomicU64,
@@ -106,6 +110,10 @@ impl Metrics {
             (
                 "snapshots_published_total",
                 load(&self.snapshots_published_total),
+            ),
+            (
+                "snapshot_partitions_total",
+                load(&self.snapshot_partitions_total),
             ),
             ("str_rebuilds_total", load(&self.str_rebuilds_total)),
             ("saves_total", load(&self.saves_total)),

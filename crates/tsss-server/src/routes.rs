@@ -10,8 +10,15 @@
 //! health — swapped in for readers. Every read clones that one value, so
 //! the epoch and WAL tail size stamped into a search's stats name exactly
 //! the generation that answered it.
+//!
+//! Publication is **copy-on-write**: a snapshot is a fork of the master
+//! ([`SearchEngine::fork`]), sharing every page frame, so publishing costs
+//! one pointer per page rather than a serialized copy. A sharded view
+//! forks the published shards and applies an acknowledged append only to
+//! the shard that holds its series; it is partitioned afresh
+//! ([`ShardedEngine::from_engine`]) only when such a delta cannot
+//! describe the change — see `next_snapshot`.
 
-use std::io;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use tsss_core::{
@@ -30,8 +37,8 @@ use crate::metrics::Metrics;
 /// What query endpoints run against: the published immutable snapshot,
 /// served either by one engine or by a scatter-gather sharded view with
 /// per-shard fault isolation. Chosen at startup
-/// ([`AppState::new_durable_sharded`] / `ServerConfig::shards`) and rebuilt
-/// on every snapshot publication.
+/// ([`AppState::new_durable_sharded`] / `ServerConfig::shards`) and carried
+/// forward, copy-on-write, by every snapshot publication.
 pub enum ServingSnapshot {
     /// A single engine — one fault domain, the default. Boxed so the
     /// variants stay comparably sized; the snapshot lives behind an `Arc`.
@@ -152,8 +159,9 @@ pub struct AppState {
     /// name is what `tsss-analyze`'s declared `ingest → snapshot` lock
     /// order refers to.
     snapshot: RwLock<Arc<Published>>,
-    /// Fault domains every publication partitions the snapshot into
-    /// (`1` = serve the engine directly); fixed at startup.
+    /// Fault domains the snapshot is partitioned into (`1` = serve the
+    /// engine directly), before the clamp to the series count; fixed at
+    /// startup.
     shards: usize,
     /// The durable master engine; appends, repairs and saves serialize here.
     ingest: Mutex<DurableEngine>,
@@ -165,17 +173,19 @@ pub struct AppState {
 
 impl AppState {
     /// Wraps a master engine for serving, with queries answered across
-    /// `shards` fault domains: `<= 1` serves the engine directly, more
+    /// `shards` fault domains: `<= 1` serves a fork of the engine, more
     /// serves a scatter-gather [`ShardedEngine`] (clamped to the number of
-    /// series). Ingest stays single-master: every publication partitions
-    /// the master afresh. A volatile master
-    /// ([`DurableEngine::new_volatile`]) serves the same API, but its
-    /// `/append` acknowledgements do not survive a crash and `/save` is
-    /// rejected.
+    /// series). Ingest stays single-master: the master is partitioned once
+    /// here, and each later publication applies an append only to the
+    /// shard holding its series, partitioning afresh only when that delta
+    /// cannot describe the change (see `next_snapshot`). A volatile
+    /// master ([`DurableEngine::new_volatile`]) serves the same API, but
+    /// its `/append` acknowledgements do not survive a crash and `/save`
+    /// is rejected.
     pub fn new_durable_sharded(master: DurableEngine, shards: usize) -> AppState {
-        // The first snapshot is made the way `publish` makes every later
-        // one, so an engine that cannot snapshot fails at startup rather
-        // than on the first mutation.
+        // The first snapshot is made the way a fresh partition is made on
+        // every later fallback, so an engine that cannot snapshot fails at
+        // startup rather than on the first mutation.
         let snapshot = make_snapshot(master.engine(), shards)
             .expect("a loaded engine must snapshot for serving");
         AppState {
@@ -237,22 +247,108 @@ fn lock_ingest(state: &AppState) -> MutexGuard<'_, DurableEngine> {
     }
 }
 
-/// Publishes the master's current state as a fresh immutable snapshot at
-/// the next epoch. Runs under the ingest lock; readers only ever block for
-/// the pointer swap.
-fn publish(state: &AppState, master: &DurableEngine) -> Result<u64, ApiError> {
-    let fresh = make_snapshot(master.engine(), state.shards).map_err(|e| ApiError {
-        status: 500,
-        message: format!("snapshot publish failed: {e}"),
-        hint: Some(
-            "the master engine and its WAL are intact; readers keep the previous \
+/// Publishes the master's current state as an immutable snapshot at the
+/// next epoch, carrying the current one forward by `change` (see
+/// [`next_snapshot`]). Runs under the ingest lock; readers only ever
+/// block for the pointer swap.
+fn publish(state: &AppState, master: &DurableEngine, change: Change<'_>) -> Result<u64, ApiError> {
+    let current = published(state);
+    let fresh =
+        next_snapshot(state, &current.snapshot, master.engine(), change).map_err(|e| ApiError {
+            status: 500,
+            message: format!("snapshot publish failed: {e}"),
+            hint: Some(
+                "the master engine and its WAL are intact; readers keep the previous \
                  snapshot — retry the request"
-                .to_string(),
-        ),
-    })?;
-    let epoch = swap_published(state, master, |cur| (Arc::new(fresh), cur.epoch + 1));
+                    .to_string(),
+            ),
+        })?;
+    let epoch = swap_published(state, master, |cur| (fresh, cur.epoch + 1));
     state.metrics.bump(&state.metrics.snapshots_published_total);
     Ok(epoch)
+}
+
+/// What changed on the master since the current publication — what a
+/// sharded view must take in to serve the master's state again.
+enum Change<'a> {
+    /// Nothing: an append refused before it touched the master. Names the
+    /// existing series it addressed, if any, for the guard.
+    Unchanged(Option<usize>),
+    /// `values` were appended to the existing global series.
+    Values(usize, &'a [f64]),
+    /// The series was added as the master's newest.
+    NewSeries(&'a Series),
+    /// A change no per-shard delta describes (`/repair`, a half-landed
+    /// append): the master must be partitioned afresh.
+    Repartition,
+}
+
+/// The snapshot the next publication serves.
+///
+/// A single engine is always a fork of the master. A sharded view forks
+/// the published shards and applies `change` to the one shard holding
+/// its series, as local series `g / N` (a refused append republishes the
+/// current view as is). It falls back to a fresh partition of the master
+/// when the change is [`Change::Repartition`], when the master's series
+/// count raises the shard-count clamp, when applying the delta fails, or
+/// when the result fails an O(1) guard: its series and window counts,
+/// and the touched series' length, must equal the master's. The guard
+/// also catches a master that moved without a publication, such as one
+/// recovered from a poisoned lock. A shard grown by insertion is not
+/// STR-packed, so its page counts can differ from a fresh partition's;
+/// its matches cannot.
+fn next_snapshot(
+    state: &AppState,
+    current: &Arc<ServingSnapshot>,
+    master: &SearchEngine,
+    change: Change<'_>,
+) -> Result<Arc<ServingSnapshot>, EngineError> {
+    if let Some(next) = shard_delta(current, master, state.shards, change) {
+        return Ok(next);
+    }
+    if state.shards > 1 {
+        state.metrics.bump(&state.metrics.snapshot_partitions_total);
+    }
+    make_snapshot(master, state.shards).map(Arc::new)
+}
+
+/// `current` carried forward by `change` when it is a sharded view a
+/// per-shard delta can carry, or `None` when only a fresh snapshot will
+/// do (see [`next_snapshot`]).
+fn shard_delta(
+    current: &Arc<ServingSnapshot>,
+    master: &SearchEngine,
+    shards: usize,
+    change: Change<'_>,
+) -> Option<Arc<ServingSnapshot>> {
+    let ServingSnapshot::Sharded(view) = &**current else {
+        return None;
+    };
+    if view.num_shards() != shards.min(master.num_series()).max(1) {
+        return None;
+    }
+    let (next, series) = match change {
+        Change::Repartition => return None,
+        Change::Unchanged(series) => (None, series),
+        Change::Values(series, values) => {
+            let mut next = view.fork().ok()?;
+            next.append_values(series, values).ok()?;
+            (Some(next), Some(series))
+        }
+        Change::NewSeries(new) => {
+            let mut next = view.fork().ok()?;
+            let series = next.append_series(new).ok()?;
+            (Some(next), Some(series))
+        }
+    };
+    let served = next.as_ref().unwrap_or(view);
+    let in_step = served.num_series() == master.num_series()
+        && served.num_windows() == master.num_windows()
+        && series.is_none_or(|g| served.series_len(g).ok() == master.series_len(g).ok());
+    in_step.then(|| match next {
+        Some(next) => Arc::new(ServingSnapshot::Sharded(next)),
+        None => Arc::clone(current),
+    })
 }
 
 /// Swaps in the next [`Published`] value: `next` maps the current one to
@@ -278,28 +374,16 @@ fn swap_published(
     epoch
 }
 
-/// Roundtrips an engine through its own persistence format — the
-/// single-engine snapshot. Serialization guarantees the copy is
-/// bit-identical to what a save/reload would produce, so snapshot answers
-/// can never drift from post-restart answers.
-fn clone_engine(engine: &SearchEngine) -> io::Result<SearchEngine> {
-    let mut buf = Vec::new();
-    engine.save_to(&mut buf)?;
-    SearchEngine::load_from(&mut io::Cursor::new(buf))
-}
-
-/// Builds the serving snapshot for a publication: a roundtripped clone of
-/// the master, or — when the server was configured with more than one
-/// fault domain — the master's data partitioned straight into a sharded
-/// view (a partition rebuilds every shard from the data, so it needs no
-/// clone first).
-fn make_snapshot(engine: &SearchEngine, shards: usize) -> io::Result<ServingSnapshot> {
+/// Builds a snapshot of the master from scratch: a fork of it, or — when
+/// the server was configured with more than one fault domain — its data
+/// partitioned into a fresh sharded view (a partition rebuilds every
+/// shard from the data, so it needs no fork first). Start-up makes the
+/// first snapshot this way, and [`next_snapshot`] falls back to it.
+fn make_snapshot(engine: &SearchEngine, shards: usize) -> Result<ServingSnapshot, EngineError> {
     if shards <= 1 {
-        return Ok(ServingSnapshot::Single(Box::new(clone_engine(engine)?)));
+        return Ok(ServingSnapshot::Single(Box::new(engine.fork()?)));
     }
-    ShardedEngine::from_engine(engine, shards)
-        .map(ServingSnapshot::Sharded)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    ShardedEngine::from_engine(engine, shards).map(ServingSnapshot::Sharded)
 }
 
 /// Handles one parsed request; returns `(status, body)`. Also folds the
@@ -411,7 +495,7 @@ fn metrics_json(state: &AppState) -> Json {
 fn repair(state: &AppState) -> Result<Json, ApiError> {
     let mut master = lock_ingest(state);
     let report = master.engine_mut().repair()?;
-    let epoch = publish(state, &master)?;
+    let epoch = publish(state, &master, Change::Repartition)?;
     let mut j = encode_repair(&report);
     if let Json::Obj(map) = &mut j {
         map.insert("epoch".to_string(), Json::from(epoch));
@@ -437,16 +521,30 @@ fn save(state: &AppState) -> Result<Json, ApiError> {
     ]))
 }
 
-/// Which series an `/append` addresses, parsed before the ingest lock is
-/// taken so malformed requests never serialize with real writers.
+/// What an `/append` asks for, parsed before the ingest lock is taken so
+/// malformed requests never serialize with real writers.
 enum AppendTarget {
-    /// Append to the existing series at this index.
-    Existing(usize),
-    /// Create a new series with this name.
-    New(String),
+    /// Append these values to the existing series at this index.
+    Existing(usize, Vec<f64>),
+    /// Create this new series.
+    New(Series),
+}
+
+impl AppendTarget {
+    /// The master's change once the append was applied (`applied`) or
+    /// refused before touching it.
+    fn change(&self, applied: bool) -> Change<'_> {
+        match (self, applied) {
+            (AppendTarget::Existing(si, values), true) => Change::Values(*si, values),
+            (AppendTarget::New(series), true) => Change::NewSeries(series),
+            (AppendTarget::Existing(si, _), false) => Change::Unchanged(Some(*si)),
+            (AppendTarget::New(_), false) => Change::Unchanged(None),
+        }
+    }
 }
 
 fn append_target(body: &Json) -> Result<AppendTarget, ApiError> {
+    let values = require_f64_array(body, "values")?;
     match (body.get("series"), body.get("name")) {
         (Some(s), None) => {
             let si = s
@@ -454,13 +552,13 @@ fn append_target(body: &Json) -> Result<AppendTarget, ApiError> {
                 .ok_or_else(|| ApiError::bad_request("\"series\" must be an integer index"))?;
             let si = usize::try_from(si)
                 .map_err(|_| ApiError::bad_request("\"series\" index out of range"))?;
-            Ok(AppendTarget::Existing(si))
+            Ok(AppendTarget::Existing(si, values))
         }
         (None, Some(n)) => {
             let name = n
                 .as_str()
                 .ok_or_else(|| ApiError::bad_request("\"name\" must be a string"))?;
-            Ok(AppendTarget::New(name.to_string()))
+            Ok(AppendTarget::New(Series::new(name, values)))
         }
         _ => Err(ApiError::bad_request(
             "provide exactly one of \"series\" (append to existing) or \"name\" (new series)",
@@ -469,13 +567,12 @@ fn append_target(body: &Json) -> Result<AppendTarget, ApiError> {
 }
 
 fn append(state: &AppState, body: &Json) -> Result<Json, ApiError> {
-    let values = require_f64_array(body, "values")?;
     let target = append_target(body)?;
     let mut master = lock_ingest(state);
     state.metrics.bump(&state.metrics.appends_total);
-    let applied = match target {
-        AppendTarget::Existing(si) => master.append_values(si, &values).map(|()| si),
-        AppendTarget::New(name) => master.append_series(&Series::new(&name, values)),
+    let applied = match &target {
+        AppendTarget::Existing(si, values) => master.append_values(*si, values).map(|()| *si),
+        AppendTarget::New(series) => master.append_series(series),
     };
     let mut rebuilt = false;
     if applied.is_ok() && master.engine().str_rebuild_due() {
@@ -491,8 +588,13 @@ fn append(state: &AppState, body: &Json) -> Result<Json, ApiError> {
     // Publish whatever state the master is now in — success or failure —
     // so readers see exactly what the master holds and its published
     // health is fresh. A failed append may still have mutated the master
-    // (e.g. values stored with the tail unindexed).
-    let published = publish(state, &master);
+    // (values stored with the tail unindexed): no delta describes that.
+    let change = if master.engine().health().append_tail_unindexed {
+        Change::Repartition
+    } else {
+        target.change(applied.is_ok())
+    };
+    let published = publish(state, &master, change);
     let series = match applied {
         Ok(s) => s,
         Err(e) => {
@@ -1187,6 +1289,209 @@ mod tests {
                 .get("shards_ok")
                 .and_then(Json::as_u64),
             Some(2)
+        );
+    }
+
+    /// One query per [`Query`] mode, cut from series 1: a window and a
+    /// window and a half.
+    fn every_mode(data: &[tsss_data::Series]) -> Vec<(Vec<f64>, Query)> {
+        let window = window_of(data, 1, 5, WINDOW);
+        let long = window_of(data, 1, 0, WINDOW + WINDOW / 2);
+        vec![
+            (window.clone(), Query::Range { epsilon: 0.5 }),
+            (window.clone(), Query::Nearest { k: 5 }),
+            (window, Query::ZNormalized { z_eps: 1.0 }),
+            (long, Query::Long { epsilon: 2.0 }),
+        ]
+    }
+
+    /// Every query's full result on `snap`, wall time cleared so results
+    /// compare exactly: matches and every `SearchStats` counter.
+    fn answers(snap: &ServingSnapshot, queries: &[(Vec<f64>, Query)]) -> Vec<SearchResult> {
+        queries
+            .iter()
+            .map(|(values, mode)| {
+                let mut res = snap
+                    .execute(values, *mode, SearchOptions::default())
+                    .unwrap();
+                res.stats.elapsed = std::time::Duration::ZERO;
+                res
+            })
+            .collect()
+    }
+
+    fn matches_of(results: Vec<SearchResult>) -> Vec<Vec<tsss_core::SubsequenceMatch>> {
+        results.into_iter().map(|r| r.matches).collect()
+    }
+
+    /// The master saved and reloaded, as a snapshot.
+    fn reloaded_master(st: &AppState) -> ServingSnapshot {
+        let master = st.ingest.lock().unwrap();
+        let mut buf = Vec::new();
+        master.engine().save_to(&mut buf).unwrap();
+        let engine = SearchEngine::load_from(&mut std::io::Cursor::new(buf)).unwrap();
+        ServingSnapshot::Single(Box::new(engine))
+    }
+
+    /// The master partitioned afresh into `shards`, as a snapshot.
+    fn fresh_partition(st: &AppState, shards: usize) -> ServingSnapshot {
+        let master = st.ingest.lock().unwrap();
+        ServingSnapshot::Sharded(ShardedEngine::from_engine(master.engine(), shards).unwrap())
+    }
+
+    /// An `/append` body for `target` (`"series":i` or `"name":"x"`) of
+    /// `values` transformed by `v → 2v + 3`, so the queries that match the
+    /// source also match the appended copy.
+    fn append_body(target: &str, values: &[f64]) -> String {
+        let scaled: Vec<f64> = values.iter().map(|v| 2.0 * v + 3.0).collect();
+        format!("{{{target},\"values\":{}}}", encode_vals(&scaled))
+    }
+
+    /// 300 values: enough one-at-a-time inserts to reach
+    /// `str_rebuild_due` on the test engines (floored at 256).
+    fn long_append(data: &[tsss_data::Series]) -> Vec<f64> {
+        data[2].values.iter().cycle().take(300).copied().collect()
+    }
+
+    #[test]
+    fn a_single_engine_snapshot_answers_as_the_saved_and_reloaded_master() {
+        let (st, data) = state();
+        let queries = every_mode(&data);
+        let copy = &data[1].values[..40];
+        let steps = [
+            ("/append", append_body("\"series\":0", copy)),
+            ("/append", append_body("\"name\":\"fresh\"", copy)),
+            ("/repair", String::new()),
+            ("/append", append_body("\"series\":3", &long_append(&data))),
+        ];
+        for (epoch, (route, body)) in (1..).zip(&steps) {
+            let ack = ok_json(&st, "POST", route, body);
+            assert_eq!(field(&ack, "epoch"), epoch);
+            let want = answers(&reloaded_master(&st), &queries);
+            assert_eq!(answers(&snapshot(&st), &queries), want, "epoch {epoch}");
+        }
+        let last = ok_json(&st, "GET", "/health", "");
+        assert_eq!(field(&last, "epoch"), 4);
+        assert_eq!(
+            st.ingest.lock().unwrap().engine().inserts_since_rebuild(),
+            0,
+            "the last append crossed str_rebuild_due and rebuilt the master"
+        );
+    }
+
+    #[test]
+    fn a_sharded_view_matches_a_fresh_partition_after_every_append() {
+        let (st, data) = sharded_state(2);
+        let queries = every_mode(&data);
+        let copy = &data[1].values[..40];
+        let steps = [
+            append_body("\"series\":0", copy),
+            append_body("\"series\":1", &data[0].values[..7]),
+            append_body("\"name\":\"fresh\"", copy),
+            append_body("\"series\":4", copy),
+            append_body("\"series\":3", &long_append(&data)),
+        ];
+        for (epoch, body) in (1..).zip(&steps) {
+            let ack = ok_json(&st, "POST", "/append", body);
+            assert_eq!(field(&ack, "epoch"), epoch);
+            let want = matches_of(answers(&fresh_partition(&st, 2), &queries));
+            assert_eq!(
+                matches_of(answers(&snapshot(&st), &queries)),
+                want,
+                "epoch {epoch}"
+            );
+        }
+        let snap = snapshot(&st);
+        let ServingSnapshot::Sharded(view) = &*snap else {
+            panic!("a two-shard state serves a sharded view");
+        };
+        assert_eq!(
+            view.shard(1).unwrap().inserts_since_rebuild(),
+            0,
+            "series 3's shard crossed its own str_rebuild_due and rebuilt"
+        );
+        let partitions = |st: &AppState| {
+            let m = ok_json(st, "GET", "/metrics", "");
+            field(&m, "snapshot_partitions_total")
+        };
+        assert_eq!(partitions(&st), 0, "every append took the delta path");
+
+        // A half-landed append: the values reach the master's data file,
+        // but its index root is damaged, so the windows never do.
+        damage_master_root(&st);
+        let (status, payload) = handle(&st, "POST", "/append", steps[0].as_bytes());
+        assert_eq!(status, 500, "{payload}");
+        assert!(payload.contains("half-landed"), "{payload}");
+        // It and `/repair` each publish a fresh partition, page counts too.
+        let fresh = answers(&fresh_partition(&st, 2), &queries);
+        assert_eq!(answers(&snapshot(&st), &queries), fresh);
+        assert_eq!(partitions(&st), 1);
+        ok_json(&st, "POST", "/repair", "");
+        let fresh = answers(&fresh_partition(&st, 2), &queries);
+        assert_eq!(answers(&snapshot(&st), &queries), fresh);
+        assert_eq!(partitions(&st), 2);
+    }
+
+    /// Flips a byte of the master's index root beneath its checksum.
+    fn damage_master_root(st: &AppState) {
+        let mut master = st.ingest.lock().unwrap();
+        let root = master.engine().tree().root_page().0;
+        master
+            .engine_mut()
+            .corrupt_index_page(root, &mut |bytes| bytes[0] ^= 0xff)
+            .unwrap();
+    }
+
+    /// The published snapshot shares the master's page frames, never its
+    /// damage: a page corrupted on the master stays clean in the snapshot
+    /// until a publication carries the master's state over.
+    #[test]
+    fn damage_to_the_master_stays_out_of_the_published_snapshot() {
+        let (st, data) = state();
+        let body = query_body(&data, 0.5);
+        let clean = ok_json(&st, "POST", "/search", &body);
+        damage_master_root(&st);
+        let after = ok_json(&st, "POST", "/search", &body);
+        assert_eq!(after.get("matches"), clean.get("matches"));
+        let stats = after.get("stats").unwrap();
+        assert_eq!(stats.get("degraded").and_then(Json::as_bool), Some(false));
+        // The next publication forks the damaged master; reads detect the
+        // damage and degrade to the scan, and `/repair` heals it.
+        let (status, _) = handle(&st, "POST", "/append", br#"{"series":0,"values":[1,2,3]}"#);
+        assert_eq!(status, 500);
+        let degraded = ok_json(&st, "POST", "/search", &body);
+        let stats = degraded.get("stats").unwrap();
+        assert_eq!(stats.get("degraded").and_then(Json::as_bool), Some(true));
+        assert_eq!(degraded.get("matches"), clean.get("matches"));
+        ok_json(&st, "POST", "/repair", "");
+        let healed = ok_json(&st, "POST", "/search", &body);
+        let stats = healed.get("stats").unwrap();
+        assert_eq!(stats.get("degraded").and_then(Json::as_bool), Some(false));
+    }
+
+    /// A state over one series serves one shard, however many were asked
+    /// for. A new series raises the clamp: the next publication
+    /// partitions afresh into two, rather than freezing at one.
+    #[test]
+    fn a_new_series_raises_the_shard_count_clamp() {
+        let data = MarketSimulator::new(MarketConfig::small(1, 80, 42)).generate();
+        let st = serve(
+            SearchEngine::build(&data, EngineConfig::small(WINDOW)).unwrap(),
+            2,
+        );
+        assert_eq!(field(&ok_json(&st, "GET", "/health", ""), "shards"), 1);
+        let body = append_body("\"name\":\"second\"", &data[0].values[..40]);
+        ok_json(&st, "POST", "/append", &body);
+        let health = ok_json(&st, "GET", "/health", "");
+        assert_eq!(field(&health, "shards"), 2);
+        assert_eq!(field(&health, "epoch"), 1);
+        let queries = vec![(
+            window_of(&data, 0, 5, WINDOW),
+            Query::Range { epsilon: 0.5 },
+        )];
+        assert_eq!(
+            answers(&snapshot(&st), &queries),
+            answers(&fresh_partition(&st, 2), &queries)
         );
     }
 

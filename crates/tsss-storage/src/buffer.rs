@@ -503,6 +503,20 @@ impl BufferPool {
             .map_err(|_| StorageError::LockPoisoned)
     }
 
+    /// A copy-on-write twin of the pool: dirty frames are flushed, then
+    /// the twin wraps a [`PageStore::fork`] of the backing store with the
+    /// same capacity, an empty cache and fresh [`AccessStats`] — what
+    /// persisting and reloading the store would give, without copying a
+    /// page.
+    ///
+    /// # Errors
+    /// Propagates flush failures and lock poisoning.
+    pub fn fork(&self) -> Result<BufferPool, StorageError> {
+        self.flush()?;
+        let store = self.store.read().map_err(|_| StorageError::LockPoisoned)?;
+        Ok(Self::from_store(store.fork(), self.capacity))
+    }
+
     /// Runs `f` against the backing store's durable contents (dirty frames
     /// are flushed first so the store is current).
     ///
@@ -622,6 +636,9 @@ impl PageStore for NullStore {
     fn persist(&self, _w: &mut dyn std::io::Write) -> std::io::Result<()> {
         Ok(())
     }
+    fn fork(&self) -> Box<dyn PageStore> {
+        Box::new(NullStore)
+    }
 }
 
 #[cfg(test)]
@@ -695,6 +712,9 @@ mod tests {
         }
         fn persist(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
             self.inner.persist(w)
+        }
+        fn fork(&self) -> Box<dyn PageStore> {
+            self.inner.fork()
         }
     }
 

@@ -104,26 +104,6 @@ pub fn put_magic<W: Write + ?Sized>(w: &mut W, magic: &[u8; 8]) -> io::Result<()
     w.write_all(magic)
 }
 
-/// Reads and verifies an 8-byte magic tag.
-///
-/// # Errors
-/// `InvalidData` when the tag does not match.
-pub fn expect_magic<R: Read + ?Sized>(r: &mut R, magic: &[u8; 8]) -> io::Result<()> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    if &b != magic {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "bad magic: expected {:?}, found {:?}",
-                String::from_utf8_lossy(magic),
-                String::from_utf8_lossy(&b)
-            ),
-        ));
-    }
-    Ok(())
-}
-
 /// Builds the 8-byte magic `<prefix><two ASCII decimal version digits>`,
 /// e.g. `versioned_magic(b"TSSSIX", 2)` → `TSSSIX02`.
 pub fn versioned_magic(prefix: &[u8; 6], version: u8) -> [u8; 8] {
@@ -307,15 +287,6 @@ mod tests {
         assert_eq!(get_f64(&mut r).unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(get_f64(&mut r).unwrap(), 1e300);
         assert_eq!(get_string(&mut r).unwrap(), "héllo");
-    }
-
-    #[test]
-    fn magic_mismatch_is_invalid_data() {
-        let mut buf = Vec::new();
-        put_magic(&mut buf, b"TSSSPG01").unwrap();
-        let mut r = Cursor::new(buf);
-        let err = expect_magic(&mut r, b"TSSSIX01").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

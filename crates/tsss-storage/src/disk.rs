@@ -14,6 +14,14 @@
 //! rotted inside a persisted file — surfaces as a typed
 //! [`StorageError::Corrupt`] instead of a garbage decode downstream.
 //! [`PageFile::corrupt_raw`] is the sanctioned way to model such damage.
+//!
+//! # Copy-on-write frames
+//!
+//! Page frames are held behind `Arc`, so [`PageFile::fork`] copies one
+//! pointer per page rather than the bytes. Writes and allocations replace
+//! a frame, and [`PageFile::corrupt_raw`] copies a shared frame before
+//! damaging it, so a file and its forks never see each other's writes or
+//! damage.
 
 use std::sync::Arc;
 
@@ -58,7 +66,8 @@ impl std::fmt::Display for PageId {
 #[derive(Debug)]
 pub struct PageFile {
     page_size: usize,
-    pages: Vec<Page>,
+    /// Page frames, shared with forks until either side replaces one.
+    pages: Vec<Arc<Page>>,
     /// CRC32 of each page's content as of its last legitimate write.
     crcs: Vec<u32>,
     free: Vec<PageId>,
@@ -133,7 +142,7 @@ impl PageFile {
         if let Some(id) = self.free.pop() {
             // analyze::allow(cast): lossless u32 → usize; free-list ids were in range when pushed and the vectors never shrink past them.
             let idx = id.0 as usize;
-            self.pages[idx] = Page::zeroed(self.page_size);
+            self.pages[idx] = Arc::new(Page::zeroed(self.page_size));
             self.crcs[idx] = self.zero_crc;
             return Ok(id);
         }
@@ -141,7 +150,7 @@ impl PageFile {
             Ok(n) if PageId(n).is_valid() => PageId(n),
             _ => return Err(StorageError::Full),
         };
-        self.pages.push(Page::zeroed(self.page_size));
+        self.pages.push(Arc::new(Page::zeroed(self.page_size)));
         self.crcs.push(self.zero_crc);
         Ok(id)
     }
@@ -172,7 +181,7 @@ impl PageFile {
                 ),
             });
         }
-        Ok(page.clone())
+        Ok(Page::clone(page))
     }
 
     /// Reads a page, verifying its checksum (counted as one logical read).
@@ -281,7 +290,7 @@ impl PageFile {
                     "corrupt page#{i}: stored checksum {stored:#010x}, computed {actual:#010x}"
                 )));
             }
-            pages.push(page);
+            pages.push(Arc::new(page));
             crcs.push(stored);
         }
         Ok(Self {
@@ -309,7 +318,7 @@ impl PageFile {
         }
         let idx = self.slot(id)?;
         self.crcs[idx] = crc32(page.bytes());
-        self.pages[idx] = page;
+        self.pages[idx] = Arc::new(page);
         Ok(())
     }
 
@@ -339,8 +348,23 @@ impl PageFile {
         f: &mut dyn FnMut(&mut [u8]),
     ) -> Result<(), StorageError> {
         let idx = self.slot(id)?;
-        f(self.pages[idx].bytes_mut());
+        f(Arc::make_mut(&mut self.pages[idx]).bytes_mut());
         Ok(())
+    }
+
+    /// A copy-on-write twin of this file: the same pages, checksums and
+    /// free list, sharing every page frame, with fresh access counters.
+    /// Costs one pointer per page; from then on neither file sees the
+    /// other's writes, allocations or damage.
+    pub fn fork(&self) -> PageFile {
+        PageFile {
+            page_size: self.page_size,
+            pages: self.pages.clone(),
+            crcs: self.crcs.clone(),
+            free: self.free.clone(),
+            stats: Arc::new(AccessStats::new()),
+            zero_crc: self.zero_crc,
+        }
     }
 }
 
@@ -395,6 +419,10 @@ impl PageStore for PageFile {
 
     fn persist(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         self.write_to(w)
+    }
+
+    fn fork(&self) -> Box<dyn PageStore> {
+        Box::new(PageFile::fork(self))
     }
 }
 
@@ -561,6 +589,60 @@ mod tests {
         // A legitimate rewrite heals the page.
         f.write_page(id, Page::zeroed(64)).unwrap();
         assert!(f.read_page(id).is_ok());
+        // A page that already read clean is checked again on its next
+        // read: damage after a verified read still surfaces.
+        f.corrupt_raw(id, &mut |bytes| bytes[7] ^= 0x01).unwrap();
+        assert!(matches!(
+            f.read_page(id).unwrap_err(),
+            StorageError::Corrupt { page, .. } if page == id
+        ));
+    }
+
+    /// Everything a fork must keep apart: extent, free list, checksums and
+    /// page bytes.
+    fn image(f: &PageFile) -> (usize, Vec<PageId>, Vec<u32>, Vec<Vec<u8>>) {
+        let bytes = f.pages.iter().map(|p| p.bytes().to_vec()).collect();
+        (f.extent(), f.free.clone(), f.crcs.clone(), bytes)
+    }
+
+    /// Writes, allocates twice (reusing the freed slot, then growing),
+    /// frees and damages pages of `this`; `other` must not move.
+    fn mutate_one_side(this: &mut PageFile, other: &PageFile, ids: &[PageId]) {
+        let before = image(other);
+        let mut p = Page::zeroed(64);
+        p.put_u64(0, 99);
+        this.write_page(ids[0], p).unwrap();
+        this.allocate().unwrap();
+        this.allocate().unwrap();
+        this.deallocate(ids[1]).unwrap();
+        this.corrupt_raw(ids[0], &mut |bytes| bytes[0] ^= 0xff)
+            .unwrap();
+        assert_eq!(image(other), before);
+        assert!(matches!(
+            this.read_page(ids[0]).unwrap_err(),
+            StorageError::Corrupt { .. }
+        ));
+        assert_eq!(other.read_page(ids[1]).unwrap().get_u64(0), 2);
+    }
+
+    #[test]
+    fn a_fork_and_its_origin_never_see_each_others_changes() {
+        let mut a = PageFile::new(64).unwrap();
+        let ids: Vec<PageId> = (0..3).map(|_| a.allocate().unwrap()).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            let mut p = Page::zeroed(64);
+            p.put_u64(0, i as u64 + 1);
+            a.write_page(id, p).unwrap();
+        }
+        a.deallocate(ids[2]).unwrap();
+        let _ = a.read_page(ids[0]).unwrap();
+        let mut b = a.fork();
+        assert_eq!(image(&a), image(&b));
+        assert_eq!(b.stats().total_accesses(), 0, "fresh counters");
+        mutate_one_side(&mut a, &b, &ids);
+        mutate_one_side(&mut b, &a, &ids);
+        assert_eq!(image(&a), image(&b), "the same edits on both sides");
+        assert_eq!((a.extent(), a.live_pages()), (4, 3));
     }
 
     #[test]

@@ -333,6 +333,10 @@ impl PageStore for FaultyStore {
     fn persist(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         self.inner.persist(w)
     }
+
+    fn fork(&self) -> Box<dyn PageStore> {
+        self.inner.fork()
+    }
 }
 
 #[cfg(test)]
@@ -538,6 +542,39 @@ mod tests {
             .map_err(|e| format!("seed 1: reload persisted state: {e}"))?;
         let got = seeded(g.read_page_uncounted(ids[0]), 1, "read persisted page")?.get_u64(0);
         assert_eq!(got, 4242);
+        Ok(())
+    }
+
+    #[test]
+    fn fork_reads_the_underlying_pages_with_no_faults_firing() -> TestResult {
+        let cfg = FaultConfig {
+            read_error: 1.0,
+            torn_write: 1.0,
+            bit_flip: 1.0,
+            ..FaultConfig::none(5)
+        };
+        let (s, ids) = faulty(cfg)?;
+        let accesses = s.stats().total_accesses();
+        let mut forked = s.fork();
+        for (i, &id) in ids.iter().enumerate() {
+            let got = seeded(forked.read(id), 5, "read through the fork")?.get_u64(0);
+            assert_eq!(got, 100 + i as u64);
+        }
+        let mut p = Page::zeroed(64);
+        p.put_u64(0, 31);
+        seeded(forked.write(ids[0], p), 5, "write through the fork")?;
+        assert_eq!(seeded(forked.read(ids[0]), 5, "re-read")?.get_u64(0), 31);
+        assert_eq!(
+            s.counters().total(),
+            0,
+            "seed 5: no fault fired on the fork"
+        );
+        assert_eq!(
+            s.stats().total_accesses(),
+            accesses,
+            "the fork counts on its own"
+        );
+        assert_eq!(forked.stats().reads(), 9);
         Ok(())
     }
 }

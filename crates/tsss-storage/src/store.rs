@@ -20,6 +20,9 @@
 //! * `corrupt_raw` mutates stored bytes **without** updating any checksum —
 //!   it models damage to the medium (bit rot, torn sectors) and is how
 //!   fault injectors and chaos tests plant detectable corruption.
+//! * `fork` returns a copy-on-write twin of the durable state, with fresh
+//!   access counters: neither side sees the other's later writes or
+//!   damage. Like `persist`, it carries data, not session state.
 
 use std::sync::Arc;
 
@@ -100,4 +103,10 @@ pub trait PageStore: Send + Sync + std::fmt::Debug {
     /// # Errors
     /// Propagates I/O errors.
     fn persist(&self, w: &mut dyn std::io::Write) -> std::io::Result<()>;
+
+    /// A copy-on-write twin of the store's durable state (pages, free
+    /// list, checksums) with fresh access counters. Decorators fork the
+    /// *underlying* store, as [`PageStore::persist`] does — injected
+    /// faults stay with the session that configured them.
+    fn fork(&self) -> Box<dyn PageStore>;
 }
