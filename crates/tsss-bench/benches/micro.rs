@@ -18,7 +18,6 @@ use tsss_geometry::line::{lld, Line};
 use tsss_geometry::penetration::{line_penetrates_mbr, PenetrationMethod};
 use tsss_geometry::scale_shift::optimal_scale_shift;
 use tsss_geometry::se::se_transform;
-use tsss_geometry::Mbr;
 use tsss_index::{DataEntry, RTree, TreeConfig};
 
 fn pseudo_series(n: usize, seed: u64) -> Vec<f64> {
@@ -84,9 +83,8 @@ fn bench_penetration() {
     let line = Line::new(vec![0.0; 6], pseudo_series(6, 3)).unwrap();
     let lo = pseudo_series(6, 4);
     let hi: Vec<f64> = lo.iter().map(|x| x + 5.0).collect();
-    let mbr = Mbr::new(lo, hi).unwrap();
     bench("penetration/slab_test_6d", 100_000, || {
-        line_penetrates_mbr(black_box(&line), black_box(&mbr))
+        line_penetrates_mbr(black_box(&line), black_box(&lo), black_box(&hi), 0.0)
     });
 }
 

@@ -1381,6 +1381,38 @@ mod tests {
         assert!(err.is_corruption(), "{err:?}");
     }
 
+    /// Damage that carries a valid checksum reaches the node checks of the
+    /// in-place walk, and the fallback policy still degrades to the scan.
+    #[test]
+    fn a_malformed_node_with_a_valid_checksum_degrades_to_the_scan() {
+        let (mut e, data) = engine();
+        let q = data[2].window(10, 16).unwrap().to_vec();
+        let range = crate::Query::Range { epsilon: 2.0 };
+        let healthy = e.execute(&q, range, SearchOptions::default()).unwrap();
+        let root = e.tree().root_page();
+        assert!(e.tree().height() > 1, "the fixture's root is internal");
+        let dim = e.config().feature_dim();
+        e.tree().clear_cache().unwrap();
+        // Invert the root's first MBR in the store itself, which checksums
+        // the new bytes: the page verifies, the node does not.
+        e.tree_mut().wrap_store(|mut store| {
+            let mut page = store.read_uncounted(root).unwrap();
+            let low = tsss_index::node::NODE_HEADER_BYTES + 4;
+            page.put_f64(low, page.get_f64(low + 8 * dim) + 1.0);
+            store.write_uncounted(root, page).unwrap();
+            store
+        });
+        let degraded = e.execute(&q, range, SearchOptions::default()).unwrap();
+        assert!(degraded.stats.degraded, "fallback must be flagged");
+        assert_eq!(
+            degraded.stats.degraded_reason,
+            Some(format!(
+                "corrupt stored data: corrupt node on {root}: internal entry 0 has an inverted MBR"
+            ))
+        );
+        assert_eq!(degraded.matches, healthy.matches);
+    }
+
     #[test]
     fn page_budget_is_a_hard_error_never_degraded() {
         let (e, data) = engine();

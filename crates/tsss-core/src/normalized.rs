@@ -61,33 +61,19 @@ pub fn z_distance(u: &[f64], v: &[f64]) -> Result<f64, DimensionMismatch> {
     Ok(dist(&z_normalize(u), &z_normalize(v)))
 }
 
-/// The cosine of the angle between the SE-transforms of `u` and `v` —
-/// the shared quantity both distance models are functions of. Returns `0`
-/// when either operand is constant.
-///
-/// # Errors
-/// [`DimensionMismatch`] when the operands differ in length.
-pub fn se_cosine(u: &[f64], v: &[f64]) -> Result<f64, DimensionMismatch> {
-    if u.len() != v.len() {
-        return Err(DimensionMismatch {
-            left: u.len(),
-            right: v.len(),
-        });
-    }
-    let nu = se_norm(u);
-    let nv = se_norm(v);
-    if nu <= 1e-300 || nv <= 1e-300 {
-        return Ok(0.0);
-    }
-    let n = u.len() as f64;
-    let dot_c = tsss_geometry::vector::dot(u, v) - n * mean(u) * mean(v);
-    Ok((dot_c / (nu * nv)).clamp(-1.0, 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tsss_geometry::scale_shift::min_scale_shift_distance;
+    use tsss_geometry::vector::dot;
+
+    /// The cosine of the angle between the SE-transforms of `u` and `v`:
+    /// the quantity both distance models are functions of.
+    fn se_cosine(u: &[f64], v: &[f64]) -> f64 {
+        let n = u.len() as f64;
+        let dot_c = dot(u, v) - n * mean(u) * mean(v);
+        (dot_c / (se_norm(u) * se_norm(v))).clamp(-1.0, 1.0)
+    }
 
     #[test]
     fn z_normalized_output_has_zero_mean_unit_std() {
@@ -153,7 +139,7 @@ mod tests {
         // min distance = ‖T_se(v)‖ · |sin θ|.
         let u = [0.4, -1.0, 2.2, 0.1, -0.7, 1.5];
         let v = [1.0, 2.0, -0.5, 0.3, 0.9, -1.1];
-        let cos = se_cosine(&u, &v).unwrap();
+        let cos = se_cosine(&u, &v);
         let sin = (1.0 - cos * cos).sqrt();
         let expect = se_norm(&v) * sin;
         let got = min_scale_shift_distance(&u, &v).unwrap();
@@ -166,7 +152,7 @@ mod tests {
         let u = [0.4, -1.0, 2.2, 0.1, -0.7, 1.5];
         let v = [1.0, 2.0, -0.5, 0.3, 0.9, -1.1];
         let n = u.len() as f64;
-        let cos = se_cosine(&u, &v).unwrap();
+        let cos = se_cosine(&u, &v);
         let expect = (2.0 * n * (1.0 - cos)).sqrt();
         let got = z_distance(&u, &v).unwrap();
         assert!((got - expect).abs() < 1e-9, "{got} vs {expect}");
@@ -175,7 +161,6 @@ mod tests {
     #[test]
     fn mismatched_lengths_error() {
         assert!(z_distance(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(se_cosine(&[1.0], &[1.0, 2.0]).is_err());
     }
 }
 

@@ -3,9 +3,7 @@
 //!
 //! A window of length `n` slides over each data sequence with a configurable
 //! stride (the paper uses stride 1, extracting every subsequence). Each
-//! window is identified by its [`SubseqId`].
-
-use crate::id::SubseqId;
+//! window is identified by its [`SubseqId`](crate::SubseqId).
 
 /// Iterator over the window offsets of a series of length `series_len`.
 ///
@@ -58,28 +56,6 @@ impl Iterator for WindowOffsets {
     }
 }
 
-/// Number of windows a series of `series_len` values yields.
-pub fn window_count(series_len: usize, window_len: usize, stride: usize) -> usize {
-    window_offsets(series_len, window_len, stride).count()
-}
-
-/// Enumerates the [`SubseqId`]s of every window over a set of series
-/// lengths. Each item is an `Err` when the series index or offset does not
-/// fit the packed `u32` id — callers propagate instead of panicking.
-pub fn all_window_ids<'a>(
-    series_lens: impl IntoIterator<Item = usize> + 'a,
-    window_len: usize,
-    stride: usize,
-) -> impl Iterator<Item = Result<SubseqId, crate::EngineError>> + 'a {
-    series_lens
-        .into_iter()
-        .enumerate()
-        .flat_map(move |(series, len)| {
-            window_offsets(len, window_len, stride)
-                .map(move |offset| SubseqId::try_new(series, offset))
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,7 +64,6 @@ mod tests {
     fn stride_one_covers_every_offset() {
         let offs: Vec<usize> = window_offsets(10, 4, 1).collect();
         assert_eq!(offs, vec![0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(window_count(10, 4, 1), 7);
     }
 
     #[test]
@@ -104,8 +79,8 @@ mod tests {
 
     #[test]
     fn too_short_series_yields_nothing() {
-        assert_eq!(window_count(3, 4, 1), 0);
-        assert_eq!(window_count(0, 1, 1), 0);
+        assert_eq!(window_offsets(3, 4, 1).count(), 0);
+        assert_eq!(window_offsets(0, 1, 1).count(), 0);
     }
 
     #[test]
@@ -118,62 +93,10 @@ mod tests {
     }
 
     #[test]
-    fn all_window_ids_enumerates_per_series() {
-        let ids: Vec<SubseqId> = all_window_ids(vec![5usize, 2, 4], 3, 1)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(
-            ids,
-            vec![
-                SubseqId {
-                    series: 0,
-                    offset: 0
-                },
-                SubseqId {
-                    series: 0,
-                    offset: 1
-                },
-                SubseqId {
-                    series: 0,
-                    offset: 2
-                },
-                // series 1 is too short
-                SubseqId {
-                    series: 2,
-                    offset: 0
-                },
-                SubseqId {
-                    series: 2,
-                    offset: 1
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn oversized_offsets_are_errors_not_panics() {
-        // A series long enough that a window offset overflows u32; the huge
-        // stride keeps the enumeration cheap. These exact sites used to
-        // `expect` and abort the process.
-        let huge = u32::MAX as usize + 10;
-        let ids: Vec<Result<SubseqId, crate::EngineError>> =
-            all_window_ids(vec![huge], 2, huge - 2).collect();
-        assert_eq!(ids.len(), 2);
-        assert!(ids[0].is_ok());
-        assert!(matches!(
-            ids[1],
-            Err(crate::EngineError::TooLarge {
-                what: "window offset",
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn paper_scale_window_count() {
         // 1000 series × 650 values, window 128, stride 1:
         // 650 − 128 + 1 = 523 windows per series.
-        let total: usize = (0..1000).map(|_| window_count(650, 128, 1)).sum();
+        let total: usize = (0..1000).map(|_| window_offsets(650, 128, 1).count()).sum();
         assert_eq!(total, 523_000);
     }
 }

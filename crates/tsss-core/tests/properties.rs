@@ -197,3 +197,42 @@ fn knn_and_range_search_are_consistent() {
         }
     }
 }
+
+/// A query scaled far down is still not constant (the planner's test is
+/// scale-invariant), so it takes the line probe. Its SE-line's direction
+/// then has a tiny but non-zero `‖d‖²`, and the index and kNN must still
+/// find the window the query was scaled from, as the scan does. The sweep
+/// stays inside the range where the exact fit itself neither overflows
+/// (above ≈1e154) nor underflows (below ≈1e-160).
+#[test]
+fn small_magnitude_queries_find_their_source_window() {
+    let data = MarketSimulator::new(MarketConfig::small(5, 60, 99)).generate();
+    let engine = SearchEngine::build(&data, EngineConfig::small(16)).unwrap();
+    let source = SubseqId {
+        series: 1,
+        offset: 3,
+    };
+    let window = data[1].window(3, 16).unwrap();
+    let opts = SearchOptions::default();
+    for scale in [1.0, 1e100, 1e150, 1e-150, 1e-152, 1e-155, 1e-158] {
+        let query: Vec<f64> = window.iter().map(|v| scale * v).collect();
+        let oracle = engine.sequential_search(&query, 1e-6, opts).unwrap();
+        assert!(
+            oracle.matches.iter().any(|m| m.id == source),
+            "the scan misses the source at scale {scale:e}"
+        );
+        let range = engine
+            .execute(&query, Query::Range { epsilon: 1e-6 }, opts)
+            .unwrap();
+        assert_eq!(range.matches, oracle.matches, "range at scale {scale:e}");
+        let nearest = engine
+            .execute(&query, Query::Nearest { k: 1 }, opts)
+            .unwrap();
+        assert_eq!(
+            nearest.matches.first().map(|m| m.id),
+            Some(source),
+            "nearest at scale {scale:e}: {:?}",
+            nearest.matches.first()
+        );
+    }
+}

@@ -10,7 +10,7 @@
 //! * the scale-shift transformation `F_{a,b}(u) = a·u + b·N` together with the
 //!   closed-form optimal `(a, b)` of paper §5.2 ([`scale_shift`]),
 //! * the Shift-Eliminated (SE) Transformation of paper §5.1 ([`se`]),
-//! * minimum bounding hyper-rectangles and their ε-enlargement ([`mbr`]),
+//! * minimum bounding hyper-rectangles ([`mbr`]),
 //! * the Entering/Exiting-Points (slab) line–MBR penetration test and the
 //!   inner/outer bounding-sphere heuristic of paper §6.1/§7 ([`penetration`],
 //!   [`sphere`]).
@@ -40,7 +40,7 @@ pub use mbr::Mbr;
 pub use penetration::{line_mbr_interval, line_penetrates_mbr, PenetrationMethod};
 pub use scale_shift::{min_scale_shift_distance, optimal_scale_shift, ScaleShift};
 pub use se::{se_norm, se_transform, se_transform_in_place};
-pub use sphere::Sphere;
+pub use sphere::BoxSpheres;
 
 /// Error type for dimension mismatches between geometric operands.
 ///

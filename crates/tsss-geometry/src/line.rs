@@ -21,16 +21,18 @@
 use crate::vector::{dot, norm_sq, sub};
 use crate::DimensionMismatch;
 
-/// Tolerance under which a squared norm is considered zero, i.e. a direction
-/// vector degenerates and the "line" is really a point.
+/// Tolerance under which a squared norm is considered zero by the line–line
+/// functions and [`Line::project_param`], i.e. a direction vector
+/// degenerates and the "line" is really a point. [`pld_sq`] does not use it:
+/// see there.
 pub(crate) const DEGENERATE_SQ: f64 = 1e-300;
 
 /// A line `{ p + t·d : t ∈ ℝ }` in ℝⁿ.
 ///
 /// Degenerate directions (`‖d‖ ≈ 0`) are permitted: such a "line" is the
 /// single point `p`, and the distance functions fall back to point distances.
-/// This matters in practice because the scaling line of an (almost) all-zero
-/// query collapses to the origin.
+/// This matters in practice because the scaling line of an all-zero query
+/// collapses to the origin.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Line {
     /// A position vector of one point on the line (`p₀` in the paper).
@@ -113,7 +115,7 @@ impl Line {
 /// PLD(q, L) = ‖ (q − p) − ((q − p)·d / ‖d‖²) · d ‖
 /// ```
 ///
-/// For a degenerate line this is simply `‖q − p‖`.
+/// For a zero direction this is simply `‖q − p‖`.
 ///
 /// # Panics
 /// Debug-asserts that `q` and `l` share a dimension; the public engine
@@ -123,17 +125,42 @@ pub fn pld(q: &[f64], l: &Line) -> f64 {
 }
 
 /// Squared version of [`pld`], avoiding the final square root for callers
-/// that compare against `ε²`.
+/// that compare against `ε²`. Allocates nothing.
+///
+/// The line counts as the single point `p` only when `‖d‖²` is exactly
+/// zero. The projection `(q − p)·d / ‖d‖²` is invariant under scaling `d`,
+/// so any non-zero `‖d‖²`, however small, gives the true distance; a
+/// tolerance here would turn every query whose features are small (but
+/// not constant, which the planner tests scale-invariantly) into the
+/// distance to the origin.
 pub fn pld_sq(q: &[f64], l: &Line) -> f64 {
+    pld_sq_with_norm(q, l, norm_sq(&l.dir))
+}
+
+/// [`pld_sq`] with `‖d‖²` supplied by the caller, for a walk that tests
+/// many points against one line and computes `norm_sq(&l.dir)` once.
+/// Bit-identical to `pld_sq(q, l)` when `dir_norm_sq` is that value.
+pub fn pld_sq_with_norm(q: &[f64], l: &Line, dir_norm_sq: f64) -> f64 {
     debug_assert_eq!(q.len(), l.dim());
-    let dd = norm_sq(&l.dir);
-    let mut qp = vec![0.0; q.len()];
-    sub(q, &l.point, &mut qp);
-    if dd <= DEGENERATE_SQ {
-        return norm_sq(&qp);
+    pld_sq_of(q.iter().copied(), l, dir_norm_sq)
+}
+
+/// The PLD kernel over any re-iterable coordinate source: a slice, or a
+/// sphere centre computed coordinate by coordinate. Sums run in index
+/// order, so every source gives the same bits for the same coordinates.
+pub(crate) fn pld_sq_of(q: impl Iterator<Item = f64> + Clone, l: &Line, dir_norm_sq: f64) -> f64 {
+    let residual = q.zip(&l.point).map(|(q, p)| q - p);
+    // analyze::allow(float-eq): exact-zero test — only a literally-zero direction makes the projection divide by zero; see `pld_sq` for why no tolerance.
+    if dir_norm_sq == 0.0 {
+        return residual.map(|r| r * r).sum();
     }
-    let t = dot(&qp, &l.dir) / dd;
-    qp.iter()
+    let t = residual
+        .clone()
+        .zip(&l.dir)
+        .map(|(r, d)| r * d)
+        .sum::<f64>()
+        / dir_norm_sq;
+    residual
         .zip(&l.dir)
         .map(|(r, d)| {
             let e = r - t * d;

@@ -4,7 +4,10 @@
 //! An MBR is defined by the two endpoints `L` and `H` of its major diagonal
 //! with `lᵢ ≤ hᵢ`. The R-tree/R*-tree node entries carry MBRs; the search
 //! algorithm prunes a subtree when the query's SE-line does not penetrate the
-//! node's **ε-MBR** — the box grown by ε on every side (Theorem 3).
+//! node's **ε-MBR** — the box grown by ε on every side (Theorem 3). The
+//! search never builds that box: it reads each child's `low`/`high` off the
+//! node page and hands the slices, with ε, to [`crate::penetration`] (or,
+//! for the radius probe, to [`min_dist_sq`]).
 //!
 //! Beyond the paper's definitions, this module provides the standard R*-tree
 //! goodness metrics (volume, margin, overlap, centre distance) needed by the
@@ -109,15 +112,6 @@ impl Mbr {
                 .all(|(h, oh)| oh <= h)
     }
 
-    /// The **ε-MBR**: this box grown by `eps` on every side (paper §6.1).
-    pub fn enlarged(&self, eps: f64) -> Mbr {
-        assert!(eps >= 0.0, "epsilon enlargement must be non-negative");
-        Mbr {
-            low: self.low.iter().map(|l| l - eps).collect(),
-            high: self.high.iter().map(|h| h + eps).collect(),
-        }
-    }
-
     /// Grows this box (in place) to cover the point `p`.
     pub fn extend_point(&mut self, p: &[f64]) {
         debug_assert_eq!(p.len(), self.dim());
@@ -214,24 +208,25 @@ impl Mbr {
             .sum::<f64>()
             .sqrt()
     }
+}
 
-    /// Squared Euclidean distance from `p` to the nearest point of the box
-    /// (0 when inside). Used by nearest-neighbour search.
-    pub fn min_dist_sq_to_point(&self, p: &[f64]) -> f64 {
-        debug_assert_eq!(p.len(), self.dim());
-        let mut d = 0.0;
-        for (i, &x) in p.iter().enumerate() {
-            let e = if x < self.low[i] {
-                self.low[i] - x
-            } else if x > self.high[i] {
-                x - self.high[i]
-            } else {
-                0.0
-            };
-            d += e * e;
-        }
-        d
+/// Squared Euclidean distance from `p` to the nearest point of the box
+/// `[low, high]` (0 when inside), with the box read from coordinate slices
+/// as a node page stores them — the radius probe's pruning test.
+pub fn min_dist_sq(low: &[f64], high: &[f64], p: &[f64]) -> f64 {
+    debug_assert!(low.len() == p.len() && high.len() == p.len());
+    let mut d = 0.0;
+    for ((&l, &h), &x) in low.iter().zip(high).zip(p) {
+        let e = if x < l {
+            l - x
+        } else if x > h {
+            x - h
+        } else {
+            0.0
+        };
+        d += e * e;
     }
+    d
 }
 
 #[cfg(test)]
@@ -291,21 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_enlargement_grows_every_side() {
-        let m = unit_box().enlarged(0.5);
-        assert_eq!(m.low(), &[-0.5, -0.5]);
-        assert_eq!(m.high(), &[1.5, 1.5]);
-        // eps = 0 is the identity.
-        assert_eq!(unit_box().enlarged(0.0), unit_box());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_epsilon_panics() {
-        let _ = unit_box().enlarged(-0.1);
-    }
-
-    #[test]
     fn extend_point_grows_minimally() {
         let mut m = unit_box();
         m.extend_point(&[2.0, 0.5]);
@@ -356,8 +336,8 @@ mod tests {
     #[test]
     fn min_dist_sq_inside_is_zero_outside_positive() {
         let m = unit_box();
-        assert_eq!(m.min_dist_sq_to_point(&[0.5, 0.5]), 0.0);
-        assert!((m.min_dist_sq_to_point(&[2.0, 0.5]) - 1.0).abs() < 1e-12);
-        assert!((m.min_dist_sq_to_point(&[2.0, 2.0]) - 2.0).abs() < 1e-12);
+        assert_eq!(min_dist_sq(m.low(), m.high(), &[0.5, 0.5]), 0.0);
+        assert!((min_dist_sq(m.low(), m.high(), &[2.0, 0.5]) - 1.0).abs() < 1e-12);
+        assert!((min_dist_sq(m.low(), m.high(), &[2.0, 2.0]) - 2.0).abs() < 1e-12);
     }
 }

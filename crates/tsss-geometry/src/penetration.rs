@@ -5,22 +5,23 @@
 //! rule of the whole search: if the query's SE-line does not penetrate a
 //! node's ε-MBR, the node cannot hold any qualifying point.
 //!
-//! [`line_penetrates_mbr`] implements the **Entering/Exiting Points** method
+//! [`line_mbr_interval`] implements the **Entering/Exiting Points** method
 //! the paper borrows from ray tracing — the slab method generalised to
 //! hyper-rectangles and to full lines (`t ∈ ℝ`, not just rays): every
 //! dimension restricts the feasible parameter range to a slab interval, and
 //! the box is penetrated iff the intersection of all the intervals is
 //! non-empty.
 //!
+//! Boxes are coordinate slices `low`/`high`, as a node page stores them, and
+//! the ε-enlargement is applied inside the test, so the tree walk tests a
+//! child's ε-MBR without building one.
+//!
 //! [`PenetrationMethod`] selects between the plain slab test (paper's
 //! experiment set 2) and the inner/outer bounding-sphere heuristic wrapped
 //! around it (set 3, see [`crate::sphere`]).
 
-// analyze::allow-file(index): loops run over `0..line.dim()` with the line/MBR dimension equality `debug_assert`ed at entry and enforced by the callers via the checked constructors.
-
 use crate::line::Line;
-use crate::mbr::Mbr;
-use crate::sphere::Sphere;
+use crate::sphere::BoxSpheres;
 
 /// Which penetration-checking strategy the tree search uses. Mirrors the
 /// paper's experiment sets 2 and 3.
@@ -66,19 +67,18 @@ impl SphereStats {
 }
 
 /// The feasible parameter interval `[t_lo, t_hi]` for which `L(t)` lies in
-/// `mbr`, or `None` when the line misses the box.
+/// the ε-box `[low − eps, high + eps]`, or `None` when the line misses it.
 ///
 /// This is the Entering/Exiting Points computation itself: `t_lo` is the
 /// entering parameter and `t_hi` the exiting parameter. Boundary contact
 /// counts as penetration (consistent with the closed boxes of paper §6.1).
-pub fn line_mbr_interval(line: &Line, mbr: &Mbr) -> Option<(f64, f64)> {
-    debug_assert_eq!(line.dim(), mbr.dim());
+/// `eps = 0` tests the box itself.
+pub fn line_mbr_interval(line: &Line, low: &[f64], high: &[f64], eps: f64) -> Option<(f64, f64)> {
+    debug_assert!(low.len() == line.dim() && high.len() == line.dim());
     let mut t_lo = f64::NEG_INFINITY;
     let mut t_hi = f64::INFINITY;
-    for i in 0..line.dim() {
-        let p = line.point[i];
-        let d = line.dir[i];
-        let (lo, hi) = (mbr.low()[i], mbr.high()[i]);
+    for (((&p, &d), &l), &h) in line.point.iter().zip(&line.dir).zip(low).zip(high) {
+        let (lo, hi) = (l - eps, h + eps);
         // analyze::allow(float-eq): exact-zero test — only a direction component that is literally 0.0 makes the slab equations degenerate (division by it would yield ±inf/NaN); tiny non-zero components divide fine.
         if d == 0.0 {
             // The line is constant in this dimension: either always inside
@@ -106,12 +106,14 @@ pub fn line_mbr_interval(line: &Line, mbr: &Mbr) -> Option<(f64, f64)> {
     Some((t_lo, t_hi))
 }
 
-/// True when the line penetrates the box (Entering/Exiting Points method).
-pub fn line_penetrates_mbr(line: &Line, mbr: &Mbr) -> bool {
-    line_mbr_interval(line, mbr).is_some()
+/// True when the line penetrates the ε-box `[low − eps, high + eps]`
+/// (Entering/Exiting Points method).
+pub fn line_penetrates_mbr(line: &Line, low: &[f64], high: &[f64], eps: f64) -> bool {
+    line_mbr_interval(line, low, high, eps).is_some()
 }
 
-/// Penetration test with the selected strategy, recording sphere statistics.
+/// Penetration test of the ε-box `[low − eps, high + eps]` with the
+/// selected strategy, recording sphere statistics.
 ///
 /// With [`PenetrationMethod::BoundingSpheres`] the decision procedure is the
 /// paper's §7 heuristic:
@@ -122,25 +124,29 @@ pub fn line_penetrates_mbr(line: &Line, mbr: &Mbr) -> bool {
 /// 3. otherwise fall back to the slab test.
 pub fn penetrates(
     line: &Line,
-    mbr: &Mbr,
+    low: &[f64],
+    high: &[f64],
+    eps: f64,
     method: PenetrationMethod,
     stats: &mut SphereStats,
 ) -> bool {
     match method {
-        PenetrationMethod::EnteringExiting => line_penetrates_mbr(line, mbr),
+        PenetrationMethod::EnteringExiting => line_penetrates_mbr(line, low, high, eps),
         PenetrationMethod::BoundingSpheres => {
-            let outer = Sphere::outer(mbr);
-            if !outer.penetrated_by(line) {
+            let spheres = BoxSpheres::new(low, high, eps);
+            // Both spheres share the box centre, so one distance decides both.
+            let center_sq = spheres.center_pld_sq(line);
+            let outer_hit = center_sq <= spheres.outer_radius * spheres.outer_radius;
+            if !outer_hit {
                 stats.outer_reject += 1;
                 return false;
             }
-            let inner = Sphere::inner(mbr);
-            if inner.penetrated_by(line) {
+            if center_sq <= spheres.inner_radius * spheres.inner_radius {
                 stats.inner_accept += 1;
                 return true;
             }
             stats.fallback += 1;
-            let hit = line_penetrates_mbr(line, mbr);
+            let hit = line_penetrates_mbr(line, low, high, eps);
             if hit {
                 stats.fallback_hit += 1;
             }
@@ -153,15 +159,17 @@ pub fn penetrates(
 mod tests {
     use super::*;
 
-    fn mbr2(low: [f64; 2], high: [f64; 2]) -> Mbr {
-        Mbr::new(low.to_vec(), high.to_vec()).unwrap()
+    const UNIT_LOW: [f64; 2] = [0.0, 0.0];
+    const UNIT_HIGH: [f64; 2] = [1.0, 1.0];
+
+    fn hits_unit_box(l: &Line) -> bool {
+        line_penetrates_mbr(l, &UNIT_LOW, &UNIT_HIGH, 0.0)
     }
 
     #[test]
     fn diagonal_line_penetrates_unit_box() {
         let l = Line::new(vec![-1.0, -1.0], vec![1.0, 1.0]).unwrap();
-        let m = mbr2([0.0, 0.0], [1.0, 1.0]);
-        let (t0, t1) = line_mbr_interval(&l, &m).unwrap();
+        let (t0, t1) = line_mbr_interval(&l, &UNIT_LOW, &UNIT_HIGH, 0.0).unwrap();
         assert!((t0 - 1.0).abs() < 1e-12);
         assert!((t1 - 2.0).abs() < 1e-12);
     }
@@ -170,7 +178,7 @@ mod tests {
     fn line_missing_the_box_is_rejected() {
         // Horizontal line at y = 2 above the unit box.
         let l = Line::new(vec![0.0, 2.0], vec![1.0, 0.0]).unwrap();
-        assert!(!line_penetrates_mbr(&l, &mbr2([0.0, 0.0], [1.0, 1.0])));
+        assert!(!hits_unit_box(&l));
     }
 
     #[test]
@@ -178,8 +186,7 @@ mod tests {
         // Box entirely "behind" the base point: a ray would miss, the line
         // must hit.
         let l = Line::new(vec![10.0, 10.0], vec![1.0, 1.0]).unwrap();
-        let m = mbr2([0.0, 0.0], [1.0, 1.0]);
-        let (t0, t1) = line_mbr_interval(&l, &m).unwrap();
+        let (t0, t1) = line_mbr_interval(&l, &UNIT_LOW, &UNIT_HIGH, 0.0).unwrap();
         assert!(t0 < 0.0 && t1 < 0.0);
     }
 
@@ -187,40 +194,43 @@ mod tests {
     fn zero_direction_component_inside_slab() {
         // Vertical line x = 0.5 crosses the box.
         let l = Line::new(vec![0.5, -5.0], vec![0.0, 1.0]).unwrap();
-        assert!(line_penetrates_mbr(&l, &mbr2([0.0, 0.0], [1.0, 1.0])));
+        assert!(hits_unit_box(&l));
         // Vertical line x = 2 misses it.
         let l = Line::new(vec![2.0, -5.0], vec![0.0, 1.0]).unwrap();
-        assert!(!line_penetrates_mbr(&l, &mbr2([0.0, 0.0], [1.0, 1.0])));
+        assert!(!hits_unit_box(&l));
     }
 
     #[test]
     fn fully_degenerate_line_is_point_containment() {
         let inside = Line::new(vec![0.5, 0.5], vec![0.0, 0.0]).unwrap();
         let outside = Line::new(vec![2.0, 0.5], vec![0.0, 0.0]).unwrap();
-        let m = mbr2([0.0, 0.0], [1.0, 1.0]);
-        assert!(line_penetrates_mbr(&inside, &m));
-        assert!(!line_penetrates_mbr(&outside, &m));
+        assert!(hits_unit_box(&inside));
+        assert!(!hits_unit_box(&outside));
     }
 
     #[test]
     fn boundary_tangency_counts_as_penetration() {
         // Line along the box edge y = 1.
         let l = Line::new(vec![0.0, 1.0], vec![1.0, 0.0]).unwrap();
-        assert!(line_penetrates_mbr(&l, &mbr2([0.0, 0.0], [1.0, 1.0])));
+        assert!(hits_unit_box(&l));
         // Line touching only the corner (1,1).
         let l = Line::new(vec![0.0, 2.0], vec![1.0, -1.0]).unwrap();
-        assert!(line_penetrates_mbr(&l, &mbr2([0.0, 0.0], [1.0, 1.0])));
+        assert!(hits_unit_box(&l));
     }
 
     #[test]
     fn interval_points_lie_in_the_box() {
         let l = Line::new(vec![-3.0, 0.2, 1.0], vec![2.0, 0.3, -0.5]).unwrap();
-        let m = Mbr::new(vec![-1.0, 0.0, -1.0], vec![1.0, 1.0, 1.0]).unwrap();
-        if let Some((t0, t1)) = line_mbr_interval(&l, &m) {
-            let grown = m.enlarged(1e-9);
-            assert!(grown.contains_point(&l.at(t0)));
-            assert!(grown.contains_point(&l.at(t1)));
-            assert!(grown.contains_point(&l.at(0.5 * (t0 + t1))));
+        let (low, high) = ([-1.0, 0.0, -1.0], [1.0, 1.0, 1.0]);
+        let within = |p: Vec<f64>| {
+            p.iter()
+                .zip(low.iter().zip(&high))
+                .all(|(x, (lo, hi))| lo - 1e-9 <= *x && *x <= hi + 1e-9)
+        };
+        if let Some((t0, t1)) = line_mbr_interval(&l, &low, &high, 0.0) {
+            assert!(within(l.at(t0)));
+            assert!(within(l.at(t1)));
+            assert!(within(l.at(0.5 * (t0 + t1))));
         }
     }
 
@@ -228,9 +238,9 @@ mod tests {
     fn epsilon_enlargement_admits_near_misses() {
         // Line at y = 1.2 misses the unit box but hits its 0.25-MBR.
         let l = Line::new(vec![0.0, 1.2], vec![1.0, 0.0]).unwrap();
-        let m = mbr2([0.0, 0.0], [1.0, 1.0]);
-        assert!(!line_penetrates_mbr(&l, &m));
-        assert!(line_penetrates_mbr(&l, &m.enlarged(0.25)));
+        assert!(!hits_unit_box(&l));
+        assert!(line_penetrates_mbr(&l, &UNIT_LOW, &UNIT_HIGH, 0.25));
+        assert!(!line_penetrates_mbr(&l, &UNIT_LOW, &UNIT_HIGH, 0.15));
     }
 
     #[test]
@@ -238,9 +248,9 @@ mod tests {
         // The bounding-sphere decision procedure is exact (conservative
         // pre-tests + exact fallback), so outcomes must always agree.
         let boxes = [
-            mbr2([0.0, 0.0], [1.0, 1.0]),
-            mbr2([-3.0, 2.0], [-1.0, 9.0]),
-            mbr2([5.0, 5.0], [5.5, 10.0]),
+            ([0.0, 0.0], [1.0, 1.0]),
+            ([-3.0, 2.0], [-1.0, 9.0]),
+            ([5.0, 5.0], [5.5, 10.0]),
         ];
         let lines = [
             Line::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap(),
@@ -249,25 +259,53 @@ mod tests {
             Line::new(vec![5.2, 0.0], vec![0.0, 1.0]).unwrap(),
         ];
         let mut stats = SphereStats::default();
-        for m in &boxes {
+        let mut tests = 0;
+        for (low, high) in &boxes {
             for l in &lines {
-                let slab = penetrates(l, m, PenetrationMethod::EnteringExiting, &mut stats);
-                let sph = penetrates(l, m, PenetrationMethod::BoundingSpheres, &mut stats);
-                assert_eq!(slab, sph, "disagreement on {m:?} vs {l:?}");
+                for eps in [0.0, 0.4] {
+                    let slab = penetrates(
+                        l,
+                        low,
+                        high,
+                        eps,
+                        PenetrationMethod::EnteringExiting,
+                        &mut stats,
+                    );
+                    let sph = penetrates(
+                        l,
+                        low,
+                        high,
+                        eps,
+                        PenetrationMethod::BoundingSpheres,
+                        &mut stats,
+                    );
+                    assert_eq!(
+                        slab, sph,
+                        "disagreement on {low:?}..{high:?} ± {eps} vs {l:?}"
+                    );
+                    tests += 1;
+                }
             }
         }
-        assert_eq!(stats.total(), (boxes.len() * lines.len()) as u64);
+        assert_eq!(stats.total(), tests);
     }
 
     #[test]
     fn sphere_stats_classify_elongated_boxes_as_fallbacks() {
         // A long skinny box: outer sphere is huge, inner sphere tiny — the
         // regime the paper blames for set 3's poor performance.
-        let m = mbr2([0.0, 0.0], [100.0, 0.1]);
+        let (low, high) = ([0.0, 0.0], [100.0, 0.1]);
         // A line crossing near the box but missing it.
         let l = Line::new(vec![50.0, 5.0], vec![1.0, 0.0]).unwrap();
         let mut stats = SphereStats::default();
-        let hit = penetrates(&l, &m, PenetrationMethod::BoundingSpheres, &mut stats);
+        let hit = penetrates(
+            &l,
+            &low,
+            &high,
+            0.0,
+            PenetrationMethod::BoundingSpheres,
+            &mut stats,
+        );
         assert!(!hit);
         assert_eq!(stats.fallback, 1, "spheres could not decide: {stats:?}");
     }

@@ -14,136 +14,136 @@
 //! shape makes the middle band dominate — and our `ablation_spheres` bench
 //! reproduces that finding quantitatively.
 
-use crate::line::{pld_sq, Line};
-use crate::mbr::Mbr;
+use crate::line::{pld_sq_of, Line};
+use crate::vector::norm_sq;
 
-/// A hypersphere `{ x : ‖x − center‖ ≤ radius }`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sphere {
-    /// Centre of the sphere.
-    pub center: Vec<f64>,
-    /// Radius (≥ 0).
-    pub radius: f64,
+/// The inner and outer bounding spheres of the ε-box
+/// `[low − eps, high + eps]`.
+///
+/// Both spheres are centred at the box centre, which is computed
+/// coordinate by coordinate from the slices whenever it is needed, so
+/// building the pair allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct BoxSpheres<'a> {
+    low: &'a [f64],
+    high: &'a [f64],
+    eps: f64,
+    /// Radius of the largest sphere inscribed in the box: half the
+    /// shortest side. `line hits inner ⇒ line hits box`.
+    pub inner_radius: f64,
+    /// Radius of the smallest sphere circumscribing the box: half the
+    /// diagonal. `line misses outer ⇒ line misses box`.
+    pub outer_radius: f64,
 }
 
-impl Sphere {
-    /// The largest sphere inscribed in the box: centred at the box centre
-    /// with radius half the shortest side. `line hits inner ⇒ line hits box`.
-    pub fn inner(mbr: &Mbr) -> Self {
-        let radius = (0..mbr.dim())
-            .map(|i| mbr.extent(i))
-            .fold(f64::INFINITY, f64::min)
-            / 2.0;
+impl<'a> BoxSpheres<'a> {
+    /// The two spheres of the box `[low − eps, high + eps]`.
+    pub fn new(low: &'a [f64], high: &'a [f64], eps: f64) -> Self {
+        debug_assert_eq!(low.len(), high.len());
+        let sides = low.iter().zip(high).map(|(l, h)| (h + eps) - (l - eps));
+        let inner_radius = sides.clone().fold(f64::INFINITY, f64::min) / 2.0;
         Self {
-            center: mbr.center(),
-            radius: if radius.is_finite() { radius } else { 0.0 },
+            low,
+            high,
+            eps,
+            inner_radius: if inner_radius.is_finite() {
+                inner_radius
+            } else {
+                0.0
+            },
+            outer_radius: sides.map(|s| s * s).sum::<f64>().sqrt() / 2.0,
         }
     }
 
-    /// The smallest sphere circumscribing the box: centred at the box centre
-    /// with radius half the diagonal. `line misses outer ⇒ line misses box`.
-    pub fn outer(mbr: &Mbr) -> Self {
-        Self {
-            center: mbr.center(),
-            radius: mbr.diagonal() / 2.0,
-        }
+    /// The shared centre, one coordinate per item.
+    pub fn center(&self) -> impl Iterator<Item = f64> + Clone + 'a {
+        let eps = self.eps;
+        self.low
+            .iter()
+            .zip(self.high)
+            .map(move |(l, h)| 0.5 * ((l - eps) + (h + eps)))
     }
 
-    /// True when the line passes through (or touches) the sphere, i.e.
-    /// `PLD(center, line) ≤ radius`.
-    pub fn penetrated_by(&self, line: &Line) -> bool {
-        pld_sq(&self.center, line) <= self.radius * self.radius
-    }
-
-    /// True when the point lies in the closed ball.
-    pub fn contains_point(&self, p: &[f64]) -> bool {
-        crate::vector::dist_sq(&self.center, p) <= self.radius * self.radius
+    /// `PLD²` from the centre to `line`: the line passes through (or
+    /// touches) a sphere iff this is at most that sphere's radius squared.
+    pub fn center_pld_sq(&self, line: &Line) -> f64 {
+        pld_sq_of(self.center(), line, norm_sq(&line.dir))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::penetration::line_penetrates_mbr;
 
-    fn cube() -> Mbr {
-        Mbr::new(vec![0.0, 0.0, 0.0], vec![2.0, 2.0, 2.0]).unwrap()
+    const CUBE: ([f64; 3], [f64; 3]) = ([0.0, 0.0, 0.0], [2.0, 2.0, 2.0]);
+    // Long diagonal, small volume — the problematic R*-tree shape.
+    const SLAB: ([f64; 3], [f64; 3]) = ([0.0, 0.0, 0.0], [10.0, 0.2, 0.2]);
+
+    fn hits_inner(s: &BoxSpheres<'_>, l: &Line) -> bool {
+        s.center_pld_sq(l) <= s.inner_radius * s.inner_radius
     }
 
-    fn slab_box() -> Mbr {
-        // Long diagonal, small volume — the problematic R*-tree shape.
-        Mbr::new(vec![0.0, 0.0, 0.0], vec![10.0, 0.2, 0.2]).unwrap()
+    fn hits_outer(s: &BoxSpheres<'_>, l: &Line) -> bool {
+        s.center_pld_sq(l) <= s.outer_radius * s.outer_radius
     }
 
     #[test]
     fn cube_spheres_have_expected_radii() {
-        let inner = Sphere::inner(&cube());
-        let outer = Sphere::outer(&cube());
-        assert_eq!(inner.center, vec![1.0, 1.0, 1.0]);
-        assert_eq!(inner.radius, 1.0);
-        assert!((outer.radius - 3f64.sqrt()).abs() < 1e-12);
+        let s = BoxSpheres::new(&CUBE.0, &CUBE.1, 0.0);
+        assert_eq!(s.center().collect::<Vec<_>>(), vec![1.0, 1.0, 1.0]);
+        assert_eq!(s.inner_radius, 1.0);
+        assert!((s.outer_radius - 3f64.sqrt()).abs() < 1e-12);
+        // The ε-box grows both spheres and keeps the centre.
+        let grown = BoxSpheres::new(&CUBE.0, &CUBE.1, 0.5);
+        assert_eq!(grown.center().collect::<Vec<_>>(), vec![1.0, 1.0, 1.0]);
+        assert_eq!(grown.inner_radius, 1.5);
+        assert!((grown.outer_radius - 1.5 * 3f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn slab_box_spheres_are_badly_mismatched() {
-        let m = slab_box();
-        let inner = Sphere::inner(&m);
-        let outer = Sphere::outer(&m);
-        assert_eq!(inner.radius, 0.1);
-        assert!(outer.radius > 5.0);
+        let s = BoxSpheres::new(&SLAB.0, &SLAB.1, 0.0);
+        assert_eq!(s.inner_radius, 0.1);
+        assert!(s.outer_radius > 5.0);
         // The gap ratio is what defeats the heuristic.
-        assert!(outer.radius / inner.radius > 50.0);
+        assert!(s.outer_radius / s.inner_radius > 50.0);
     }
 
     #[test]
     fn inner_hit_implies_box_hit() {
-        let m = cube();
-        let inner = Sphere::inner(&m);
+        let s = BoxSpheres::new(&CUBE.0, &CUBE.1, 0.0);
         let l = Line::new(vec![1.0, 1.0, -5.0], vec![0.0, 0.0, 1.0]).unwrap();
-        assert!(inner.penetrated_by(&l));
-        assert!(crate::penetration::line_penetrates_mbr(&l, &m));
+        assert!(hits_inner(&s, &l));
+        assert!(line_penetrates_mbr(&l, &CUBE.0, &CUBE.1, 0.0));
     }
 
     #[test]
     fn outer_miss_implies_box_miss() {
-        let m = cube();
-        let outer = Sphere::outer(&m);
+        let s = BoxSpheres::new(&CUBE.0, &CUBE.1, 0.0);
         let l = Line::new(vec![10.0, 10.0, 0.0], vec![0.0, 0.0, 1.0]).unwrap();
-        assert!(!outer.penetrated_by(&l));
-        assert!(!crate::penetration::line_penetrates_mbr(&l, &m));
+        assert!(!hits_outer(&s, &l));
+        assert!(!line_penetrates_mbr(&l, &CUBE.0, &CUBE.1, 0.0));
     }
 
     #[test]
     fn tangent_line_counts_as_penetration() {
-        let s = Sphere {
-            center: vec![0.0, 0.0],
-            radius: 1.0,
-        };
+        // The box [-1, 1]² has the unit circle as its inner sphere.
+        let s = BoxSpheres::new(&[-1.0, -1.0], &[1.0, 1.0], 0.0);
         // Line y = 1 is tangent.
         let l = Line::new(vec![0.0, 1.0], vec![1.0, 0.0]).unwrap();
-        assert!(s.penetrated_by(&l));
+        assert!(hits_inner(&s, &l));
         // Line y = 1.001 misses.
         let l = Line::new(vec![0.0, 1.001], vec![1.0, 0.0]).unwrap();
-        assert!(!s.penetrated_by(&l));
-    }
-
-    #[test]
-    fn contains_point_boundary_inclusive() {
-        let s = Sphere {
-            center: vec![0.0, 0.0],
-            radius: 5.0,
-        };
-        assert!(s.contains_point(&[3.0, 4.0]));
-        assert!(!s.contains_point(&[3.0, 4.1]));
+        assert!(!hits_inner(&s, &l));
     }
 
     #[test]
     fn degenerate_point_box_spheres() {
-        let m = Mbr::point(&[1.0, 2.0]);
-        let inner = Sphere::inner(&m);
-        let outer = Sphere::outer(&m);
-        assert_eq!(inner.radius, 0.0);
-        assert_eq!(outer.radius, 0.0);
+        let s = BoxSpheres::new(&[1.0, 2.0], &[1.0, 2.0], 0.0);
+        assert_eq!(s.inner_radius, 0.0);
+        assert_eq!(s.outer_radius, 0.0);
         let through = Line::new(vec![1.0, 0.0], vec![0.0, 1.0]).unwrap();
-        assert!(outer.penetrated_by(&through));
+        assert!(hits_outer(&s, &through));
     }
 }

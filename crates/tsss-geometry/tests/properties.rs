@@ -10,7 +10,7 @@ use tsss_geometry::mbr::Mbr;
 use tsss_geometry::penetration::{line_mbr_interval, line_penetrates_mbr};
 use tsss_geometry::scale_shift::{min_scale_shift_distance, optimal_scale_shift, ScaleShift};
 use tsss_geometry::se::{se_line, se_transform};
-use tsss_geometry::sphere::Sphere;
+use tsss_geometry::sphere::BoxSpheres;
 use tsss_geometry::vector::{dist, dot, mean};
 use tsss_rand::Rng;
 
@@ -161,9 +161,9 @@ fn theorem3_no_penetration_implies_no_similarity() {
         let (u, v) = paired_vecs(&mut rng);
         let eps = rng.f64_range(0.01, 50.0);
         let feat = se_transform(&v);
-        let mbr = Mbr::point(&feat);
         let line = se_line(&u);
-        if !line_penetrates_mbr(&line, &mbr.enlarged(eps)) {
+        // The ε-MBR of the one-point box holding T_se(v).
+        if !line_penetrates_mbr(&line, &feat, &feat, eps) {
             let d = min_scale_shift_distance(&u, &v).unwrap();
             assert!(d > eps, "pruned a similar pair: d = {d}, eps = {eps}");
         }
@@ -182,10 +182,14 @@ fn slab_test_agrees_with_sampling() {
         let line = Line::new(p, d).unwrap();
         let high: Vec<f64> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
         let mbr = Mbr::new(lo, high).unwrap();
-        match line_mbr_interval(&line, &mbr) {
+        match line_mbr_interval(&line, mbr.low(), mbr.high(), 0.0) {
             Some((t0, t1)) => {
                 assert!(t0 <= t1 + 1e-9);
-                let grown = mbr.enlarged(1e-6);
+                let grown = Mbr::new(
+                    mbr.low().iter().map(|l| l - 1e-6).collect(),
+                    mbr.high().iter().map(|h| h + 1e-6).collect(),
+                )
+                .unwrap();
                 assert!(grown.contains_point(&line.at(0.5 * (t0 + t1))));
             }
             None => {
@@ -202,7 +206,7 @@ fn slab_test_agrees_with_sampling() {
     }
 }
 
-/// Sphere sandwich: outer-miss ⇒ box-miss, inner-hit ⇒ box-hit.
+/// Sphere sandwich on ε-boxes: outer-miss ⇒ box-miss, inner-hit ⇒ box-hit.
 #[test]
 fn sphere_sandwich_is_conservative() {
     let mut rng = Rng::seed_from_u64(0x6E0_000A);
@@ -213,12 +217,14 @@ fn sphere_sandwich_is_conservative() {
         let ext = rng.f64_vec(4, 0.1, 30.0);
         let line = Line::new(p, d).unwrap();
         let high: Vec<f64> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
-        let mbr = Mbr::new(lo, high).unwrap();
-        let box_hit = line_penetrates_mbr(&line, &mbr);
-        if !Sphere::outer(&mbr).penetrated_by(&line) {
+        let eps = rng.f64_range(0.0, 5.0);
+        let box_hit = line_penetrates_mbr(&line, &lo, &high, eps);
+        let spheres = BoxSpheres::new(&lo, &high, eps);
+        let center_sq = spheres.center_pld_sq(&line);
+        if center_sq > spheres.outer_radius * spheres.outer_radius {
             assert!(!box_hit, "outer sphere missed but box hit");
         }
-        if Sphere::inner(&mbr).penetrated_by(&line) {
+        if center_sq <= spheres.inner_radius * spheres.inner_radius {
             assert!(box_hit, "inner sphere hit but box missed");
         }
     }

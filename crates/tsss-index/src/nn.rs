@@ -10,6 +10,11 @@
 //! as an iterator that keeps its queue between pulls, so a caller that
 //! needs more neighbours resumes the one walk instead of starting over.
 //!
+//! Like the range walk, it reads each page in place: child MBRs and leaf
+//! points are decoded into coordinate buffers the walk owns, the line's
+//! `‖d‖²` is computed once, and [`line_mbr_min_dist`] reuses one breakpoint
+//! buffer for the whole walk.
+//!
 //! The lower bound `min_t dist(L(t), box)` is computed *exactly*:
 //! `f(t) = dist²(L(t), box)` is a convex piecewise-quadratic function of `t`
 //! whose breakpoints are the parameters where each coordinate of `L(t)`
@@ -17,24 +22,29 @@
 //! single quadratic; evaluating the minimum of each piece (clamped to the
 //! piece) and taking the best yields the global minimum analytically.
 
-// analyze::allow-file(index): the distance kernel indexes only `0..n` where `n = line.dim()` equals `mbr.dim()` by the caller's checked construction, plus positions taken from `breaks`/`pieces` vectors it just built.
+// analyze::allow-file(index): the distance kernel indexes only `0..n` where `n = line.dim()` equals `low.len()` and `high.len()` (the walk decodes both at the tree's dimension, which `nearest` asserts the line has), plus positions taken from the `breaks` vector it just built.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use tsss_geometry::line::{pld_sq, Line};
-use tsss_geometry::Mbr;
+use tsss_geometry::line::{pld_sq_with_norm, Line};
+use tsss_geometry::penetration::line_penetrates_mbr;
+use tsss_geometry::vector::norm_sq;
+use tsss_storage::PageId;
 
 use crate::error::IndexError;
-use crate::node::Node;
+use crate::node::NodeScan;
 use crate::query::Match;
 use crate::tree::RTree;
 
-/// Exact `min_t dist(L(t), box)`: zero when the line penetrates the box,
-/// otherwise the global minimum of the convex piecewise-quadratic
-/// `f(t) = Σᵢ clamp-residualᵢ(t)²`.
-pub fn line_mbr_min_dist(line: &Line, mbr: &Mbr) -> f64 {
-    if tsss_geometry::penetration::line_penetrates_mbr(line, mbr) {
+/// Exact `min_t dist(L(t), box)` for the box `[low, high]`: zero when the
+/// line penetrates the box, otherwise the global minimum of the convex
+/// piecewise-quadratic `f(t) = Σᵢ clamp-residualᵢ(t)²`.
+///
+/// `breaks` is scratch space for the breakpoints; a walk passes the same
+/// buffer to every call, so the bound allocates nothing once it has grown.
+pub fn line_mbr_min_dist(line: &Line, low: &[f64], high: &[f64], breaks: &mut Vec<f64>) -> f64 {
+    if line_penetrates_mbr(line, low, high, 0.0) {
         return 0.0;
     }
     let n = line.dim();
@@ -42,10 +52,10 @@ pub fn line_mbr_min_dist(line: &Line, mbr: &Mbr) -> f64 {
         let mut acc = 0.0;
         for i in 0..n {
             let x = line.point[i] + t * line.dir[i];
-            let e = if x < mbr.low()[i] {
-                mbr.low()[i] - x
-            } else if x > mbr.high()[i] {
-                x - mbr.high()[i]
+            let e = if x < low[i] {
+                low[i] - x
+            } else if x > high[i] {
+                x - high[i]
             } else {
                 0.0
             };
@@ -57,13 +67,13 @@ pub fn line_mbr_min_dist(line: &Line, mbr: &Mbr) -> f64 {
     // Breakpoints: every t where some coordinate of L(t) crosses its slab
     // boundary. Between consecutive breakpoints the active set is fixed and
     // f is one quadratic A·t² + B·t + C.
-    let mut breaks: Vec<f64> = Vec::with_capacity(2 * n);
+    breaks.clear();
     for i in 0..n {
         let d = line.dir[i];
         // analyze::allow(float-eq): exact-zero test — a literally-zero direction component contributes no breakpoint (dividing by it is the only hazard); tiny components produce valid finite breakpoints.
         if d != 0.0 {
-            breaks.push((mbr.low()[i] - line.point[i]) / d);
-            breaks.push((mbr.high()[i] - line.point[i]) / d);
+            breaks.push((low[i] - line.point[i]) / d);
+            breaks.push((high[i] - line.point[i]) / d);
         }
     }
     if breaks.is_empty() {
@@ -81,7 +91,7 @@ pub fn line_mbr_min_dist(line: &Line, mbr: &Mbr) -> f64 {
     // and minimise it clamped to the piece. Unbounded end pieces are convex
     // and increasing away from the box, so their minima sit at the finite
     // end (already covered); still evaluate the breakpoints themselves.
-    for &b in &breaks {
+    for &b in breaks.iter() {
         best = best.min(f(b));
     }
     for w in breaks.windows(2) {
@@ -95,14 +105,14 @@ pub fn line_mbr_min_dist(line: &Line, mbr: &Mbr) -> f64 {
         for i in 0..n {
             let x = line.point[i] + mid * line.dir[i];
             let (p, d) = (line.point[i], line.dir[i]);
-            if x < mbr.low()[i] {
+            if x < low[i] {
                 // residual = low − p − t·d
                 qa += d * d;
-                qb += -2.0 * d * (mbr.low()[i] - p);
-            } else if x > mbr.high()[i] {
+                qb += -2.0 * d * (low[i] - p);
+            } else if x > high[i] {
                 // residual = p + t·d − high
                 qa += d * d;
-                qb += 2.0 * d * (p - mbr.high()[i]);
+                qb += 2.0 * d * (p - high[i]);
             }
         }
         if qa > 0.0 {
@@ -117,13 +127,8 @@ pub fn line_mbr_min_dist(line: &Line, mbr: &Mbr) -> f64 {
 
 #[derive(Debug)]
 enum HeapItem {
-    Node {
-        page: tsss_storage::PageId,
-        bound: f64,
-    },
-    Point {
-        entry: Match,
-    },
+    Node { page: PageId, bound: f64 },
+    Point { entry: Match },
 }
 
 impl HeapItem {
@@ -172,7 +177,8 @@ impl RTree {
         &'a self,
         line: &'a Line,
     ) -> impl Iterator<Item = Result<Match, IndexError>> + 'a {
-        assert_eq!(line.dim(), self.config().dim, "line dimension mismatch");
+        let dim = self.config().dim;
+        assert_eq!(line.dim(), dim, "line dimension mismatch");
         let mut heap = BinaryHeap::new();
         if !self.is_empty() {
             heap.push(HeapItem::Node {
@@ -180,41 +186,86 @@ impl RTree {
                 bound: 0.0,
             });
         }
-        std::iter::from_fn(move || loop {
-            let page = match heap.pop()? {
+        BestFirst {
+            tree: self,
+            line,
+            dir_norm_sq: norm_sq(&line.dir),
+            low: vec![0.0; dim],
+            high: vec![0.0; dim],
+            breaks: Vec::with_capacity(2 * dim),
+            heap,
+        }
+    }
+}
+
+/// The state of one [`RTree::nearest`] walk: its queue, plus the
+/// coordinate and breakpoint buffers every page visit reuses.
+struct BestFirst<'a> {
+    tree: &'a RTree,
+    line: &'a Line,
+    dir_norm_sq: f64,
+    low: Vec<f64>,
+    high: Vec<f64>,
+    breaks: Vec<f64>,
+    heap: BinaryHeap<HeapItem>,
+}
+
+impl BestFirst<'_> {
+    /// Reads `page` in place and queues its entries in order: leaf points
+    /// at their distance to the line, children at their line–MBR bound.
+    fn expand(&mut self, page: PageId) -> Result<(), IndexError> {
+        let bytes = self.tree.pool.read(page)?;
+        let corrupt = |detail| IndexError::CorruptNode { page, detail };
+        let node = NodeScan::new(&bytes, self.tree.config().dim).map_err(corrupt)?;
+        if node.is_leaf() {
+            for i in 0..node.len() {
+                let id = node.point(i, &mut self.low).map_err(corrupt)?;
+                let distance = pld_sq_with_norm(&self.low, self.line, self.dir_norm_sq).sqrt();
+                self.heap.push(HeapItem::Point {
+                    entry: Match { id, distance },
+                });
+            }
+        } else {
+            for i in 0..node.len() {
+                let child = node
+                    .child(i, &mut self.low, &mut self.high)
+                    .map_err(corrupt)?;
+                let bound = line_mbr_min_dist(self.line, &self.low, &self.high, &mut self.breaks);
+                self.heap.push(HeapItem::Node { page: child, bound });
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Iterator for BestFirst<'_> {
+    type Item = Result<Match, IndexError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            match self.heap.pop()? {
                 HeapItem::Point { entry } => return Some(Ok(entry)),
-                HeapItem::Node { page, .. } => page,
-            };
-            match self.read_node(page) {
-                Ok(Node::Leaf(slab)) => {
-                    for (id, point) in slab.rows() {
-                        let distance = pld_sq(point, line).sqrt();
-                        heap.push(HeapItem::Point {
-                            entry: Match { id, distance },
-                        });
+                HeapItem::Node { page, .. } => {
+                    if let Err(e) = self.expand(page) {
+                        self.heap.clear();
+                        return Some(Err(e));
                     }
-                }
-                Ok(Node::Internal(entries)) => {
-                    for e in entries {
-                        heap.push(HeapItem::Node {
-                            page: e.page,
-                            bound: line_mbr_min_dist(line, &e.mbr),
-                        });
-                    }
-                }
-                Err(e) => {
-                    heap.clear();
-                    return Some(Err(e));
                 }
             }
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use crate::tree::{SplitPolicy, TreeConfig};
+    use tsss_geometry::line::pld_sq;
+
+    fn bound(line: &Line, low: &[f64], high: &[f64]) -> f64 {
+        line_mbr_min_dist(line, low, high, &mut Vec::new())
+    }
 
     fn cfg() -> TreeConfig {
         TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar, 0)
@@ -238,24 +289,21 @@ mod tests {
     #[test]
     fn bound_is_zero_for_penetrated_boxes() {
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
-        let m = Mbr::new(vec![1.0, 1.0], vec![2.0, 2.0]).unwrap();
-        assert_eq!(line_mbr_min_dist(&line, &m), 0.0);
+        assert_eq!(bound(&line, &[1.0, 1.0], &[2.0, 2.0]), 0.0);
     }
 
     #[test]
     fn bound_matches_hand_computed_distance() {
         // x-axis vs box [0,1]x[3,4]: distance 3.
         let line = Line::new(vec![0.0, 0.0], vec![1.0, 0.0]).unwrap();
-        let m = Mbr::new(vec![0.0, 3.0], vec![1.0, 4.0]).unwrap();
-        let d = line_mbr_min_dist(&line, &m);
+        let d = bound(&line, &[0.0, 3.0], &[1.0, 4.0]);
         assert!((d - 3.0).abs() < 1e-6, "got {d}");
     }
 
     #[test]
     fn bound_never_exceeds_distance_to_any_contained_point() {
         let line = Line::new(vec![-3.0, 2.0], vec![2.0, 0.7]).unwrap();
-        let m = Mbr::new(vec![5.0, -8.0], vec![9.0, -4.0]).unwrap();
-        let bound = line_mbr_min_dist(&line, &m);
+        let bound = bound(&line, &[5.0, -8.0], &[9.0, -4.0]);
         // Sample points of the box; all must be at least `bound` away.
         for i in 0..=10 {
             for j in 0..=10 {
@@ -310,6 +358,56 @@ mod tests {
         assert!(knn(&t, &line, 0).is_empty());
         let empty = RTree::new(cfg()).unwrap();
         assert!(knn(&empty, &line, 3).is_empty());
+    }
+
+    /// The best-first walk restated over the owned `Node` view: the same
+    /// queue, fed the same pushes in the same order.
+    fn reference_nearest(t: &RTree, line: &Line) -> Vec<Match> {
+        let mut heap = BinaryHeap::new();
+        heap.push(HeapItem::Node {
+            page: t.root_page(),
+            bound: 0.0,
+        });
+        let mut out = Vec::new();
+        while let Some(item) = heap.pop() {
+            match item {
+                HeapItem::Point { entry } => out.push(entry),
+                HeapItem::Node { page, .. } => match t.read_node(page).unwrap() {
+                    Node::Leaf(slab) => {
+                        for (id, point) in slab.rows() {
+                            let distance = pld_sq(point, line).sqrt();
+                            heap.push(HeapItem::Point {
+                                entry: Match { id, distance },
+                            });
+                        }
+                    }
+                    Node::Internal(entries) => {
+                        for e in entries {
+                            heap.push(HeapItem::Node {
+                                page: e.page,
+                                bound: bound(line, e.mbr.low(), e.mbr.high()),
+                            });
+                        }
+                    }
+                },
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_in_place_walk_yields_the_reference_sequence() {
+        // Integer grid points: many exact distance ties, so the order of
+        // the queue's pushes shows in the output.
+        let (t, _) = build(400);
+        for line in [
+            Line::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap(),
+            Line::new(vec![10.0, -5.0], vec![0.3, 1.0]).unwrap(),
+            Line::new(vec![50.0, 50.0], vec![0.0, 0.0]).unwrap(),
+        ] {
+            let got: Vec<Match> = t.nearest(&line).collect::<Result<_, _>>().unwrap();
+            assert_eq!(got, reference_nearest(&t, &line), "{line:?}");
+        }
     }
 
     #[test]

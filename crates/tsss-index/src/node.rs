@@ -1,8 +1,8 @@
 //! R-tree nodes and their page serialisation.
 //!
 //! The paper stores one node per 4 KB page (§7). We honour that literally:
-//! a [`Node`] round-trips through a [`Page`] with the fixed layout below
-//! (little-endian, alignment-free):
+//! a node lives in a [`Page`] with the fixed layout below (little-endian,
+//! alignment-free):
 //!
 //! ```text
 //! offset 0   u8   kind (0 = leaf, 1 = internal)
@@ -15,6 +15,18 @@
 //!
 //! The maximum fanout `M` a page can hold follows from these sizes; the
 //! tree's configuration validates against it.
+//!
+//! Two views read that layout, with one validator between them:
+//!
+//! * `NodeScan` (crate-internal) reads a page **in place**. Its constructor checks the
+//!   header; each entry is checked as it is read, into caller-owned
+//!   coordinate buffers. The query walks (`RTree::line_query`,
+//!   `RTree::radius_query`, `RTree::nearest`) test every ε-MBR and leaf
+//!   point straight from it, so a page visit allocates nothing per entry.
+//! * [`Node`] (with [`LeafSlab`] for leaves) is the write path's **owned**
+//!   view, which insertion, splitting, bulk loading and repair edit and
+//!   [`Node::encode`] writes back. [`Node::decode`] is a `NodeScan` plus a
+//!   collect, so both views accept and refuse exactly the same pages.
 
 use tsss_geometry::Mbr;
 use tsss_storage::{Page, PageId};
@@ -55,12 +67,12 @@ impl DataEntry {
 /// Columnar storage for a leaf's entries: every id in one `Vec<u64>`, every
 /// point packed row-major into one contiguous `f64` slab.
 ///
-/// This is the in-memory layout the hot query loops scan — one bounds check
-/// per row via [`rows`](Self::rows) instead of one heap pointer chase per
-/// entry, and the point data of a whole leaf sits in a single cache-friendly
-/// allocation. The on-disk wire format (interleaved `id, point` records; see
-/// the module docs) is unchanged: [`Node::encode`]/[`Node::decode`] translate
-/// between the two.
+/// This is the write path's owned leaf: insertion, splitting, bulk loading
+/// and repair edit it, and iterate it with [`rows`](Self::rows), one bounds
+/// check per row over a single allocation. Queries do not build one; they
+/// read leaf points in place from the page. The on-disk wire format
+/// (interleaved `id, point` records; see the module docs) differs:
+/// [`Node::encode`]/[`Node::decode`] translate between the two.
 ///
 /// Mutating operations ([`reorder`](Self::reorder),
 /// [`drain_front`](Self::drain_front), [`select`](Self::select),
@@ -370,8 +382,8 @@ impl Node {
         }
     }
 
-    /// Deserialises a node of dimension `dim` from `page`, validating the
-    /// layout as it goes.
+    /// Deserialises a node of dimension `dim` from `page`: the in-place
+    /// scan the query walks use, over every entry, collected.
     ///
     /// Defence in depth behind the page checksum: even bytes that verified
     /// (or arrived through an unchecked channel) are refused unless they
@@ -383,69 +395,151 @@ impl Node {
     /// A human-readable diagnosis of the first malformation found; callers
     /// (`RTree::read_node`) wrap it with the page id.
     pub fn decode(page: &Page, dim: usize) -> Result<Node, String> {
+        let scan = NodeScan::new(page, dim)?;
+        if scan.is_leaf() {
+            let mut slab = LeafSlab::with_capacity(dim, scan.len());
+            let mut point = vec![0.0; dim];
+            for i in 0..scan.len() {
+                let id = scan.point(i, &mut point)?;
+                slab.push(id, &point);
+            }
+            Ok(Node::Leaf(slab))
+        } else {
+            let mut entries = Vec::with_capacity(scan.len());
+            let (mut low, mut high) = (vec![0.0; dim], vec![0.0; dim]);
+            for i in 0..scan.len() {
+                let page = scan.child(i, &mut low, &mut high)?;
+                let mbr = Mbr::new(low.clone(), high.clone())
+                    .map_err(|e| format!("internal entry {i}: {e}"))?;
+                entries.push(ChildEntry { mbr, page });
+            }
+            Ok(Node::Internal(entries))
+        }
+    }
+}
+
+/// A node page read in place: [`new`](Self::new) checks the header, and
+/// [`point`](Self::point) / [`child`](Self::child) check and decode one
+/// entry at a time into coordinate buffers the caller owns and reuses.
+///
+/// The checks are the node layer's defence in depth behind the page
+/// checksum: a known kind byte, an entry count within the page's fanout,
+/// finite coordinates, ordered MBRs and no sentinel child pages. Each entry
+/// is checked when it is read, so a caller that reads entries in order
+/// fails on the first bad one, naming it, exactly as [`Node::decode`] does.
+#[derive(Debug)]
+pub(crate) struct NodeScan<'p> {
+    page: &'p Page,
+    dim: usize,
+    leaf: bool,
+    len: usize,
+}
+
+impl<'p> NodeScan<'p> {
+    /// Opens the node of dimension `dim` on `page`, checking its header.
+    ///
+    /// # Errors
+    /// A diagnosis when the page is too small for a header, the kind byte
+    /// is unknown, the entry count exceeds the page's fanout, or a leaf
+    /// claims dimension 0.
+    pub(crate) fn new(page: &'p Page, dim: usize) -> Result<Self, String> {
         if page.size() < NODE_HEADER_BYTES {
             return Err(format!("page of {} bytes cannot hold a node", page.size()));
         }
-        let kind = page.get_u8(0);
         // analyze::allow(cast): u16 → usize widening is lossless.
-        let count = page.get_u16(1) as usize;
-        let mut off = NODE_HEADER_BYTES;
-        match kind {
+        let len = page.get_u16(1) as usize;
+        let leaf = match page.get_u8(0) {
             0 => {
-                let max = Self::max_leaf_fanout(page.size(), dim);
-                if count > max {
-                    return Err(format!(
-                        "leaf entry count {count} exceeds page fanout {max}"
-                    ));
+                let max = Node::max_leaf_fanout(page.size(), dim);
+                if len > max {
+                    return Err(format!("leaf entry count {len} exceeds page fanout {max}"));
                 }
                 if dim == 0 {
                     return Err("leaf nodes require a positive dimension".to_string());
                 }
-                let mut slab = LeafSlab::with_capacity(dim, count);
-                for i in 0..count {
-                    let id = page.get_u64(off);
-                    let start = slab.points.len();
-                    // Bulk-decode the whole point run straight into the slab.
-                    off = page.extend_f64_slice(off + 8, dim, &mut slab.points);
-                    if slab.points.iter().skip(start).any(|v| !v.is_finite()) {
-                        return Err(format!("leaf entry {i} has a non-finite coordinate"));
-                    }
-                    slab.ids.push(id);
-                }
-                Ok(Node::Leaf(slab))
+                true
             }
             1 => {
-                let max = Self::max_internal_fanout(page.size(), dim);
-                if count > max {
+                let max = Node::max_internal_fanout(page.size(), dim);
+                if len > max {
                     return Err(format!(
-                        "internal entry count {count} exceeds page fanout {max}"
+                        "internal entry count {len} exceeds page fanout {max}"
                     ));
                 }
-                let mut entries = Vec::with_capacity(count);
-                for i in 0..count {
-                    let child = PageId(page.get_u32(off));
-                    if !child.is_valid() {
-                        return Err(format!("internal entry {i} points at the sentinel page"));
-                    }
-                    let mut low = vec![0.0; dim];
-                    let mut high = vec![0.0; dim];
-                    off = page.get_f64_slice(off + 4, &mut low);
-                    off = page.get_f64_slice(off, &mut high);
-                    if low.iter().chain(&high).any(|v| !v.is_finite()) {
-                        return Err(format!("internal entry {i} has a non-finite coordinate"));
-                    }
-                    // Pre-check the ordering: `Mbr::new` asserts it.
-                    if low.iter().zip(&high).any(|(l, h)| l > h) {
-                        return Err(format!("internal entry {i} has an inverted MBR"));
-                    }
-                    let mbr =
-                        Mbr::new(low, high).map_err(|e| format!("internal entry {i}: {e}"))?;
-                    entries.push(ChildEntry { mbr, page: child });
-                }
-                Ok(Node::Internal(entries))
+                false
             }
-            k => Err(format!("unknown kind byte {k}")),
+            k => return Err(format!("unknown kind byte {k}")),
+        };
+        Ok(Self {
+            page,
+            dim,
+            leaf,
+            len,
+        })
+    }
+
+    /// True for a leaf page (entries are points), false for an internal
+    /// one (entries are children).
+    pub(crate) fn is_leaf(&self) -> bool {
+        self.leaf
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Leaf entry `i`: its record id, with its point decoded into `point`.
+    ///
+    /// # Errors
+    /// A diagnosis naming entry `i` when a coordinate is not finite.
+    ///
+    /// # Panics
+    /// Debug-asserts a leaf page, `i < len()` and `point.len() == dim`;
+    /// past the page's end the page accessors panic.
+    pub(crate) fn point(&self, i: usize, point: &mut [f64]) -> Result<u64, String> {
+        debug_assert!(self.leaf && i < self.len && point.len() == self.dim);
+        let off = NODE_HEADER_BYTES + i * Node::leaf_entry_bytes(self.dim);
+        let id = self.page.get_u64(off);
+        self.page.get_f64_slice(off + 8, point);
+        if point.iter().any(|v| !v.is_finite()) {
+            return Err(format!("leaf entry {i} has a non-finite coordinate"));
         }
+        Ok(id)
+    }
+
+    /// Internal entry `i`: its child page, with the child's MBR decoded
+    /// into `low` and `high`.
+    ///
+    /// # Errors
+    /// A diagnosis naming entry `i` when the child is the sentinel page, a
+    /// coordinate is not finite, or the MBR is inverted.
+    ///
+    /// # Panics
+    /// Debug-asserts an internal page, `i < len()` and buffers of length
+    /// `dim`; past the page's end the page accessors panic.
+    pub(crate) fn child(
+        &self,
+        i: usize,
+        low: &mut [f64],
+        high: &mut [f64],
+    ) -> Result<PageId, String> {
+        debug_assert!(!self.leaf && i < self.len);
+        debug_assert!(low.len() == self.dim && high.len() == self.dim);
+        let off = NODE_HEADER_BYTES + i * Node::internal_entry_bytes(self.dim);
+        let child = PageId(self.page.get_u32(off));
+        if !child.is_valid() {
+            return Err(format!("internal entry {i} points at the sentinel page"));
+        }
+        let off = self.page.get_f64_slice(off + 4, low);
+        self.page.get_f64_slice(off, high);
+        if low.iter().chain(high.iter()).any(|v| !v.is_finite()) {
+            return Err(format!("internal entry {i} has a non-finite coordinate"));
+        }
+        if low.iter().zip(high.iter()).any(|(l, h)| l > h) {
+            return Err(format!("internal entry {i} has an inverted MBR"));
+        }
+        Ok(child)
     }
 }
 
@@ -676,5 +770,181 @@ mod tests {
         assert_eq!(slab.row(4), None);
         assert_eq!(slab.ids().len(), 4);
         assert_eq!(slab.points().len(), 8);
+    }
+}
+
+/// Hostile bytes at the node codec: seeded mutations of encoded leaf and
+/// internal pages (byte flips, counts past the fanout, non-finite
+/// coordinates, inverted MBRs, sentinel children, unknown kind bytes, a
+/// wrong dimension). The in-place scan the query walks use and
+/// [`Node::decode`] must agree on every page — both `Ok` with the same
+/// entries or both `Err` with the same detail — and neither may panic.
+///
+/// The default run sweeps the four seeds below; `TSSS_CODEC_SEED=<u64>`
+/// runs any single seed (the CI `codec` job drives this over its matrix).
+#[cfg(test)]
+mod hostile_bytes {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use tsss_rand::Rng;
+    use tsss_storage::DEFAULT_PAGE_SIZE;
+
+    const CASES_PER_SEED: usize = 3000;
+
+    fn seeds() -> Vec<u64> {
+        match std::env::var("TSSS_CODEC_SEED") {
+            Ok(s) => vec![s
+                .parse()
+                .expect("TSSS_CODEC_SEED must be an unsigned integer")],
+            Err(_) => (1..=4).map(|i| 0xC0DE_C000 + i).collect(),
+        }
+    }
+
+    /// Every entry of the page as the query walks read it: in place, in
+    /// order, into two reused buffers, stopping at the first failure.
+    fn read_in_place(page: &Page, dim: usize) -> Result<Node, String> {
+        let scan = NodeScan::new(page, dim)?;
+        let (mut low, mut high) = (vec![0.0; dim], vec![0.0; dim]);
+        if scan.is_leaf() {
+            let mut slab = LeafSlab::new(dim);
+            for i in 0..scan.len() {
+                let id = scan.point(i, &mut low)?;
+                slab.push(id, &low);
+            }
+            Ok(Node::Leaf(slab))
+        } else {
+            let mut entries = Vec::new();
+            for i in 0..scan.len() {
+                let page = scan.child(i, &mut low, &mut high)?;
+                let mbr = Mbr::new(low.clone(), high.clone()).expect("the scan checked the MBR");
+                entries.push(ChildEntry { mbr, page });
+            }
+            Ok(Node::Internal(entries))
+        }
+    }
+
+    fn random_node(rng: &mut Rng, page_size: usize, dim: usize) -> Node {
+        if rng.bool() {
+            let n = rng.usize_below(Node::max_leaf_fanout(page_size, dim) + 1);
+            Node::Leaf(LeafSlab::from_entries(
+                dim,
+                (0..n).map(|_| DataEntry::new(rng.f64_vec(dim, -1e6, 1e6), rng.next_u64())),
+            ))
+        } else {
+            let n = rng.usize_below(Node::max_internal_fanout(page_size, dim) + 1);
+            Node::Internal(
+                (0..n)
+                    .map(|_| {
+                        let low = rng.f64_vec(dim, -1e6, 1e6);
+                        let high = low.iter().map(|l| l + rng.f64_range(0.0, 1e3)).collect();
+                        ChildEntry {
+                            mbr: Mbr::new(low, high).unwrap(),
+                            page: PageId(rng.usize_below(1 << 20) as u32),
+                        }
+                    })
+                    .collect(),
+            )
+        }
+    }
+
+    /// Byte offset of coordinate `j` of entry `i`: the point of a leaf
+    /// entry, or the `low` (`high` when `upper`) corner of an internal one.
+    fn coord_offset(leaf: bool, dim: usize, i: usize, j: usize, upper: bool) -> usize {
+        if leaf {
+            NODE_HEADER_BYTES + i * Node::leaf_entry_bytes(dim) + 8 + 8 * j
+        } else {
+            let corner = if upper { 8 * dim } else { 0 };
+            NODE_HEADER_BYTES + i * Node::internal_entry_bytes(dim) + 4 + corner + 8 * j
+        }
+    }
+
+    /// Damages `page` (holding `node`) one way; returns the dimension to
+    /// read it at and, where the damage determines it, the expected
+    /// diagnosis.
+    fn mutate(rng: &mut Rng, page: &mut Page, node: &Node, dim: usize) -> (usize, Option<String>) {
+        let (leaf, len) = (node.is_leaf(), node.len());
+        match rng.usize_below(8) {
+            0 => (dim, None),
+            1 => {
+                for _ in 0..1 + rng.usize_below(8) {
+                    let at = rng.usize_below(page.size());
+                    let b = page.get_u8(at) ^ (1 << rng.usize_below(8));
+                    page.put_u8(at, b);
+                }
+                (dim, None)
+            }
+            2 => {
+                let (kind, max) = if leaf {
+                    ("leaf", Node::max_leaf_fanout(page.size(), dim))
+                } else {
+                    ("internal", Node::max_internal_fanout(page.size(), dim))
+                };
+                let count = max + 1 + rng.usize_below(usize::from(u16::MAX) - max);
+                page.put_u16(1, count as u16);
+                let detail = format!("{kind} entry count {count} exceeds page fanout {max}");
+                (dim, Some(detail))
+            }
+            3 if len > 0 => {
+                let i = rng.usize_below(len);
+                let at = coord_offset(leaf, dim, i, rng.usize_below(dim), rng.bool());
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.usize_below(3)];
+                page.put_f64(at, bad);
+                let kind = if leaf { "leaf" } else { "internal" };
+                (
+                    dim,
+                    Some(format!("{kind} entry {i} has a non-finite coordinate")),
+                )
+            }
+            4 if !leaf && len > 0 => {
+                let (i, j) = (rng.usize_below(len), rng.usize_below(dim));
+                let high = page.get_f64(coord_offset(false, dim, i, j, true));
+                page.put_f64(coord_offset(false, dim, i, j, false), high + 1.0);
+                (dim, Some(format!("internal entry {i} has an inverted MBR")))
+            }
+            5 if !leaf && len > 0 => {
+                let i = rng.usize_below(len);
+                page.put_u32(coord_offset(false, dim, i, 0, false) - 4, u32::MAX);
+                (
+                    dim,
+                    Some(format!("internal entry {i} points at the sentinel page")),
+                )
+            }
+            6 => {
+                let k = 2 + rng.usize_below(254);
+                page.put_u8(0, k as u8);
+                (dim, Some(format!("unknown kind byte {k}")))
+            }
+            _ => (rng.usize_below(2 * dim + 1), None),
+        }
+    }
+
+    #[test]
+    fn scan_and_decode_agree_on_hostile_pages() {
+        for seed in seeds() {
+            let mut rng = Rng::seed_from_u64(seed);
+            for case in 0..CASES_PER_SEED {
+                let page_size = [64, 128, 256, 1024, DEFAULT_PAGE_SIZE][rng.usize_below(5)];
+                let dim = 1 + rng.usize_below(8.min((page_size - NODE_HEADER_BYTES - 4) / 16));
+                let node = random_node(&mut rng, page_size, dim);
+                let mut clean = Page::zeroed(page_size);
+                node.encode(&mut clean, dim);
+                let mut page = clean.clone();
+                let (read_dim, expected) = mutate(&mut rng, &mut page, &node, dim);
+                let at = format!("seed {seed} case {case} (dim {dim} read at {read_dim})");
+
+                let scanned = catch_unwind(AssertUnwindSafe(|| read_in_place(&page, read_dim)));
+                let decoded = catch_unwind(AssertUnwindSafe(|| Node::decode(&page, read_dim)));
+                let (Ok(scanned), Ok(decoded)) = (scanned, decoded) else {
+                    panic!("{at}: a reader panicked on hostile bytes");
+                };
+                assert_eq!(scanned, decoded, "{at}: the scan and decode disagree");
+                if let Some(detail) = expected {
+                    assert_eq!(decoded, Err(detail), "{at}: wrong diagnosis");
+                }
+                if page.bytes() == clean.bytes() && read_dim == dim {
+                    assert_eq!(decoded, Ok(node), "{at}: an undamaged page must roundtrip");
+                }
+            }
+        }
     }
 }

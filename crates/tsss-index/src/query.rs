@@ -10,13 +10,20 @@
 //! [`RTree::radius_query`] is the same traversal with a ball in place of
 //! the line: the probe for a numerically-constant query, whose SE-line
 //! collapses to the origin. Both run one budgeted depth-first walk.
+//!
+//! The walk reads each page in place: a child's `low`/`high` and a leaf
+//! point are decoded into two coordinate buffers owned by the walk and
+//! tested from there, with ε applied inside the slab test and the line's
+//! `‖d‖²` computed once per query. No `Node`, `Mbr` or `LeafSlab` is built,
+//! so a page visit allocates only the page copy the buffer pool hands out.
 
-use tsss_geometry::line::{pld_sq, Line};
+use tsss_geometry::line::{pld_sq_with_norm, Line};
+use tsss_geometry::mbr::min_dist_sq;
 use tsss_geometry::penetration::{penetrates, PenetrationMethod, SphereStats};
-use tsss_geometry::Mbr;
+use tsss_geometry::vector::{dist_sq, norm_sq};
 
 use crate::error::IndexError;
-use crate::node::Node;
+use crate::node::NodeScan;
 use crate::tree::RTree;
 
 /// Per-query traversal statistics.
@@ -91,13 +98,14 @@ impl RTree {
     ) -> Result<QueryOutcome, IndexError> {
         assert_eq!(line.dim(), self.config().dim, "line dimension mismatch");
         assert!(epsilon >= 0.0, "epsilon must be non-negative");
+        let dir_norm_sq = norm_sq(&line.dir);
         self.range_walk(
             budget,
-            |mbr, stats| {
+            |low, high, stats| {
                 stats.penetration_tests += 1;
-                penetrates(line, &mbr.enlarged(epsilon), method, &mut stats.sphere)
+                penetrates(line, low, high, epsilon, method, &mut stats.sphere)
             },
-            |point| pld_sq(point, line),
+            |point| pld_sq_with_norm(point, line, dir_norm_sq),
             epsilon * epsilon,
         )
     }
@@ -123,24 +131,28 @@ impl RTree {
         let radius_sq = radius * radius;
         self.range_walk(
             budget,
-            |mbr, _| mbr.min_dist_sq_to_point(center) <= radius_sq,
-            |point| tsss_geometry::vector::dist_sq(point, center),
+            |low, high, _| min_dist_sq(low, high, center) <= radius_sq,
+            |point| dist_sq(point, center),
             radius_sq,
         )
     }
 
     /// The one range traversal: a depth-first walk from the root that
-    /// descends into every child whose MBR passes `descend`, and keeps
-    /// every leaf point whose `dist_sq` is at most `limit_sq`. Pages are
-    /// visited in pre-order, children in entry order, so the matches come
-    /// out in a fixed order. Fails before visiting page `budget + 1`.
+    /// descends into every child whose box `[low, high]` passes `descend`,
+    /// and keeps every leaf point whose `dist_sq` is at most `limit_sq`.
+    /// Pages are visited in pre-order, children in entry order, so the
+    /// matches come out in a fixed order. Fails before visiting page
+    /// `budget + 1`, and on the first malformed entry of a visited page.
     fn range_walk(
         &self,
         budget: Option<u64>,
-        mut descend: impl FnMut(&Mbr, &mut LineQueryStats) -> bool,
+        mut descend: impl FnMut(&[f64], &[f64], &mut LineQueryStats) -> bool,
         dist_sq: impl Fn(&[f64]) -> f64,
         limit_sq: f64,
     ) -> Result<QueryOutcome, IndexError> {
+        let dim = self.config().dim;
+        // A leaf point decodes into `low`; a child's MBR into both.
+        let (mut low, mut high) = (vec![0.0; dim], vec![0.0; dim]);
         let mut out = QueryOutcome::default();
         let mut stack = vec![self.root_page()];
         while let Some(page) = stack.pop() {
@@ -148,29 +160,34 @@ impl RTree {
             if let Some(budget) = budget.filter(|&b| visited >= b) {
                 return Err(IndexError::BudgetExhausted { budget });
             }
-            match self.read_node(page)? {
-                Node::Leaf(slab) => {
-                    out.stats.leaves_visited += 1;
-                    for (id, point) in slab.rows() {
-                        out.stats.candidates_checked += 1;
-                        let d_sq = dist_sq(point);
-                        if d_sq <= limit_sq {
-                            out.matches.push(Match {
-                                id,
-                                distance: d_sq.sqrt(),
-                            });
-                        }
+            let bytes = self.pool.read(page)?;
+            let corrupt = |detail| IndexError::CorruptNode { page, detail };
+            let node = NodeScan::new(&bytes, dim).map_err(corrupt)?;
+            if node.is_leaf() {
+                out.stats.leaves_visited += 1;
+                for i in 0..node.len() {
+                    let id = node.point(i, &mut low).map_err(corrupt)?;
+                    out.stats.candidates_checked += 1;
+                    let d_sq = dist_sq(&low);
+                    if d_sq <= limit_sq {
+                        out.matches.push(Match {
+                            id,
+                            distance: d_sq.sqrt(),
+                        });
                     }
                 }
-                Node::Internal(entries) => {
-                    out.stats.internal_visited += 1;
-                    // Tested last to first, so the stack pops them in entry
-                    // order.
-                    for e in entries.iter().rev() {
-                        if descend(&e.mbr, &mut out.stats) {
-                            stack.push(e.page);
-                        }
+            } else {
+                out.stats.internal_visited += 1;
+                let first = stack.len();
+                for i in 0..node.len() {
+                    let child = node.child(i, &mut low, &mut high).map_err(corrupt)?;
+                    if descend(&low, &high, &mut out.stats) {
+                        stack.push(child);
                     }
+                }
+                // Reversed so the stack pops the children in entry order.
+                if let Some(pushed) = stack.get_mut(first..) {
+                    pushed.reverse();
                 }
             }
         }
@@ -181,7 +198,11 @@ impl RTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{Node, NODE_HEADER_BYTES};
     use crate::tree::{SplitPolicy, TreeConfig};
+    use tsss_geometry::line::pld_sq;
+    use tsss_geometry::penetration::line_penetrates_mbr;
+    use tsss_storage::{Page, PageId};
 
     fn cfg() -> TreeConfig {
         TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar, 0)
@@ -375,6 +396,132 @@ mod tests {
             .line_query(&line, 3.0, PenetrationMethod::EnteringExiting, Some(needed))
             .unwrap();
         assert_eq!(again.matches.len(), full.matches.len());
+    }
+
+    /// The range walk's contract restated over the owned `Node` view:
+    /// pre-order, children in entry order, each ε-MBR by the slab test and
+    /// each point by its PLD.
+    fn reference_line_query(t: &RTree, line: &Line, eps: f64) -> Vec<Match> {
+        let mut out = Vec::new();
+        let mut stack = vec![t.root_page()];
+        while let Some(page) = stack.pop() {
+            match t.read_node(page).unwrap() {
+                Node::Leaf(slab) => {
+                    for (id, point) in slab.rows() {
+                        let d_sq = pld_sq(point, line);
+                        if d_sq <= eps * eps {
+                            out.push(Match {
+                                id,
+                                distance: d_sq.sqrt(),
+                            });
+                        }
+                    }
+                }
+                Node::Internal(entries) => {
+                    for e in entries.iter().rev() {
+                        if line_penetrates_mbr(line, e.mbr.low(), e.mbr.high(), eps) {
+                            stack.push(e.page);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_in_place_walk_visits_and_matches_in_the_reference_order() {
+        let (t, _) = build(500);
+        for (line, eps) in [
+            (Line::new(vec![0.0, 0.0], vec![1.0, 0.9]).unwrap(), 7.0),
+            (Line::new(vec![10.0, -5.0], vec![0.3, 1.0]).unwrap(), 20.0),
+            (Line::new(vec![50.0, 50.0], vec![0.0, 0.0]).unwrap(), 30.0),
+        ] {
+            let got = t
+                .line_query(&line, eps, PenetrationMethod::EnteringExiting, None)
+                .unwrap();
+            let want = reference_line_query(&t, &line, eps);
+            assert!(want.len() > 10);
+            assert_eq!(got.matches, want, "{line:?} ± {eps}");
+        }
+    }
+
+    /// Rewrites `page` through the tree's buffer pool: the damage carries a
+    /// valid checksum, so only the node checks of the walks can refuse it.
+    fn rewrite(t: &RTree, page: PageId, damage: impl FnOnce(&mut Page)) {
+        let mut bytes = t.pool.read(page).unwrap();
+        damage(&mut bytes);
+        t.pool.write(page, bytes).unwrap();
+    }
+
+    fn coord(entry_bytes: usize, i: usize, skip: usize, j: usize) -> usize {
+        NODE_HEADER_BYTES + i * entry_bytes + skip + 8 * j
+    }
+
+    /// Every walk reads every page of the tree: each fails on the first
+    /// malformed entry it reads, naming its page and that entry.
+    #[test]
+    fn malformed_nodes_with_valid_checksums_fail_every_walk() {
+        let line = Line::new(vec![0.0, 0.0], vec![1.0, 0.9]).unwrap();
+        let internal = Node::internal_entry_bytes(2);
+        let leaf = Node::leaf_entry_bytes(2);
+        // (damage the root or a leaf, the damage given the entry count,
+        // the diagnosis)
+        type Damage = fn(&mut Page, usize, usize, usize);
+        let cases: [(bool, Damage, &str); 3] = [
+            (
+                false,
+                |p, leaf, _, len| {
+                    // Two bad entries: the walks name the first.
+                    p.put_f64(coord(leaf, 1, 8, 1), f64::NAN);
+                    p.put_f64(coord(leaf, len - 1, 8, 0), f64::INFINITY);
+                },
+                "leaf entry 1 has a non-finite coordinate",
+            ),
+            (
+                true,
+                |p, _, internal, _| {
+                    let high = p.get_f64(coord(internal, 0, 4 + 16, 0));
+                    p.put_f64(coord(internal, 0, 4, 0), high + 1.0);
+                },
+                "internal entry 0 has an inverted MBR",
+            ),
+            (
+                true,
+                |p, _, internal, _| p.put_u32(coord(internal, 1, 0, 0), u32::MAX),
+                "internal entry 1 points at the sentinel page",
+            ),
+        ];
+        for (at_root, damage, detail) in cases {
+            let (t, _) = build(300);
+            let mut page = t.root_page();
+            if !at_root {
+                while let Node::Internal(children) = t.read_node(page).unwrap() {
+                    page = children[0].page;
+                }
+            }
+            let len = t.read_node(page).unwrap().len();
+            assert!(len >= 2, "the damage needs two entries");
+            rewrite(&t, page, |p| damage(p, leaf, internal, len));
+            let expected = IndexError::CorruptNode {
+                page,
+                detail: detail.to_string(),
+            };
+            let everything = PenetrationMethod::EnteringExiting;
+            assert_eq!(
+                t.line_query(&line, 1e9, everything, None).unwrap_err(),
+                expected
+            );
+            assert_eq!(
+                t.radius_query(&[0.0, 0.0], 1e9, None).unwrap_err(),
+                expected
+            );
+            assert_eq!(
+                t.nearest(&line).find_map(Result::err),
+                Some(expected),
+                "{detail}"
+            );
+        }
     }
 
     #[test]

@@ -1212,11 +1212,20 @@ mod tests {
             t.insert(p.clone(), i as u64).unwrap();
         }
         let root = t.root_page();
-        // An absurd entry count decodes as "exceeds page fanout" — but we
-        // corrupt beneath the checksum, so the CRC catches it first; heal
-        // the CRC by rewriting through the pool is not possible without the
-        // plain bytes, so just assert the typed error shape.
-        t.corrupt_page(root, &mut |bytes| bytes[1] = 0xFF).unwrap();
+        // Rewritten through the pool, an absurd entry count carries a valid
+        // checksum, so only the node checks can refuse it.
+        let mut page = t.pool.read(root).unwrap();
+        page.put_u16(1, u16::MAX);
+        t.pool.write(root, page).unwrap();
+        match t.dump().unwrap_err() {
+            IndexError::CorruptNode { page, detail } => {
+                assert_eq!(page, root);
+                assert!(detail.contains("exceeds page fanout"), "{detail}");
+            }
+            other => panic!("expected a corrupt node, got {other:?}"),
+        }
+        // Damaged beneath the checksum, the same bytes fail the CRC first.
+        t.corrupt_page(root, &mut |bytes| bytes[1] ^= 0x01).unwrap();
         match t.dump().unwrap_err() {
             IndexError::Storage(tsss_storage::StorageError::Corrupt { .. }) => {}
             other => panic!("expected storage corruption, got {other:?}"),

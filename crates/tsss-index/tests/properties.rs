@@ -209,7 +209,7 @@ fn line_mbr_min_dist_is_exact() {
         };
         let high: Vec<f64> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
         let mbr = Mbr::new(lo, high).unwrap();
-        let exact = line_mbr_min_dist(&line, &mbr);
+        let exact = line_mbr_min_dist(&line, mbr.low(), mbr.high(), &mut Vec::new());
         // Dense sample of t; the sampled minimum can only be ≥ the true one.
         let f = |t: f64| -> f64 {
             (0..3)

@@ -490,19 +490,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Flushes and returns the backing store.
-    ///
-    /// # Errors
-    /// Propagates write-back failures (the store is lost in that case —
-    /// callers needing the bytes regardless should `flush` first and
-    /// inspect the error).
-    pub fn into_store(self) -> Result<Box<dyn PageStore>, StorageError> {
-        self.flush()?;
-        self.store
-            .into_inner()
-            .map_err(|_| StorageError::LockPoisoned)
-    }
-
     /// A copy-on-write twin of the pool: dirty frames are flushed, then
     /// the twin wraps a [`PageStore::fork`] of the backing store with the
     /// same capacity, an empty cache and fresh [`AccessStats`] — what
@@ -815,8 +802,8 @@ mod tests {
         pool.write(ids[3], p).unwrap();
         // Read through the pool sees the new value even before flush.
         assert_eq!(pool.read(ids[3]).unwrap().get_u64(0), 777);
-        let store = pool.into_store().unwrap();
-        assert_eq!(store.read_uncounted(ids[3]).unwrap().get_u64(0), 777);
+        let stored = pool.with_store(|store| store.read_uncounted(ids[3]));
+        assert_eq!(stored.unwrap().unwrap().get_u64(0), 777);
     }
 
     #[test]

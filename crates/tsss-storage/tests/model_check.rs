@@ -65,15 +65,17 @@ fn pool_is_equivalent_to_a_hashmap() {
             );
         }
 
-        // After draining the pool, the file itself must agree with the model.
-        let store = pool.into_store().unwrap();
-        for (slot, want) in model {
-            assert_eq!(
-                store.read_uncounted(ids[slot]).unwrap().get_u64(0),
-                want,
-                "case {case}: slot {slot} wrong after drain"
-            );
-        }
+        // After flushing the pool, the file itself must agree with the model.
+        pool.with_store(|store| {
+            for (slot, want) in model {
+                assert_eq!(
+                    store.read_uncounted(ids[slot]).unwrap().get_u64(0),
+                    want,
+                    "case {case}: slot {slot} wrong after drain"
+                );
+            }
+        })
+        .unwrap();
     }
 }
 
