@@ -114,6 +114,25 @@ fn bench_rtree() {
         }
         t.len()
     });
+    // The served ack's shape: a 64-point correlated walk, started at an
+    // indexed point, lands in the full leaves STR packing leaves behind and
+    // sets off forced-reinsert and split cascades. Each call grows a fresh
+    // copy-on-write fork of the packed tree by one batch.
+    let packed =
+        tsss_index::bulk::bulk_load(TreeConfig::paper(6), points.clone()).expect("valid config");
+    let mut walk = Vec::with_capacity(64);
+    let mut p = points[4_321].point.to_vec();
+    for j in 0..64u64 {
+        for (x, step) in p.iter_mut().zip(pseudo_series(6, 100_000 + j)) {
+            *x += (step - 60.0) * 0.05;
+        }
+        walk.push(DataEntry::new(p.clone(), 20_000 + j));
+    }
+    bench("rtree/append_64_into_str_20k", 20, || {
+        let mut t = packed.fork().expect("healthy store");
+        t.insert_batch(walk.iter().cloned()).expect("healthy store");
+        t.len()
+    });
     bench("rtree/bulk_load_20k", 1, || {
         let t = tsss_index::bulk::bulk_load(TreeConfig::paper(6), points.clone())
             .expect("valid config");

@@ -72,7 +72,7 @@ pub struct SearchEngine {
     /// Tree insertions since the last bulk (re)build. One-at-a-time R*
     /// insertion degrades page locality versus the STR bulk load — the
     /// build-method ablation (results/ablation_build.txt) measures an
-    /// insertion-built tree at ~7.6× the query pages of the STR one — so
+    /// insertion-built tree at ~7.7× the query pages of the STR one — so
     /// [`SearchEngine::str_rebuild_due`] flags when enough appends have
     /// accumulated that a background [`SearchEngine::repair`] pays for
     /// itself.
@@ -392,7 +392,9 @@ impl SearchEngine {
     }
 
     /// Indexes the windows completed by an append that grew `series` from
-    /// `old_len` to `new_len` values (the tail of [`SearchEngine::append_values`]).
+    /// `old_len` to `new_len` values (the tail of [`SearchEngine::append_values`]):
+    /// one read of the appended tail, one index batch
+    /// ([`RTree::insert_batch`]).
     fn index_appended_windows(
         &mut self,
         series: usize,
@@ -400,31 +402,34 @@ impl SearchEngine {
         new_len: usize,
     ) -> Result<(), EngineError> {
         let n = self.cfg.window_len;
-        if new_len < n {
-            return Ok(());
-        }
-        // Offsets of windows that end in the appended region, respecting the
-        // stride grid.
-        let first_unseen = old_len.saturating_sub(n - 1);
-        let first_on_grid = first_unseen.div_ceil(self.cfg.stride) * self.cfg.stride;
+        let stride = self.cfg.stride;
+        // The first offset on the stride grid whose window ends in the
+        // appended region; every earlier window was indexed before.
+        let first = old_len.saturating_sub(n - 1).div_ceil(stride) * stride;
+        let Some(span) = new_len.checked_sub(first).filter(|&span| span >= n) else {
+            return Ok(()); // the append completes no window
+        };
+        let tail = self.store.fetch_window(series, first, span)?;
         let mut se_buf = vec![0.0; n];
-        let mut off = first_on_grid;
-        while off + n <= new_len {
-            // Skip windows that were already indexed before this append.
-            if off + n > old_len {
-                let window = self.store.fetch_window(series, off, n)?;
-                let feat = feature_of(&self.extractor, &window, &mut se_buf);
-                let id = SubseqId::try_new(series, off)?;
-                self.tree.insert(feat, id.pack())?;
-                self.inserts_since_rebuild += 1;
-                // Only widen the z-probe bound after the insert landed: a
-                // failed insert must not loosen the bound for a window that
-                // never became searchable.
-                self.max_se_norm = self.max_se_norm.max(tsss_geometry::se::se_norm(&window));
-            }
-            off += self.cfg.stride;
+        let mut entries = Vec::new();
+        let mut norms = Vec::new();
+        for (k, window) in tail.windows(n).step_by(stride).enumerate() {
+            let id = SubseqId::try_new(series, first + k * stride)?;
+            let feat = feature_of(&self.extractor, window, &mut se_buf);
+            entries.push(DataEntry::new(feat, id.pack()));
+            norms.push(tsss_geometry::se::se_norm(window));
         }
-        Ok(())
+        let indexed = self.tree.len();
+        let result = self.tree.insert_batch(entries);
+        // Count, and widen the z-probe bound for, only the windows whose
+        // insert landed: a failed insert must not loosen the bound for a
+        // window that never became searchable.
+        let landed = self.tree.len().saturating_sub(indexed);
+        for norm in norms.into_iter().take(landed) {
+            self.inserts_since_rebuild += 1;
+            self.max_se_norm = self.max_se_norm.max(norm);
+        }
+        Ok(result?)
     }
 
     /// Unindexes every window of a series (e.g. a delisted stock). The raw
@@ -657,8 +662,8 @@ impl SearchEngine {
     /// ([`SearchEngine::repair`]) pays for itself.
     ///
     /// The build-method ablation (`results/ablation_build.txt`, 500 series
-    /// at ε = 0) measures 250 query pages for the STR-built tree against
-    /// 1911 for the insertion-built one — a ~7.6× locality penalty — so
+    /// at ε = 0) measures 251.9 query pages for the STR-built tree against
+    /// 1930.2 for the insertion-built one — a ~7.7× locality penalty — so
     /// once the insert-grown fraction of the tree is no longer marginal
     /// (an eighth of all windows, floored at 256 so tiny engines never
     /// churn) the rebuild is worth its one-off cost.
@@ -834,9 +839,7 @@ fn index_windows<'a>(
         crate::config::BuildMethod::BulkPolar => bulk_load_polar(cfg.tree_config(), entries)?,
         crate::config::BuildMethod::Insert => {
             let mut t = RTree::new(cfg.tree_config())?;
-            for e in entries {
-                t.insert(e.point.into_vec(), e.id)?;
-            }
+            t.insert_batch(entries)?;
             t
         }
     };
@@ -1118,14 +1121,65 @@ mod tests {
         let mut e = SearchEngine::build(&data, cfg).unwrap();
         assert_eq!(e.num_windows(), 5); // 20 − 16 + 1
         let fresh: Vec<f64> = (20..30).map(|i| (i as f64).sin()).collect();
+        e.reset_counters();
         e.append_values(0, &fresh).unwrap();
         assert_eq!(e.num_windows(), 15); // 30 − 16 + 1
-                                         // A window spanning the boundary must be searchable.
+
+        // The ten new windows come from one read of the appended tail (25
+        // values), plus at most the data file's read-modify-write of its
+        // last page — not a fetch per window.
+        assert!(e.data_stats().reads() <= 3, "{}", e.data_stats().reads());
+        // A window spanning the boundary must be searchable.
         let full: Vec<f64> = (0..30).map(|i| (i as f64).sin()).collect();
         let q = full[12..28].to_vec();
         let res = e.search(&q, 1e-7, SearchOptions::default()).unwrap();
         assert!(res.matches.iter().any(|m| m.id.offset == 12));
         e.tree_mut().check_invariants().unwrap();
+
+        // An append that completes no window touches no index page, and
+        // reads no data page beyond the data file's own read-modify-write:
+        // a series still shorter than one window …
+        let short = e
+            .append_series(&Series::new("short", vec![0.5; 5]))
+            .unwrap();
+        let expect_none = |e: &mut SearchEngine, series: usize, values: &[f64]| {
+            let windows = e.num_windows();
+            e.reset_counters();
+            e.append_values(series, values).unwrap();
+            assert_eq!(e.num_windows(), windows);
+            assert_eq!((e.index_stats().reads(), e.index_stats().writes()), (0, 0));
+            assert!(e.data_stats().reads() <= 1, "{}", e.data_stats().reads());
+        };
+        expect_none(&mut e, short, &[0.25; 10]); // 15 < 16 values
+
+        // … and, under a stride longer than the window, appends that end
+        // before the next grid offset's window does (the span from that
+        // offset would be negative).
+        let mut strided_cfg = EngineConfig::small(16);
+        strided_cfg.stride = 20;
+        let wave = |i: usize| (i as f64 * 0.7).sin();
+        let mut strided = SearchEngine::build(
+            &[Series::new("s", (0..30).map(wave).collect())],
+            strided_cfg,
+        )
+        .unwrap();
+        assert_eq!(strided.num_windows(), 1); // offset 0
+        let grown: Vec<f64> = (30..38).map(wave).collect();
+        strided.append_values(0, &grown).unwrap();
+        assert_eq!(strided.num_windows(), 2); // offset 20 ends at 36
+        expect_none(&mut strided, 0, &[wave(38)]); // 39 < 40
+        expect_none(&mut strided, 0, &[wave(39), wave(40)]); // 41 < 40 + 16
+        let grown: Vec<f64> = (41..56).map(wave).collect();
+        strided.append_values(0, &grown).unwrap();
+        assert_eq!(strided.num_windows(), 3); // offset 40 ends at 56
+        let res = strided
+            .search(
+                &(40..56).map(wave).collect::<Vec<_>>(),
+                1e-7,
+                SearchOptions::default(),
+            )
+            .unwrap();
+        assert!(res.matches.iter().any(|m| m.id.offset == 40));
     }
 
     #[test]
@@ -1180,6 +1234,67 @@ mod tests {
             .search(&full[12..28], 1e-7, SearchOptions::default())
             .unwrap();
         assert!(res.matches.iter().any(|m| m.id.offset == 12));
+    }
+
+    #[test]
+    fn a_mid_batch_failure_writes_back_the_landed_windows_and_repair_recovers() {
+        let data = market(6, 80);
+        let cfg = EngineConfig::small(16);
+        let base = SearchEngine::build(&data, cfg.clone()).unwrap();
+        // Forty new windows of series 0, wandering away from where they
+        // start so that later ones descend through other pages.
+        let fresh: Vec<f64> = (0..40)
+            .map(|i| data[0].values[79] + (i * i) as f64 * 0.05)
+            .collect();
+        let mut flip = |bytes: &mut [u8]| bytes[7] ^= 0x40;
+        // Damage, on a fork each, the first index page that a later window
+        // of the append reads but an earlier one does not: the batch stops
+        // after some windows landed.
+        let (page, mut e) = (0..base.index_extent())
+            .find_map(|p| {
+                let page = u32::try_from(p).unwrap();
+                let mut e = base.fork().unwrap();
+                e.corrupt_index_page(page, &mut flip).unwrap();
+                let failed = e.append_values(0, &fresh).unwrap_err().is_corruption();
+                (failed && e.inserts_since_rebuild() > 0).then_some((page, e))
+            })
+            .expect("some page stops the batch mid-way");
+        let landed = usize::try_from(e.inserts_since_rebuild()).unwrap();
+        assert!(landed < fresh.len());
+        assert!(e.health().append_tail_unindexed);
+        assert_eq!(e.series_len(0).unwrap(), 80 + fresh.len());
+        assert_eq!(e.num_windows(), base.num_windows() + landed);
+
+        // The nodes the landed windows changed were written back before the
+        // error returned: with the damage undone, the index is page for
+        // page the one an append of just those windows builds.
+        e.corrupt_index_page(page, &mut flip).unwrap();
+        let mut twin = base.fork().unwrap();
+        twin.append_values(0, &fresh[..landed]).unwrap();
+        let image = |e: &SearchEngine| {
+            let mut out = Vec::new();
+            e.tree().save_to(&mut out).unwrap();
+            out
+        };
+        assert!(
+            image(&e) == image(&twin),
+            "landed windows lost at page {page}"
+        );
+
+        // Repair answers as a fresh build over the grown data.
+        e.corrupt_index_page(page, &mut flip).unwrap();
+        e.repair().unwrap();
+        assert!(!e.health().append_tail_unindexed);
+        let mut grown = data.clone();
+        grown[0].values.extend_from_slice(&fresh);
+        let built = SearchEngine::build(&grown, cfg).unwrap();
+        assert_eq!(e.num_windows(), built.num_windows());
+        for (s, off) in [(0, 70), (0, 100), (0, 103), (3, 20)] {
+            let q = grown[s].values[off..off + 16].to_vec();
+            let want = built.search(&q, 0.5, SearchOptions::default()).unwrap();
+            let got = e.search(&q, 0.5, SearchOptions::default()).unwrap();
+            assert_eq!(got.matches, want.matches, "query ({s}, {off})");
+        }
     }
 
     #[test]

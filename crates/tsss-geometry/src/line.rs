@@ -88,12 +88,6 @@ impl Line {
             .collect()
     }
 
-    /// True when the direction is numerically zero, i.e. the line degenerates
-    /// to the single point `p`.
-    pub fn is_degenerate(&self) -> bool {
-        norm_sq(&self.dir) <= DEGENERATE_SQ
-    }
-
     /// The parameter `t*` minimising `‖q − L(t)‖`, i.e. the foot of the
     /// perpendicular from `q`; `0.0` for a degenerate line.
     pub fn project_param(&self, q: &[f64]) -> f64 {

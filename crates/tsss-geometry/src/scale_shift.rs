@@ -161,13 +161,6 @@ impl<'a> QueryFit<'a> {
         self.u
     }
 
-    /// True when the query is numerically constant, i.e. every fit takes the
-    /// shift-only degenerate arm (`a = 0`, `b = mean(v)`).
-    #[must_use]
-    pub fn is_degenerate(&self) -> bool {
-        self.degenerate
-    }
-
     /// The optimal fit of the query onto `v` — bit-identical to
     /// [`optimal_scale_shift`]`(self.query(), v)`, in two passes over `v`
     /// instead of three.
@@ -701,7 +694,6 @@ mod tests {
     fn fit_within_sliding_on_degenerate_and_mismatched_input() {
         let u = vec![5.0; 16];
         let qf = QueryFit::new(&u);
-        assert!(qf.is_degenerate());
         let v: Vec<f64> = (0..16).map(f64::from).collect();
         let p1: Vec<f64> = std::iter::once(0.0)
             .chain(v.iter().scan(0.0, |s, y| {
@@ -716,6 +708,7 @@ mod tests {
             }))
             .collect();
         let exact = qf.fit(&v).unwrap();
+        assert_eq!(exact.transform.a, 0.0, "a constant query fits shift-only");
         // Generous epsilon: accepted, bit-identical, shift-only.
         let fit = qf
             .fit_within_sliding(&v, 1e9, (p1[0], p1[16]), (p2[0], p2[16]))
@@ -738,8 +731,8 @@ mod tests {
     fn fit_within_on_degenerate_query() {
         let u = [4.0; 6];
         let qf = QueryFit::new(&u);
-        assert!(qf.is_degenerate());
         let v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        assert_eq!(qf.fit(&v).unwrap().transform.a, 0.0, "shift-only");
         let exact = optimal_scale_shift(&u, &v).unwrap();
         // Tight epsilon: certainly screened.
         assert!(qf.fit_within(&v, 1e-3).unwrap().is_none());

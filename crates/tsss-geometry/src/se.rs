@@ -176,7 +176,11 @@ mod tests {
 
     #[test]
     fn se_line_is_degenerate_for_constant_sequences() {
-        assert!(se_line(&[3.0; 5]).is_degenerate());
-        assert!(!se_line(&[3.0, 4.0, 3.0, 4.0, 3.0]).is_degenerate());
+        // A constant sequence's SE-line collapses to the origin: its
+        // direction is zero, and every point projects onto parameter 0.
+        let flat = se_line(&[3.0; 5]);
+        assert_eq!(flat.at(1.0), vec![0.0; 5]);
+        assert_eq!(flat.project_param(&[1.0, -2.0, 0.5, 3.0, -1.0]), 0.0);
+        assert_ne!(se_line(&[3.0, 4.0, 3.0, 4.0, 3.0]).at(1.0), vec![0.0; 5]);
     }
 }

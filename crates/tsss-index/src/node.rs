@@ -138,16 +138,6 @@ impl LeafSlab {
         self.ids.is_empty()
     }
 
-    /// The record ids, in row order.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
-    }
-
-    /// The raw point slab: row `i` occupies `points()[i·dim .. (i+1)·dim]`.
-    pub fn points(&self) -> &[f64] {
-        &self.points
-    }
-
     /// Iterates `(id, point)` rows in order — the hot-loop accessor; the
     /// point slices are consecutive chunks of one contiguous slab.
     pub fn rows(&self) -> impl Iterator<Item = (u64, &[f64])> {
@@ -768,8 +758,8 @@ mod tests {
             assert_eq!(slab.row(i), Some((id, point)));
         }
         assert_eq!(slab.row(4), None);
-        assert_eq!(slab.ids().len(), 4);
-        assert_eq!(slab.points().len(), 8);
+        assert_eq!(slab.rows().count(), 4);
+        assert!(slab.rows().all(|(_, point)| point.len() == 2));
     }
 }
 

@@ -6,7 +6,7 @@
 //! of the two groups. Working on indices keeps the algorithms agnostic to
 //! whether the entries are data points or child rectangles.
 
-// analyze::allow-file(index): the split kernels permute `0..mbrs.len()` — every index vector (`by_low`, `by_high`, seeds, groups) is built from that range, and the `total >= 2 * min_entries` asserts keep every cut point inside it.
+// analyze::allow-file(index): the split kernels permute `0..mbrs.len()` — every index vector (the sorted orders, seeds, groups) is built from that range, and the `total >= 2 * min_entries` asserts keep every cut point inside it.
 
 // analyze::allow-file(panic): the `expect`s unwrap loop results that are `Some` whenever the asserted `total >= 2 * min_entries` precondition holds (dist_count >= 1, at least one axis/pair); they are restatements of the documented `# Panics` contract, not runtime conditions.
 
@@ -40,7 +40,8 @@ fn mbr_of_group(mbrs: &[Mbr], group: &[usize]) -> Mbr {
 ///    total area.
 ///
 /// `min_entries` is the tree's `m`; every candidate distribution puts at
-/// least `m` entries in each group.
+/// least `m` entries in each group. Each sorted order is swept once from
+/// each end, so a split costs O(d²·M), not O(d²·M²).
 pub fn rstar_split(mbrs: &[Mbr], min_entries: usize) -> SplitGroups {
     let total = mbrs.len();
     assert!(total >= 2 * min_entries, "not enough entries to split");
@@ -49,62 +50,31 @@ pub fn rstar_split(mbrs: &[Mbr], min_entries: usize) -> SplitGroups {
     // For each axis consider two sort orders (by low, by high); a
     // "distribution" k assigns the first (m − 1 + k) entries of the sorted
     // order to group one, k = 1 ..= M − 2m + 2.
-    let dist_count = total - 2 * min_entries + 1;
-
-    let mut best_axis = 0;
     let mut best_axis_margin = f64::INFINITY;
-    let mut best_axis_orders: Option<[Vec<usize>; 2]> = None;
-
+    let mut best_axis: Option<[SweptOrder; 2]> = None;
     for axis in 0..dim {
-        let mut by_low: Vec<usize> = (0..total).collect();
-        by_low.sort_by(|&a, &b| {
-            mbrs[a].low()[axis]
-                .partial_cmp(&mbrs[b].low()[axis])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    mbrs[a].high()[axis]
-                        .partial_cmp(&mbrs[b].high()[axis])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
+        let swept = sorted_orders(mbrs, axis).map(|order| {
+            let boxes = cut_boxes(mbrs, &order, min_entries);
+            (order, boxes)
         });
-        let mut by_high: Vec<usize> = (0..total).collect();
-        by_high.sort_by(|&a, &b| {
-            mbrs[a].high()[axis]
-                .partial_cmp(&mbrs[b].high()[axis])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    mbrs[a].low()[axis]
-                        .partial_cmp(&mbrs[b].low()[axis])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-        });
-
         let mut margin_sum = 0.0;
-        for order in [&by_low, &by_high] {
-            for k in 0..dist_count {
-                let cut = min_entries + k;
-                let g1 = mbr_of_group(mbrs, &order[..cut]);
-                let g2 = mbr_of_group(mbrs, &order[cut..]);
+        for (_, boxes) in &swept {
+            for (g1, g2) in boxes {
                 margin_sum += g1.margin() + g2.margin();
             }
         }
         if margin_sum < best_axis_margin {
             best_axis_margin = margin_sum;
-            best_axis = axis;
-            best_axis_orders = Some([by_low, by_high]);
+            best_axis = Some(swept);
         }
     }
-    let _ = best_axis; // retained for debuggability via the assert below
-    let orders = best_axis_orders.expect("at least one axis");
+    let swept = best_axis.expect("at least one axis");
 
     // ChooseSplitIndex on the winning axis.
-    let mut best: Option<(f64, f64, Vec<usize>, Vec<usize>)> = None;
-    for order in &orders {
-        for k in 0..dist_count {
-            let cut = min_entries + k;
-            let g1 = mbr_of_group(mbrs, &order[..cut]);
-            let g2 = mbr_of_group(mbrs, &order[cut..]);
-            let overlap = g1.overlap(&g2);
+    let mut best: Option<(f64, f64, &[usize], usize)> = None;
+    for (order, boxes) in &swept {
+        for (k, (g1, g2)) in boxes.iter().enumerate() {
+            let overlap = g1.overlap(g2);
             let area = g1.volume() + g2.volume();
             let better = match &best {
                 None => true,
@@ -113,12 +83,77 @@ pub fn rstar_split(mbrs: &[Mbr], min_entries: usize) -> SplitGroups {
                 }
             };
             if better {
-                best = Some((overlap, area, order[..cut].to_vec(), order[cut..].to_vec()));
+                best = Some((overlap, area, order.as_slice(), min_entries + k));
             }
         }
     }
-    let (_, _, first, second) = best.expect("at least one distribution");
-    SplitGroups { first, second }
+    let (_, _, order, cut) = best.expect("at least one distribution");
+    SplitGroups {
+        first: order[..cut].to_vec(),
+        second: order[cut..].to_vec(),
+    }
+}
+
+/// A sorted order of entry indices, with both groups' boxes at each of its
+/// legal cuts ([`cut_boxes`]).
+type SweptOrder = (Vec<usize>, Vec<(Mbr, Mbr)>);
+
+/// The entry indices sorted along `axis` by lower then upper boundary, and
+/// by upper then lower boundary — the two orders ChooseSplitAxis scans.
+fn sorted_orders(mbrs: &[Mbr], axis: usize) -> [Vec<usize>; 2] {
+    let bounds: Vec<[f64; 2]> = mbrs
+        .iter()
+        .map(|m| [m.low()[axis], m.high()[axis]])
+        .collect();
+    [0, 1].map(|primary| {
+        let mut order: Vec<usize> = (0..mbrs.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (bounds[a], bounds[b]);
+            a[primary]
+                .partial_cmp(&b[primary])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| {
+                    a[1 - primary]
+                        .partial_cmp(&b[1 - primary])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+        });
+        order
+    })
+}
+
+/// Both groups' boxes at every legal cut of `order`: element `k` bounds
+/// `order[..m + k]` and `order[m + k..]`, for `m = min_entries`.
+///
+/// One forward sweep grows group one's box entry by entry and one backward
+/// sweep grows group two's, O(d) per entry, each step allocating only the
+/// box it keeps. Each box is bit for bit the left-to-right `extend_mbr`
+/// fold over its group: the forward sweep continues that fold, and the
+/// backward sweep puts each earlier entry in front (`earlier ∪ rest`), so
+/// on equal bounds (`-0.0` against `0.0`) the earlier entry's value stays,
+/// as it does in the fold (`<=`/`>=`).
+fn cut_boxes(mbrs: &[Mbr], order: &[usize], min_entries: usize) -> Vec<(Mbr, Mbr)> {
+    let last_cut = order.len() - min_entries;
+    let between = &order[min_entries..last_cut];
+
+    let mut firsts = Vec::with_capacity(between.len() + 1);
+    let mut acc = mbr_of_group(mbrs, &order[..min_entries]);
+    for &i in between {
+        let next = acc.union(&mbrs[i]);
+        firsts.push(std::mem::replace(&mut acc, next));
+    }
+    firsts.push(acc);
+
+    let mut seconds = Vec::with_capacity(between.len() + 1);
+    let mut acc = mbr_of_group(mbrs, &order[last_cut..]);
+    for &i in between.iter().rev() {
+        let next = mbrs[i].union(&acc);
+        seconds.push(std::mem::replace(&mut acc, next));
+    }
+    seconds.push(acc);
+    seconds.reverse();
+
+    firsts.into_iter().zip(seconds).collect()
 }
 
 /// Guttman's **quadratic** split: pick the pair of entries that would waste
@@ -321,6 +356,155 @@ fn rebalance_to_min(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsss_rand::Rng;
+
+    /// The R* split as it was before the sweep: every cut's two boxes are
+    /// folded from scratch, O(d²·M²). Kept as the reference the sweep must
+    /// reproduce group for group.
+    fn reference_rstar_split(mbrs: &[Mbr], min_entries: usize) -> SplitGroups {
+        let total = mbrs.len();
+        assert!(total >= 2 * min_entries, "not enough entries to split");
+        let dim = mbrs[0].dim();
+        let dist_count = total - 2 * min_entries + 1;
+
+        let mut best_axis_margin = f64::INFINITY;
+        let mut best_axis_orders: Option<[Vec<usize>; 2]> = None;
+        for axis in 0..dim {
+            let mut by_low: Vec<usize> = (0..total).collect();
+            by_low.sort_by(|&a, &b| {
+                mbrs[a].low()[axis]
+                    .partial_cmp(&mbrs[b].low()[axis])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| {
+                        mbrs[a].high()[axis]
+                            .partial_cmp(&mbrs[b].high()[axis])
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
+            });
+            let mut by_high: Vec<usize> = (0..total).collect();
+            by_high.sort_by(|&a, &b| {
+                mbrs[a].high()[axis]
+                    .partial_cmp(&mbrs[b].high()[axis])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| {
+                        mbrs[a].low()[axis]
+                            .partial_cmp(&mbrs[b].low()[axis])
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
+            });
+            let mut margin_sum = 0.0;
+            for order in [&by_low, &by_high] {
+                for k in 0..dist_count {
+                    let cut = min_entries + k;
+                    let g1 = mbr_of_group(mbrs, &order[..cut]);
+                    let g2 = mbr_of_group(mbrs, &order[cut..]);
+                    margin_sum += g1.margin() + g2.margin();
+                }
+            }
+            if margin_sum < best_axis_margin {
+                best_axis_margin = margin_sum;
+                best_axis_orders = Some([by_low, by_high]);
+            }
+        }
+        let orders = best_axis_orders.unwrap();
+
+        let mut best: Option<(f64, f64, Vec<usize>, Vec<usize>)> = None;
+        for order in &orders {
+            for k in 0..dist_count {
+                let cut = min_entries + k;
+                let g1 = mbr_of_group(mbrs, &order[..cut]);
+                let g2 = mbr_of_group(mbrs, &order[cut..]);
+                let overlap = g1.overlap(&g2);
+                let area = g1.volume() + g2.volume();
+                let better = match &best {
+                    None => true,
+                    Some((bo, ba, _, _)) => {
+                        overlap < *bo - 1e-12 || ((overlap - *bo).abs() <= 1e-12 && area < *ba)
+                    }
+                };
+                if better {
+                    best = Some((overlap, area, order[..cut].to_vec(), order[cut..].to_vec()));
+                }
+            }
+        }
+        let (_, _, first, second) = best.unwrap();
+        SplitGroups { first, second }
+    }
+
+    /// A coordinate drawn from a small grid, so that equal bounds (and
+    /// `-0.0` against `0.0`) are common, or from a continuous range.
+    fn coordinate(rng: &mut Rng, gridded: bool) -> f64 {
+        if !gridded {
+            return rng.f64_range(-50.0, 50.0);
+        }
+        match rng.usize_below(6) {
+            0 => -0.0,
+            1 => 0.0,
+            k => (k as f64 - 3.0) * 0.5,
+        }
+    }
+
+    #[test]
+    fn the_sweep_returns_the_reference_groups() {
+        let mut rng = Rng::seed_from_u64(0x5917_5EE9);
+        let mut signed_zero_ties = 0;
+        for case in 0..400 {
+            let dim = 1 + rng.usize_below(6);
+            let min = 2 + rng.usize_below(8);
+            let total = 2 * min + rng.usize_below(3 * min);
+            let gridded = case % 2 == 0;
+            let points = case % 3 != 2;
+            let mbrs: Vec<Mbr> = (0..total)
+                .map(|_| {
+                    let a: Vec<f64> = (0..dim).map(|_| coordinate(&mut rng, gridded)).collect();
+                    if points {
+                        return Mbr::point(&a);
+                    }
+                    let b: Vec<f64> = (0..dim).map(|_| coordinate(&mut rng, gridded)).collect();
+                    let mut m = Mbr::point(&a);
+                    m.extend_point(&b);
+                    m
+                })
+                .collect();
+            signed_zero_ties += usize::from(
+                mbrs.iter()
+                    .any(|m| m.low().iter().any(|x| x.to_bits() == (-0.0f64).to_bits()))
+                    && mbrs
+                        .iter()
+                        .any(|m| m.low().iter().any(|x| x.to_bits() == 0)),
+            );
+            assert_eq!(
+                rstar_split(&mbrs, min),
+                reference_rstar_split(&mbrs, min),
+                "case {case}: dim {dim}, m {min}, {total} entries"
+            );
+        }
+        assert!(signed_zero_ties > 50, "the cases must mix -0.0 and 0.0");
+    }
+
+    #[test]
+    fn the_sweep_keeps_the_earlier_signed_zero_on_ties() {
+        // Two groups whose bounds tie at zero with opposite signs: each cut's
+        // boxes must carry the sign the left-to-right fold keeps.
+        let coords = [0.0, -0.0, 0.0, -0.0, 1.0, -0.0, 0.0, 2.0];
+        let mbrs: Vec<Mbr> = coords.iter().map(|&x| Mbr::point(&[x, -x])).collect();
+        let order: Vec<usize> = (0..mbrs.len()).collect();
+        for (k, (g1, g2)) in cut_boxes(&mbrs, &order, 2).iter().enumerate() {
+            let cut = 2 + k;
+            let want1 = mbr_of_group(&mbrs, &order[..cut]);
+            let want2 = mbr_of_group(&mbrs, &order[cut..]);
+            let bits = |m: &Mbr| -> Vec<u64> {
+                m.low()
+                    .iter()
+                    .chain(m.high())
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(g1), bits(&want1), "group one at cut {cut}");
+            assert_eq!(bits(g2), bits(&want2), "group two at cut {cut}");
+        }
+        assert_eq!(rstar_split(&mbrs, 2), reference_rstar_split(&mbrs, 2));
+    }
 
     fn point_mbrs(points: &[[f64; 2]]) -> Vec<Mbr> {
         points.iter().map(|p| Mbr::point(p)).collect()

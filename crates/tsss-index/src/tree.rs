@@ -11,9 +11,12 @@
 //! Every node read/write goes through the buffer pool, so the paper's page
 //! access metric (Figure 5) falls directly out of [`RTree::stats`].
 
-// analyze::allow-file(index): subtree choices (`entries[chosen]`), reinsert drains (`drain(..p)` with `p < min_entries <= len`) and deletion positions all come from scans of the very vector they index, performed under the fanout bounds `caps()` maintains on every node.
+// analyze::allow-file(index): subtree choices (`entries[chosen]`), reinsert drains (`drain(..p)` with `p < min_entries <= len`) and deletion positions all come from scans of the very vector they index, performed under the fanout bounds `caps()` maintains on every node; the forced-reinsert flag `reinserted[level]` is set only after `get(level)` found it.
 
 // analyze::allow-file(panic): the `expect`s unwrap MBRs of nodes proven non-empty on the same path (an entry was just pushed, or the min-entries invariant held before removal), and the `unreachable!`s restate the level↔node-kind correspondence the insertion recursion maintains; structurally corrupt pages are rejected earlier, as typed errors, by the checksummed `read_node`/`Node::decode` path.
+
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use tsss_geometry::Mbr;
 use tsss_storage::{BufferPool, Page, PageFile, PageId, PageStore, DEFAULT_PAGE_SIZE};
@@ -197,7 +200,7 @@ enum InsertItem {
 }
 
 impl InsertItem {
-    fn mbr(&self, _dim: usize) -> Mbr {
+    fn mbr(&self) -> Mbr {
         match self {
             InsertItem::Data(e) => Mbr::point(&e.point),
             InsertItem::Child(e) => e.mbr.clone(),
@@ -211,6 +214,51 @@ enum UpResult {
     Done(Mbr),
     /// Child split; its new MBR plus the fresh sibling entry.
     Split(Mbr, ChildEntry),
+}
+
+/// How a full node takes one more entry.
+enum Overflow {
+    /// R* forced reinsertion: the entries farthest from the centre leave.
+    Reinsert,
+    /// A split into the node's own page and this freshly allocated one.
+    Split(PageId),
+}
+
+/// The state of one insertion batch ([`RTree::insert_batch`]).
+///
+/// `nodes` is a write-back map in front of the buffer pool: a page is read,
+/// checksum-verified and decoded the first time the batch touches it, every
+/// later step edits that decoded node in place, and [`RTree::write_back`]
+/// encodes and writes each node once. Every node an insertion touches lies
+/// on its path and is changed on the way back up, so the map holds exactly
+/// the nodes per-entry inserts would write. Nodes stay in the map until the
+/// batch ends, so an error cannot drop a node an earlier entry changed.
+#[derive(Debug, Default)]
+struct Batch {
+    nodes: BTreeMap<PageId, Node>,
+    /// `reinserted[l]` — whether forced reinsertion already ran at level l
+    /// during the current entry's insertion (R* runs it at most once per
+    /// level per insertion).
+    reinserted: Vec<bool>,
+    /// Entries a forced reinsertion removed, waiting to go back in at
+    /// their level.
+    pending: Vec<(InsertItem, usize)>,
+}
+
+impl Batch {
+    /// The node on `page` as the batch last left it, read and decoded from
+    /// `tree` on first touch.
+    fn node(&mut self, tree: &RTree, page: PageId) -> Result<&mut Node, IndexError> {
+        Ok(match self.nodes.entry(page) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => slot.insert(tree.read_node(page)?),
+        })
+    }
+
+    /// Places a new node on a freshly allocated `page`.
+    fn put(&mut self, page: PageId, node: Node) {
+        self.nodes.insert(page, node);
+    }
 }
 
 /// A disk-resident R-tree over `dim`-dimensional points with `u64` record
@@ -374,59 +422,116 @@ impl RTree {
     // Insertion
     // ------------------------------------------------------------------
 
-    /// Inserts a point with its record id.
+    /// Inserts a point with its record id: a batch of one
+    /// ([`RTree::insert_batch`]).
     ///
     /// # Errors
-    /// Any storage or decoding failure met on the way down. On error the
-    /// tree may have been partially updated; callers treating the index as
-    /// damaged should fall back to a sequential scan.
+    /// As [`RTree::insert_batch`].
     ///
     /// # Panics
     /// Panics when the point's dimension differs from the configuration.
     pub fn insert(&mut self, point: Vec<f64>, id: u64) -> Result<(), IndexError> {
-        assert_eq!(
-            point.len(),
-            self.cfg.dim,
-            "point dimension {} != tree dimension {}",
-            point.len(),
-            self.cfg.dim
-        );
-        self.len += 1;
-        let mut pending: Vec<(InsertItem, usize)> =
-            vec![(InsertItem::Data(DataEntry::new(point, id)), 0)];
-        // `reinserted[l]` — whether forced reinsertion already ran at level
-        // l during this logical insertion (R* runs it at most once per
-        // level).
-        let mut reinserted = vec![false; self.height];
-        while let Some((item, level)) = pending.pop() {
-            reinserted.resize(self.height, true); // levels created later never reinsert
-            self.insert_from_root(item, level, &mut reinserted, &mut pending)?;
+        self.insert_batch([DataEntry::new(point, id)])
+    }
+
+    /// Inserts `entries` one after another, each by the whole R* algorithm
+    /// (ChooseSubtree, forced reinsertion once per level per entry, splits
+    /// and page allocations), so the tree ends page for page as one
+    /// [`RTree::insert`] per entry leaves it.
+    ///
+    /// The batch works on decoded nodes (see `Batch`): each page it touches
+    /// is read, checksum-verified and decoded once, and each node it changes
+    /// is encoded, checksummed and written once, when the batch ends.
+    ///
+    /// # Errors
+    /// Any storage or decoding failure met on the way. The batch stops at
+    /// the failing entry and writes back every node changed so far before
+    /// it returns; [`RTree::len`] counts the entries that landed before the
+    /// failure. The failing entry may leave the tree partially updated;
+    /// callers treating the index as damaged should fall back to a
+    /// sequential scan.
+    ///
+    /// # Panics
+    /// Panics when an entry's dimension differs from the configuration.
+    pub fn insert_batch(
+        &mut self,
+        entries: impl IntoIterator<Item = DataEntry>,
+    ) -> Result<(), IndexError> {
+        self.batch(|tree, batch| {
+            for entry in entries {
+                assert_eq!(
+                    entry.point.len(),
+                    tree.cfg.dim,
+                    "point dimension {} != tree dimension {}",
+                    entry.point.len(),
+                    tree.cfg.dim
+                );
+                batch.reinserted.clear();
+                batch.reinserted.resize(tree.height, false);
+                tree.insert_queued(batch, InsertItem::Data(entry), 0)?;
+                tree.len += 1;
+            }
+            Ok(())
+        })
+    }
+
+    /// Runs `f` over a fresh [`Batch`], then writes back every node it
+    /// holds — also when `f` fails, so the error never takes the nodes
+    /// earlier steps changed with it. The first error wins.
+    fn batch(
+        &mut self,
+        f: impl FnOnce(&mut Self, &mut Batch) -> Result<(), IndexError>,
+    ) -> Result<(), IndexError> {
+        let mut batch = Batch::default();
+        let result = f(self, &mut batch);
+        let written = self.write_back(&batch);
+        result.and(written)
+    }
+
+    /// Encodes and writes every node of the batch, in page order.
+    fn write_back(&mut self, batch: &Batch) -> Result<(), IndexError> {
+        for (&page, node) in &batch.nodes {
+            self.write_node(page, node)?;
+        }
+        Ok(())
+    }
+
+    /// Inserts `item` at `level`, then every entry its overflow treatment
+    /// queues for reinsertion.
+    fn insert_queued(
+        &mut self,
+        batch: &mut Batch,
+        item: InsertItem,
+        level: usize,
+    ) -> Result<(), IndexError> {
+        batch.pending.push((item, level));
+        while let Some((item, level)) = batch.pending.pop() {
+            batch.reinserted.resize(self.height, true); // levels created later never reinsert
+            self.insert_from_root(batch, item, level)?;
         }
         Ok(())
     }
 
     fn insert_from_root(
         &mut self,
+        batch: &mut Batch,
         item: InsertItem,
         target_level: usize,
-        reinserted: &mut [bool],
-        pending: &mut Vec<(InsertItem, usize)>,
     ) -> Result<(), IndexError> {
         let root = self.root;
         let root_level = self.height - 1;
-        match self.insert_at(root, root_level, item, target_level, reinserted, pending)? {
-            UpResult::Done(_) => {}
-            UpResult::Split(old_mbr, new_entry) => {
-                // Grow a new root above the old one.
-                let old_root_entry = ChildEntry {
-                    mbr: old_mbr,
-                    page: self.root,
-                };
-                let new_root = self.pool.allocate()?;
-                self.write_node(new_root, &Node::Internal(vec![old_root_entry, new_entry]))?;
-                self.root = new_root;
-                self.height += 1;
-            }
+        if let UpResult::Split(old_mbr, new_entry) =
+            self.insert_at(batch, root, root_level, item, target_level)?
+        {
+            // Grow a new root above the old one.
+            let old_root_entry = ChildEntry {
+                mbr: old_mbr,
+                page: self.root,
+            };
+            let new_root = self.pool.allocate()?;
+            batch.put(new_root, Node::Internal(vec![old_root_entry, new_entry]));
+            self.root = new_root;
+            self.height += 1;
         }
         Ok(())
     }
@@ -435,65 +540,110 @@ impl RTree {
     /// node at `page` (which sits at `level`).
     fn insert_at(
         &mut self,
+        batch: &mut Batch,
         page: PageId,
         level: usize,
         item: InsertItem,
         target_level: usize,
-        reinserted: &mut [bool],
-        pending: &mut Vec<(InsertItem, usize)>,
     ) -> Result<UpResult, IndexError> {
-        let mut node = self.read_node(page)?;
         if level == target_level {
-            match (&mut node, item) {
-                (Node::Leaf(slab), InsertItem::Data(e)) => slab.push_entry(e),
-                (Node::Internal(entries), InsertItem::Child(e)) => entries.push(e),
-                _ => unreachable!("level/kind mismatch during insertion"),
-            }
-        } else {
-            let Node::Internal(entries) = &mut node else {
-                unreachable!("reached a leaf above the target level")
-            };
-            let item_mbr = item.mbr(self.cfg.dim);
-            let chosen = Self::choose_subtree(entries, &item_mbr, level == target_level + 1);
-            let child_page = entries[chosen].page;
-            match self.insert_at(
-                child_page,
-                level - 1,
-                item,
-                target_level,
-                reinserted,
-                pending,
-            )? {
-                UpResult::Done(child_mbr) => {
-                    // Re-read: recursion may have rewritten this very page
-                    // via reinsertion passing through it? No — reinsertions
-                    // are deferred to `pending`, so our in-memory copy is
-                    // still current. Just refresh the child MBR.
-                    node = {
-                        let Node::Internal(mut entries) = node else {
-                            unreachable!()
-                        };
-                        entries[chosen].mbr = child_mbr;
-                        Node::Internal(entries)
-                    };
-                }
-                UpResult::Split(child_mbr, new_entry) => {
-                    let Node::Internal(entries) = &mut node else {
-                        unreachable!()
-                    };
-                    entries[chosen].mbr = child_mbr;
-                    entries.push(new_entry);
-                }
-            }
+            return self.add_entry(batch, page, level, item, None);
         }
+        let Node::Internal(entries) = batch.node(self, page)? else {
+            unreachable!("reached a leaf above the target level")
+        };
+        let chosen = Self::choose_subtree(entries, &item.mbr(), level == target_level + 1);
+        let child_page = entries[chosen].page;
+        match self.insert_at(batch, child_page, level - 1, item, target_level)? {
+            UpResult::Done(child_mbr) => {
+                // Reinsertions wait in `batch.pending`, so the recursion
+                // changed descendants only: just refresh the child's MBR.
+                let node = batch.node(self, page)?;
+                let Node::Internal(entries) = &mut *node else {
+                    unreachable!()
+                };
+                entries[chosen].mbr = child_mbr;
+                Ok(UpResult::Done(
+                    node.mbr().expect("non-empty node after insertion"),
+                ))
+            }
+            UpResult::Split(child_mbr, new_entry) => self.add_entry(
+                batch,
+                page,
+                level,
+                InsertItem::Child(new_entry),
+                Some((chosen, child_mbr)),
+            ),
+        }
+    }
 
-        let (max, _, _) = self.cfg.caps(node.is_leaf());
-        if node.len() > max {
-            self.overflow(page, level, node, reinserted, pending)
+    /// Adds `entry` to the node on `page` (at `level`), after `refresh`ing
+    /// the MBR of the child it split from, and treats an overflow: forced
+    /// reinsertion (once per level per insertion, R* only, never at the
+    /// root) or a split. The steps that can fail — reading the node and
+    /// allocating a split's page — come before the node changes, so an
+    /// error leaves the batch's nodes as the last finished step left them.
+    fn add_entry(
+        &mut self,
+        batch: &mut Batch,
+        page: PageId,
+        level: usize,
+        entry: InsertItem,
+        refresh: Option<(usize, Mbr)>,
+    ) -> Result<UpResult, IndexError> {
+        let node = batch.node(self, page)?;
+        let (max, _, reinsert_count) = self.cfg.caps(node.is_leaf());
+        let overflow = if node.len() < max {
+            None
+        } else if self.cfg.split == SplitPolicy::RStar
+            && reinsert_count > 0
+            && page != self.root
+            && batch.reinserted.get(level) == Some(&false)
+        {
+            batch.reinserted[level] = true;
+            Some(Overflow::Reinsert)
         } else {
-            let mbr = node.mbr().expect("non-empty node after insertion");
-            self.write_node(page, &node)?;
-            Ok(UpResult::Done(mbr))
+            Some(Overflow::Split(self.pool.allocate()?))
+        };
+
+        let node = batch.node(self, page)?;
+        match (&mut *node, entry) {
+            (Node::Leaf(slab), InsertItem::Data(e)) => slab.push_entry(e),
+            (Node::Internal(entries), InsertItem::Child(e)) => {
+                if let Some((chosen, child_mbr)) = refresh {
+                    entries[chosen].mbr = child_mbr;
+                }
+                entries.push(e);
+            }
+            _ => unreachable!("level/kind mismatch during insertion"),
+        }
+        match overflow {
+            None => Ok(UpResult::Done(
+                node.mbr().expect("non-empty node after insertion"),
+            )),
+            Some(Overflow::Reinsert) => {
+                let removed = Self::force_reinsert(node, reinsert_count);
+                let mbr = node.mbr().expect("entries remain after reinsert removal");
+                batch
+                    .pending
+                    .extend(removed.into_iter().map(|item| (item, level)));
+                Ok(UpResult::Done(mbr))
+            }
+            Some(Overflow::Split(sibling_page)) => {
+                let groups = self.run_split_policy(node);
+                let (kept, sibling) = Self::partition(node, &groups);
+                let kept_mbr = kept.mbr().expect("split group one non-empty");
+                let sibling_mbr = sibling.mbr().expect("split group two non-empty");
+                *node = kept;
+                batch.put(sibling_page, sibling);
+                Ok(UpResult::Split(
+                    kept_mbr,
+                    ChildEntry {
+                        mbr: sibling_mbr,
+                        page: sibling_page,
+                    },
+                ))
+            }
         }
     }
 
@@ -536,41 +686,10 @@ impl RTree {
         }
     }
 
-    /// OverflowTreatment: forced reinsert (once per level per insertion,
-    /// R* only, never at the root) or split.
-    fn overflow(
-        &mut self,
-        page: PageId,
-        level: usize,
-        node: Node,
-        reinserted: &mut [bool],
-        pending: &mut Vec<(InsertItem, usize)>,
-    ) -> Result<UpResult, IndexError> {
-        let is_root = page == self.root;
-        let (_, _, reinsert_count) = self.cfg.caps(node.is_leaf());
-        let use_reinsert = self.cfg.split == SplitPolicy::RStar
-            && reinsert_count > 0
-            && !is_root
-            && level < reinserted.len()
-            && !reinserted[level];
-        if use_reinsert {
-            reinserted[level] = true;
-            return self.force_reinsert(page, level, node, pending);
-        }
-        self.split_node(page, node)
-    }
-
-    /// Forced reinsertion (R* §4.3): remove the `p` entries whose centres
-    /// are farthest from the node's MBR centre and queue them for
-    /// reinsertion at this level.
-    fn force_reinsert(
-        &mut self,
-        page: PageId,
-        level: usize,
-        node: Node,
-        pending: &mut Vec<(InsertItem, usize)>,
-    ) -> Result<UpResult, IndexError> {
-        let (_, _, p) = self.cfg.caps(node.is_leaf());
+    /// Forced reinsertion (R* §4.3): removes and returns the `p` entries
+    /// whose centres are farthest from the node's MBR centre, farthest
+    /// first, for reinsertion at the node's level.
+    fn force_reinsert(node: &mut Node, p: usize) -> Vec<InsertItem> {
         let center = node.mbr().expect("overflowing node is non-empty").center();
         let dist_to = |m: &Mbr| -> f64 {
             m.center()
@@ -579,8 +698,8 @@ impl RTree {
                 .map(|(a, b)| (a - b) * (a - b))
                 .sum()
         };
-        let node = match node {
-            Node::Leaf(mut slab) => {
+        match node {
+            Node::Leaf(slab) => {
                 // Stable index sort by descending centre distance — the same
                 // permutation a stable `sort_by` over row-structured entries
                 // produced before the slab layout.
@@ -595,45 +714,20 @@ impl RTree {
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
                 slab.reorder(&order);
-                for e in slab.drain_front(p) {
-                    pending.push((InsertItem::Data(e), level));
-                }
-                Node::Leaf(slab)
+                slab.drain_front(p)
+                    .into_iter()
+                    .map(InsertItem::Data)
+                    .collect()
             }
-            Node::Internal(mut entries) => {
+            Node::Internal(entries) => {
                 entries.sort_by(|a, b| {
                     dist_to(&b.mbr)
                         .partial_cmp(&dist_to(&a.mbr))
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
-                for e in entries.drain(..p) {
-                    pending.push((InsertItem::Child(e), level));
-                }
-                Node::Internal(entries)
+                entries.drain(..p).map(InsertItem::Child).collect()
             }
-        };
-        let mbr = node.mbr().expect("entries remain after reinsert removal");
-        self.write_node(page, &node)?;
-        Ok(UpResult::Done(mbr))
-    }
-
-    /// Splits an overflowing node into two, returning the surviving node's
-    /// MBR and the new sibling's entry.
-    fn split_node(&mut self, page: PageId, node: Node) -> Result<UpResult, IndexError> {
-        let groups = self.run_split_policy(&node);
-        let (kept, sibling) = Self::partition(node, &groups);
-        let kept_mbr = kept.mbr().expect("split group one non-empty");
-        let sib_mbr = sibling.mbr().expect("split group two non-empty");
-        let sib_page = self.pool.allocate()?;
-        self.write_node(page, &kept)?;
-        self.write_node(sib_page, &sibling)?;
-        Ok(UpResult::Split(
-            kept_mbr,
-            ChildEntry {
-                mbr: sib_mbr,
-                page: sib_page,
-            },
-        ))
+        }
     }
 
     fn run_split_policy(&self, node: &Node) -> SplitGroups {
@@ -649,7 +743,7 @@ impl RTree {
         }
     }
 
-    fn partition(node: Node, groups: &SplitGroups) -> (Node, Node) {
+    fn partition(node: &Node, groups: &SplitGroups) -> (Node, Node) {
         match node {
             Node::Leaf(slab) => (
                 Node::Leaf(slab.select(&groups.first)),
@@ -720,11 +814,10 @@ impl RTree {
             if level >= self.height {
                 self.reinsert_subtree(item)?;
             } else {
-                let mut reinserted = vec![true; self.height]; // no forced reinsert during delete
-                let mut pending = vec![(item, level)];
-                while let Some((it, lv)) = pending.pop() {
-                    self.insert_from_root(it, lv, &mut reinserted, &mut pending)?;
-                }
+                self.batch(|tree, batch| {
+                    batch.reinserted = vec![true; tree.height]; // no forced reinsert during delete
+                    tree.insert_queued(batch, item, level)
+                })?;
             }
         }
         Ok(true)
@@ -1002,6 +1095,99 @@ mod tests {
         (0..n)
             .map(|i| vec![((i * 37) % 101) as f64, ((i * 61) % 97) as f64])
             .collect()
+    }
+
+    /// An STR-packed paper-layout base of 3,000 spread points (full
+    /// leaves), and 6 correlated walks of 64 points, each started at a base
+    /// point: the shape of a served append, whose neighbouring windows land
+    /// in the same few full leaves and set off forced reinsertions and
+    /// splits.
+    fn packed_base_and_walks() -> (Vec<DataEntry>, Vec<DataEntry>) {
+        let mut rng = tsss_rand::Rng::seed_from_u64(0x00A9_9E4D);
+        let base: Vec<DataEntry> = (0..3000u64)
+            .map(|id| DataEntry::new(rng.f64_vec(6, -100.0, 100.0), id))
+            .collect();
+        let mut walks = Vec::new();
+        for _ in 0..6 {
+            let mut p = base[rng.usize_below(base.len())].point.to_vec();
+            for _ in 0..64 {
+                for x in &mut p {
+                    *x += rng.f64_range(-1.0, 1.0);
+                }
+                let id = 3000 + walks.len() as u64;
+                walks.push(DataEntry::new(p.clone(), id));
+            }
+        }
+        (base, walks)
+    }
+
+    /// FNV-1a over the tree's saved image: configuration, root, height,
+    /// length and every page's bytes.
+    fn image_digest(image: &[u8]) -> u64 {
+        image.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn image(t: &RTree) -> Vec<u8> {
+        let mut out = Vec::new();
+        t.save_to(&mut out).unwrap();
+        out
+    }
+
+    /// The packed base grown by the walks, one [`RTree::insert`] per point
+    /// or one [`RTree::insert_batch`] for them all.
+    fn grown(split: SplitPolicy, batched: bool) -> RTree {
+        let (base, walks) = packed_base_and_walks();
+        let mut cfg = TreeConfig::paper(6);
+        cfg.split = split;
+        let mut t = crate::bulk::bulk_load(cfg, base).unwrap();
+        let packed_extent = t.extent();
+        if batched {
+            t.insert_batch(walks).unwrap();
+        } else {
+            for e in walks {
+                t.insert(e.point.into_vec(), e.id).unwrap();
+            }
+        }
+        assert_eq!(t.check_invariants().unwrap(), 3000 + 6 * 64);
+        assert!(
+            t.extent() > packed_extent + 6,
+            "{split:?}: splits must fire"
+        );
+        t
+    }
+
+    const SPLITS: [SplitPolicy; 3] = [
+        SplitPolicy::RStar,
+        SplitPolicy::GuttmanQuadratic,
+        SplitPolicy::GuttmanLinear,
+    ];
+
+    #[test]
+    fn one_batch_grows_the_tree_page_for_page_as_per_point_inserts() {
+        for split in SPLITS {
+            let (one_by_one, batched) = (image(&grown(split, false)), image(&grown(split, true)));
+            assert_eq!(one_by_one.len(), batched.len(), "{split:?}: image sizes");
+            let first_diff = one_by_one.iter().zip(&batched).position(|(a, b)| a != b);
+            assert_eq!(first_diff, None, "{split:?}: images differ at that byte");
+        }
+    }
+
+    #[test]
+    fn per_point_growth_matches_the_pinned_page_digest() {
+        // Recorded from the per-point insertion path before inserts were
+        // batched; a change to any insertion step (ChooseSubtree, forced
+        // reinsertion, a split kernel, page allocation) moves it.
+        let pinned = [
+            (SplitPolicy::RStar, 0xfdd4_7794_d1a6_be3d),
+            (SplitPolicy::GuttmanQuadratic, 0x726c_af38_fa36_96ef),
+            (SplitPolicy::GuttmanLinear, 0x09e5_dd83_5339_858d),
+        ];
+        for (split, digest) in pinned {
+            let got = image_digest(&image(&grown(split, false)));
+            assert_eq!(got, digest, "{split:?}: {got:#018x}");
+        }
     }
 
     #[test]
