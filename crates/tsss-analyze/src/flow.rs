@@ -99,10 +99,7 @@ pub fn is_fsync_scope(rel_path: &str) -> bool {
 ///   lock in the server, held only for the pointer swap. Taking the
 ///   ingest lock while holding the snapshot lock is the forbidden
 ///   deadlock direction (and would stall every reader behind ingest).
-/// * `shard → store`: a buffer-pool miss fills the frame by reading the
-///   store under the page's shard lock; the store `RwLock` is innermost
-///   in the storage crate.
-const LOCK_ORDER: [(&str, &str); 2] = [("ingest", "snapshot"), ("shard", "store")];
+const LOCK_ORDER: [(&str, &str); 1] = [("ingest", "snapshot")];
 
 /// Guard-producing method calls. The empty argument list is the
 /// disambiguator: `Mutex::lock()`, `RwLock::read()`/`write()` take no
@@ -683,10 +680,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_miss_fill_pattern_is_clean() {
-        // BufferPool::read's real shape: shard guard, then the store
-        // read under it (a declared edge), method args never matching
-        // the empty-parens acquisition tokens.
+    fn the_retired_shard_store_nesting_is_undeclared() {
+        // The shape of the buffer pool's former cache-miss fill: the store
+        // read under a shard guard. No storage lock nests any more, so the
+        // order is undeclared; method args never match the empty-parens
+        // acquisition tokens.
         let src = "fn read(&self, id: PageId) -> Result<Page, StorageError> {\n\
                    \x20   let mut shard = self.shard(id).lock().map_err(|_| E::Poisoned)?;\n\
                    \x20   let page = {\n\
@@ -695,7 +693,11 @@ mod tests {
                    \x20   };\n\
                    \x20   shard.insert_frame(id, page.clone(), false, &self.store)\n\
                    }\n";
-        assert!(run("crates/tsss-storage/src/x.rs", src).is_empty());
+        let f = run("crates/tsss-storage/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].0.as_str(), f[0].1), ("R7", 4));
+        assert!(f[0].2.contains("`shard -> store`"), "{}", f[0].2);
+        assert!(f[0].2.contains("not in the declared lock-order table"));
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn baseline_diff_catches_new_findings_and_holds_only_warns() {
 }
 
 /// The columnar read path added the slab leaf pages, the chunked kernels
-/// and the scan read-ahead. Every one of those files must sit inside the
+/// and the bulk page codecs. Every one of those files must sit inside the
 /// R1/R2 hot-path scope (and exist on disk, so a rename cannot silently
 /// drop one from the sweep).
 #[test]
@@ -104,10 +104,9 @@ fn columnar_hot_path_files_are_in_scope() {
         // Chunked kernels: fused moments, lane screens, fit entry points.
         "crates/tsss-geometry/src/vector.rs",
         "crates/tsss-geometry/src/scale_shift.rs",
-        // Bulk page decode, CRC, and the scan read-ahead.
+        // Bulk page decode and CRC.
         "crates/tsss-storage/src/page.rs",
         "crates/tsss-storage/src/codec.rs",
-        "crates/tsss-storage/src/readahead.rs",
         // The page-segmented window fetch and the sliding-prefix verifier.
         "crates/tsss-core/src/datafile.rs",
         "crates/tsss-core/src/pipeline.rs",

@@ -129,7 +129,7 @@ fn bench_rtree() {
         walk.push(DataEntry::new(p.clone(), 20_000 + j));
     }
     bench("rtree/append_64_into_str_20k", 20, || {
-        let mut t = packed.fork().expect("healthy store");
+        let mut t = packed.fork();
         t.insert_batch(walk.iter().cloned()).expect("healthy store");
         t.len()
     });

@@ -70,7 +70,7 @@ fn main() {
         let iters = 1000u32;
         let t0 = Instant::now();
         for _ in 0..iters {
-            let fresh = durable.engine().fork().expect("fork snapshot");
+            let fresh = durable.engine().fork();
             assert_eq!(fresh.num_windows(), durable.engine().num_windows());
         }
         t0.elapsed().as_secs_f64() * 1e3 / f64::from(iters)

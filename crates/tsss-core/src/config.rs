@@ -26,11 +26,6 @@ pub struct EngineConfig {
     pub reinsert_count: usize,
     /// Split policy (paper: R*-tree).
     pub split: SplitPolicy,
-    /// Buffer-pool frames for the index file (0 = unbuffered, the paper's
-    /// measurement regime).
-    pub index_buffer_frames: usize,
-    /// Buffer-pool frames for the raw-data file.
-    pub data_buffer_frames: usize,
     /// How the index is constructed (query results are identical for all
     /// choices).
     pub build: BuildMethod,
@@ -54,8 +49,7 @@ pub enum BuildMethod {
 
 impl EngineConfig {
     /// The paper's experimental configuration (§7): window 128, `f_c = 3`
-    /// (6-d index), 4 KB pages, `M = 20`, `m = 8`, `p = 6`, R*-tree,
-    /// unbuffered.
+    /// (6-d index), 4 KB pages, `M = 20`, `m = 8`, `p = 6`, R*-tree.
     ///
     /// The paper does not state its window length; 128 is the conventional
     /// choice in the F-index line of work it builds on (and a power of two,
@@ -70,8 +64,6 @@ impl EngineConfig {
             min_entries: 8,
             reinsert_count: 6,
             split: SplitPolicy::RStar,
-            index_buffer_frames: 0,
-            data_buffer_frames: 0,
             build: BuildMethod::BulkStr,
         }
     }
@@ -87,8 +79,6 @@ impl EngineConfig {
             min_entries: 3,
             reinsert_count: 2,
             split: SplitPolicy::RStar,
-            index_buffer_frames: 0,
-            data_buffer_frames: 0,
             build: BuildMethod::BulkStr,
         }
     }
@@ -120,7 +110,6 @@ impl EngineConfig {
             leaf_min_entries: (leaf_max * 2) / 5,
             leaf_reinsert_count: (leaf_max * 3) / 10,
             split: self.split,
-            buffer_frames: self.index_buffer_frames,
         }
     }
 

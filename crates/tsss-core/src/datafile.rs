@@ -26,7 +26,7 @@ use tsss_storage::codec::{
     expect_versioned_magic, get_checked_block, get_string, get_u32, get_usize, put_checked_block,
     put_magic, put_string, put_u32, put_usize, versioned_magic,
 };
-use tsss_storage::{BufferPool, Page, PageFile, PageId, ReadAhead};
+use tsss_storage::{BufferPool, Page, PageFile, PageId};
 
 use crate::error::EngineError;
 
@@ -62,11 +62,11 @@ pub struct PagedSeriesStore {
 }
 
 impl PagedSeriesStore {
-    /// Creates an empty store with the given page size and buffer capacity.
+    /// Creates an empty store with the given page size.
     ///
     /// # Panics
     /// Panics when a page cannot hold at least one value.
-    pub fn new(page_size: usize, buffer_frames: usize) -> Self {
+    pub fn new(page_size: usize) -> Self {
         assert!(
             page_size >= 8 && page_size.is_multiple_of(8),
             "page size must be a positive multiple of 8 bytes"
@@ -74,7 +74,7 @@ impl PagedSeriesStore {
         // analyze::allow(panic): the assert directly above established the documented `# Panics` precondition PageFile::new checks.
         let file = PageFile::new(page_size).expect("page size was just validated");
         Self {
-            pool: BufferPool::new(file, buffer_frames),
+            pool: BufferPool::new(file),
             pages: Vec::new(),
             values_per_page: page_size / 8,
             total: 0,
@@ -127,32 +127,19 @@ impl PagedSeriesStore {
         self.pool.stats()
     }
 
-    /// Drops buffered frames so the next access pattern starts cold.
-    ///
-    /// # Errors
-    /// [`EngineError::Corrupt`] when flushing a dirty frame fails.
-    pub fn clear_cache(&self) -> Result<(), EngineError> {
-        self.pool.clear_cache()?;
-        Ok(())
-    }
-
     /// A copy-on-write twin of the store: the same catalogue and extent
-    /// tables over a [`BufferPool::fork`] of its pages, with a cold cache
-    /// and fresh access counters. Neither store sees the other's later
-    /// appends or damage.
-    ///
-    /// # Errors
-    /// [`EngineError::Corrupt`] when flushing a dirty frame fails.
-    pub fn fork(&self) -> Result<Self, EngineError> {
-        Ok(Self {
-            pool: self.pool.fork()?,
+    /// tables over a [`BufferPool::fork`] of its pages, with fresh access
+    /// counters. Neither store sees the other's later appends or damage.
+    pub fn fork(&self) -> Self {
+        Self {
+            pool: self.pool.fork(),
             pages: self.pages.clone(),
             values_per_page: self.values_per_page,
             total: self.total,
             names: self.names.clone(),
             extents: self.extents.clone(),
             lengths: self.lengths.clone(),
-        })
+        }
     }
 
     /// Wraps the underlying page store — the hook the fault-injection layer
@@ -381,8 +368,7 @@ impl PagedSeriesStore {
     /// Serialises the store (catalogue + page file) to a writer.
     ///
     /// # Errors
-    /// Propagates I/O errors; storage-layer failures (a dirty frame that no
-    /// longer verifies) surface as `InvalidData`.
+    /// Propagates I/O errors.
     pub fn write_to<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
         put_magic(w, &versioned_magic(MAGIC_PREFIX, VERSION))?;
         let mut meta = Vec::new();
@@ -407,9 +393,7 @@ impl PagedSeriesStore {
         // `&mut W` is itself a sized `Write`, which is what lets a
         // possibly-unsized `W` reach `persist(&mut dyn Write)`.
         let mut sink: &mut W = w;
-        self.pool
-            .with_store(|s| s.persist(&mut sink))
-            .map_err(std::io::Error::from)?
+        self.pool.with_store(|s| s.persist(&mut sink))
     }
 
     /// Reads a store previously written by [`PagedSeriesStore::write_to`].
@@ -421,10 +405,7 @@ impl PagedSeriesStore {
     ///
     /// # Errors
     /// `InvalidData` on malformed or corrupt input; propagates I/O errors.
-    pub fn read_from<R: std::io::Read + ?Sized>(
-        r: &mut R,
-        buffer_frames: usize,
-    ) -> std::io::Result<Self> {
+    pub fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> std::io::Result<Self> {
         let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
         expect_versioned_magic(r, MAGIC_PREFIX, VERSION)?;
         let meta = get_checked_block(r, MAX_META_BYTES)?;
@@ -504,7 +485,7 @@ impl PagedSeriesStore {
             }
         }
         Ok(Self {
-            pool: BufferPool::new(file, buffer_frames),
+            pool: BufferPool::new(file),
             pages,
             values_per_page,
             total,
@@ -521,17 +502,13 @@ impl PagedSeriesStore {
     /// # Errors
     /// [`EngineError::Corrupt`] when the storage layer detects page damage.
     pub fn read_everything(&self) -> Result<Vec<Vec<f64>>, EngineError> {
-        // One pass over the global log: read-ahead batches the page fetches
-        // and each page decodes as one contiguous byte run. Each page is
-        // still charged exactly once, in order, so the Figure 5 page counts
-        // are untouched.
+        // One pass over the global log, each page charged once, in order,
+        // and decoded as one contiguous byte run.
         let mut global = Vec::with_capacity(self.total);
-        let mut scan = ReadAhead::new(&self.pool, &self.pages);
-        let mut i = 0usize;
-        while let Some(page) = scan.next_page()? {
+        for (i, &id) in self.pages.iter().enumerate() {
+            let page = self.pool.read(id)?;
             let in_page = (self.total - i * self.values_per_page).min(self.values_per_page);
             page.extend_f64_slice(0, in_page, &mut global);
-            i += 1;
         }
         // Reassemble per series from extents.
         self.extents
@@ -563,7 +540,7 @@ mod tests {
     use super::*;
 
     fn store() -> PagedSeriesStore {
-        PagedSeriesStore::new(64, 0) // 8 values per page — forces spanning
+        PagedSeriesStore::new(64) // 8 values per page — forces spanning
     }
 
     #[test]
@@ -693,7 +670,7 @@ mod tests {
     fn paper_page_arithmetic() {
         // 4 KB pages hold 512 values; 650 000 values need 1270 pages —
         // the paper rounds to "≈ 1300".
-        let mut s = PagedSeriesStore::new(4096, 0);
+        let mut s = PagedSeriesStore::new(4096);
         let a = s.add_series("big");
         let chunk = vec![1.5; 10_000];
         for _ in 0..65 {
@@ -722,7 +699,7 @@ mod tests {
         let s = sample();
         let mut buf = Vec::new();
         s.write_to(&mut buf).unwrap();
-        let back = PagedSeriesStore::read_from(&mut std::io::Cursor::new(buf), 0).unwrap();
+        let back = PagedSeriesStore::read_from(&mut std::io::Cursor::new(buf)).unwrap();
         assert_eq!(back.num_series(), 2);
         assert_eq!(back.series_name(0).unwrap(), "alpha");
         assert_eq!(
@@ -738,7 +715,7 @@ mod tests {
         s.write_to(&mut buf).unwrap();
         buf[6] = b'0';
         buf[7] = b'1';
-        let err = PagedSeriesStore::read_from(&mut std::io::Cursor::new(buf), 0).unwrap_err();
+        let err = PagedSeriesStore::read_from(&mut std::io::Cursor::new(buf)).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 
@@ -750,7 +727,7 @@ mod tests {
         for cut in [0, 3, 8, 20, 100, buf.len() / 2, buf.len() - 1] {
             let short = buf[..cut].to_vec();
             assert!(
-                PagedSeriesStore::read_from(&mut std::io::Cursor::new(short), 0).is_err(),
+                PagedSeriesStore::read_from(&mut std::io::Cursor::new(short)).is_err(),
                 "truncation at {cut} must fail"
             );
         }
@@ -765,7 +742,7 @@ mod tests {
             let mut bad = buf.clone();
             bad[pos] ^= 1 << (pos % 8);
             assert!(
-                PagedSeriesStore::read_from(&mut std::io::Cursor::new(bad), 0).is_err(),
+                PagedSeriesStore::read_from(&mut std::io::Cursor::new(bad)).is_err(),
                 "bit flip at byte {pos} must be detected"
             );
         }
@@ -791,11 +768,8 @@ mod tests {
         put_usize(&mut meta, 1).unwrap();
         put_u32(&mut meta, 999).unwrap(); // page id far past the file extent
         put_checked_block(&mut buf, &meta).unwrap();
-        s.pool
-            .with_store(|st| st.persist(&mut buf))
-            .unwrap()
-            .unwrap();
-        let err = PagedSeriesStore::read_from(&mut std::io::Cursor::new(buf), 0).unwrap_err();
+        s.pool.with_store(|st| st.persist(&mut buf)).unwrap();
+        let err = PagedSeriesStore::read_from(&mut std::io::Cursor::new(buf)).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
@@ -818,11 +792,8 @@ mod tests {
         put_usize(&mut meta, 1).unwrap();
         put_u32(&mut meta, 0).unwrap();
         put_checked_block(&mut buf, &meta).unwrap();
-        s.pool
-            .with_store(|st| st.persist(&mut buf))
-            .unwrap()
-            .unwrap();
-        let err = PagedSeriesStore::read_from(&mut std::io::Cursor::new(buf), 0).unwrap_err();
+        s.pool.with_store(|st| st.persist(&mut buf)).unwrap();
+        let err = PagedSeriesStore::read_from(&mut std::io::Cursor::new(buf)).unwrap_err();
         assert!(
             err.to_string().contains("not contiguous") || err.to_string().contains("disagrees"),
             "{err}"

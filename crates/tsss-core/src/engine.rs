@@ -92,7 +92,7 @@ impl SearchEngine {
     pub fn build(data: &[Series], cfg: EngineConfig) -> Result<Self, EngineError> {
         cfg.validate();
         let extractor = cfg.fc.map(|fc| FeatureExtractor::new(cfg.window_len, fc));
-        let mut store = PagedSeriesStore::new(cfg.page_size, cfg.data_buffer_frames);
+        let mut store = PagedSeriesStore::new(cfg.page_size);
         for s in data {
             store.add_series_with_values(s.name.clone(), &s.values)?;
         }
@@ -146,21 +146,17 @@ impl SearchEngine {
     /// [`SearchEngine::str_rebuild_due`] keeps counting on a twin that
     /// grows by insertion. Neither engine sees the other's later
     /// mutations or damage.
-    ///
-    /// # Errors
-    /// [`EngineError::Corrupt`] when a buffered dirty page cannot be
-    /// written back before the fork.
-    pub fn fork(&self) -> Result<SearchEngine, EngineError> {
+    pub fn fork(&self) -> SearchEngine {
         let mut twin = Self::from_parts(
             self.cfg.clone(),
-            self.tree.fork()?,
-            self.store.fork()?,
+            self.tree.fork(),
+            self.store.fork(),
             self.max_se_norm,
         );
         twin.append_tail_unindexed = self.append_tail_unindexed;
         twin.max_norm_loose = self.max_norm_loose;
         twin.inserts_since_rebuild = self.inserts_since_rebuild;
-        Ok(twin)
+        twin
     }
 
     /// Upper bound on the SE-norm (fluctuation energy) of any window ever
@@ -210,24 +206,13 @@ impl SearchEngine {
         self.store.stats().reset();
     }
 
-    /// Drops both buffer pools' cached frames.
-    ///
-    /// # Errors
-    /// [`EngineError::Corrupt`] when flushing a dirty frame fails.
-    pub fn clear_caches(&self) -> Result<(), EngineError> {
-        self.tree.clear_cache()?;
-        self.store.clear_cache()?;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Fault injection & corruption hooks (chaos tests, resilience drills)
     // ------------------------------------------------------------------
 
     /// Wraps the index's page store in a deterministic fault-injecting
     /// decorator (seeded by `cfg.seed`). Returns the shared counters
-    /// recording every fault fired. Cached index frames are dropped so the
-    /// faults apply immediately.
+    /// recording every fault fired.
     pub fn inject_index_faults(
         &mut self,
         cfg: tsss_storage::FaultConfig,
@@ -1253,7 +1238,7 @@ mod tests {
         let (page, mut e) = (0..base.index_extent())
             .find_map(|p| {
                 let page = u32::try_from(p).unwrap();
-                let mut e = base.fork().unwrap();
+                let mut e = base.fork();
                 e.corrupt_index_page(page, &mut flip).unwrap();
                 let failed = e.append_values(0, &fresh).unwrap_err().is_corruption();
                 (failed && e.inserts_since_rebuild() > 0).then_some((page, e))
@@ -1269,7 +1254,7 @@ mod tests {
         // error returned: with the damage undone, the index is page for
         // page the one an append of just those windows builds.
         e.corrupt_index_page(page, &mut flip).unwrap();
-        let mut twin = base.fork().unwrap();
+        let mut twin = base.fork();
         twin.append_values(0, &fresh[..landed]).unwrap();
         let image = |e: &SearchEngine| {
             let mut out = Vec::new();
@@ -1507,7 +1492,6 @@ mod tests {
         let root = e.tree().root_page();
         assert!(e.tree().height() > 1, "the fixture's root is internal");
         let dim = e.config().feature_dim();
-        e.tree().clear_cache().unwrap();
         // Invert the root's first MBR in the store itself, which checksums
         // the new bytes: the page verifies, the node does not.
         e.tree_mut().wrap_store(|mut store| {

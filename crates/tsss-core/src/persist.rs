@@ -85,8 +85,10 @@ fn write_engine_config<W: Write>(w: &mut W, cfg: &EngineConfig) -> io::Result<()
     put_usize(w, cfg.min_entries)?;
     put_usize(w, cfg.reinsert_count)?;
     put_u8(w, split_tag(cfg.split))?;
-    put_usize(w, cfg.index_buffer_frames)?;
-    put_usize(w, cfg.data_buffer_frames)?;
+    // Two reserved slots, where the block once held the index and data
+    // buffer-pool frame counts: written as 0 and ignored on load.
+    put_usize(w, 0)?;
+    put_usize(w, 0)?;
     put_u8(w, build_tag(cfg.build))
 }
 
@@ -98,17 +100,22 @@ fn read_engine_config<R: Read>(r: &mut R) -> io::Result<EngineConfig> {
     } else {
         None
     };
+    let page_size = get_usize(r)?;
+    let max_entries = get_usize(r)?;
+    let min_entries = get_usize(r)?;
+    let reinsert_count = get_usize(r)?;
+    let split = split_from_tag(get_u8(r)?)?;
+    get_usize(r)?; // reserved
+    get_usize(r)?; // reserved
     Ok(EngineConfig {
         window_len,
         stride,
         fc,
-        page_size: get_usize(r)?,
-        max_entries: get_usize(r)?,
-        min_entries: get_usize(r)?,
-        reinsert_count: get_usize(r)?,
-        split: split_from_tag(get_u8(r)?)?,
-        index_buffer_frames: get_usize(r)?,
-        data_buffer_frames: get_usize(r)?,
+        page_size,
+        max_entries,
+        min_entries,
+        reinsert_count,
+        split,
         build: build_from_tag(get_u8(r)?)?,
     })
 }
@@ -175,7 +182,7 @@ impl SearchEngine {
         if !max_se_norm.is_finite() || max_se_norm < 0.0 {
             return Err(invalid(format!("implausible max SE-norm {max_se_norm}")));
         }
-        let store = PagedSeriesStore::read_from(r, cfg.data_buffer_frames)?;
+        let store = PagedSeriesStore::read_from(r)?;
         let tree_result = RTree::load_from(r).and_then(|tree| {
             if tree.config().dim != cfg.feature_dim() {
                 return Err(io::Error::new(
@@ -368,6 +375,56 @@ mod tests {
                 .id_set()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `e`'s image with `index` and `data` in the configuration block's two
+    /// reserved slots, built field by field as a file recording buffer-pool
+    /// frame counts holds it.
+    fn image_with_reserved(e: &SearchEngine, index: usize, data: usize) -> Vec<u8> {
+        let cfg = e.config();
+        let mut meta = Vec::new();
+        put_usize(&mut meta, cfg.window_len).unwrap();
+        put_usize(&mut meta, cfg.stride).unwrap();
+        put_u8(&mut meta, 1).unwrap();
+        put_usize(&mut meta, cfg.fc.unwrap()).unwrap();
+        for v in [
+            cfg.page_size,
+            cfg.max_entries,
+            cfg.min_entries,
+            cfg.reinsert_count,
+        ] {
+            put_usize(&mut meta, v).unwrap();
+        }
+        put_u8(&mut meta, split_tag(cfg.split)).unwrap();
+        put_usize(&mut meta, index).unwrap();
+        put_usize(&mut meta, data).unwrap();
+        put_u8(&mut meta, build_tag(cfg.build)).unwrap();
+        put_f64(&mut meta, e.max_se_norm()).unwrap();
+        let mut buf = Vec::new();
+        put_magic(&mut buf, &versioned_magic(MAGIC_PREFIX, VERSION)).unwrap();
+        put_checked_block(&mut buf, &meta).unwrap();
+        e.store().write_to(&mut buf).unwrap();
+        e.tree().save_to(&mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn the_reserved_slots_are_ignored_on_load_and_saved_as_zero() {
+        let (e, data) = build_engine();
+        let mut saved = Vec::new();
+        e.save_to(&mut saved).unwrap();
+        assert_eq!(saved, image_with_reserved(&e, 0, 0));
+        let buffered = image_with_reserved(&e, 512, 8);
+        let l = SearchEngine::load_from(&mut std::io::Cursor::new(buffered)).unwrap();
+        assert_eq!(l.config(), e.config());
+        let q = data[3].window(20, 16).unwrap().to_vec();
+        assert_eq!(
+            l.search(&q, 2.0, SearchOptions::default()).unwrap().matches,
+            e.search(&q, 2.0, SearchOptions::default()).unwrap().matches
+        );
+        let mut resaved = Vec::new();
+        l.save_to(&mut resaved).unwrap();
+        assert_eq!(resaved, saved);
     }
 
     #[test]

@@ -209,19 +209,11 @@ impl ShardedEngine {
     /// the twin shares every page frame with this engine and costs one
     /// pointer per page. Each twin shard starts with a fresh breaker,
     /// quarantine and counters.
-    ///
-    /// # Errors
-    /// As [`SearchEngine::fork`].
-    pub fn fork(&self) -> Result<Self, EngineError> {
-        let shards = self
-            .shards
-            .iter()
-            .map(SearchEngine::fork)
-            .collect::<Result<_, _>>()?;
-        Ok(ShardedEngine {
+    pub fn fork(&self) -> Self {
+        ShardedEngine {
             cfg: self.cfg.clone(),
-            shards,
-        })
+            shards: self.shards.iter().map(SearchEngine::fork).collect(),
+        }
     }
 
     /// The length of global series `series`.
@@ -655,7 +647,6 @@ mod tests {
                     b[12] ^= 0x42;
                 });
             }
-            shard.tree_mut().clear_cache().unwrap();
         }
         let q = query(&data);
         let res = sharded.search(&q, 0.8, SearchOptions::default()).unwrap();

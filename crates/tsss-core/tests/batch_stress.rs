@@ -124,23 +124,3 @@ fn concurrent_searches_share_the_engine_across_plain_threads() {
         }
     });
 }
-
-#[test]
-fn buffered_engine_still_answers_identically_in_parallel() {
-    // With warm caches the page *counts* may differ run to run, but the
-    // match sets must not.
-    let data = MarketSimulator::new(MarketConfig::small(6, 90, 7)).generate();
-    let mut cfg = EngineConfig::small(WINDOW);
-    cfg.index_buffer_frames = 8;
-    cfg.data_buffer_frames = 8;
-    let e = SearchEngine::build(&data, cfg).unwrap();
-    let queries = query_mix(&data, 24);
-    let serial: Vec<SearchResult> = queries
-        .iter()
-        .map(|q| e.search(q, 3.0, SearchOptions::default()).unwrap())
-        .collect();
-    let batch = range_batch(&e, &queries, 3.0, SearchOptions::default(), 6).unwrap();
-    for (b, s) in batch.iter().zip(&serial) {
-        assert_eq!(b.matches, s.matches);
-    }
-}

@@ -234,7 +234,6 @@ fn smashed_page_chaos_degrades_to_exact_oracle() {
                 });
             }
         }
-        chaotic.tree_mut().clear_cache().unwrap();
 
         for _ in 0..QUERIES_PER_SEED {
             let q = random_query(&mut rng);
@@ -276,7 +275,6 @@ fn recovery_chaos_repair_restores_indexed_service() {
                 b[i] ^= 0x42;
             });
         }
-        chaotic.tree_mut().clear_cache().unwrap();
 
         // Phase 1: degraded service. Every answer is still exact.
         let mut degraded = 0usize;

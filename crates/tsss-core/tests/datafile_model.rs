@@ -35,7 +35,7 @@ fn store_matches_vec_model() {
         let page_size = [16usize, 64, 256, 4096][rng.usize_below(4)];
         let n_ops = 1 + rng.usize_below(59);
 
-        let mut store = PagedSeriesStore::new(page_size, 0);
+        let mut store = PagedSeriesStore::new(page_size);
         let mut model: Vec<Vec<f64>> = Vec::new();
         for _ in 0..n_ops {
             match random_op(&mut rng) {

@@ -140,8 +140,7 @@ fn build_report() -> String {
     // Sequential-scan oracle — including a near-exact-match query (the
     // catastrophic-cancellation regime of the fit), a huge ε (the
     // accept-everything regime), and the degenerate constant query. The
-    // locked `data_pages` also pin the scan's one-read-per-page contract,
-    // which the read-ahead scanner must preserve exactly.
+    // locked `data_pages` also pin the scan's one-read-per-page contract.
     for (name, q, eps, opts) in [
         ("seqscan/q0/eps2", &q0, 2.0, SearchOptions::default()),
         ("seqscan/q3/eps8/cost", &q3, 8.0, with_cost),
@@ -316,8 +315,8 @@ fn retried_transient_faults_leave_answers_bit_identical() {
 /// once must be bit-identical to the serial runs — matches, transforms,
 /// distances, and the per-query page accounting (each scan charges the
 /// whole file exactly once, regardless of interleaving). This pins the
-/// read-ahead scan path under concurrency the same way the batch cases in
-/// the fixture pin the indexed path.
+/// scan path under concurrency the same way the batch cases in the fixture
+/// pin the indexed path.
 #[test]
 fn parallel_seqscans_are_bit_identical_to_serial() {
     let data = workload();

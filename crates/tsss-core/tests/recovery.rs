@@ -196,7 +196,6 @@ fn smash_index(e: &mut SearchEngine) {
             b[i] ^= 0x81;
         });
     }
-    e.tree_mut().clear_cache().unwrap();
 }
 
 /// `Strict` surfaces the typed corruption error and leaves the recovery

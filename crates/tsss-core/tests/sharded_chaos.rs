@@ -62,7 +62,6 @@ fn smash(sharded: &mut ShardedEngine, sick: usize) {
             b[12] ^= 0x42;
         });
     }
-    shard.tree_mut().clear_cache().unwrap();
 }
 
 /// Every single-query mode with its query values; tags name the mode in

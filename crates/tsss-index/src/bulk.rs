@@ -88,7 +88,7 @@ fn bulk_load_keyed(
         assert_eq!(e.point.len(), cfg.dim, "entry dimension mismatch");
     }
     let file = PageFile::new(cfg.page_size)?;
-    let mut pool = BufferPool::new(file, cfg.buffer_frames);
+    let mut pool = BufferPool::new(file);
     let len = entries.len();
 
     if entries.is_empty() {
@@ -248,7 +248,7 @@ mod tests {
     use tsss_geometry::penetration::PenetrationMethod;
 
     fn cfg() -> TreeConfig {
-        TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar, 0)
+        TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar)
     }
 
     fn points(n: usize) -> Vec<DataEntry> {
@@ -359,8 +359,7 @@ mod tests {
 
     #[test]
     fn six_dim_paper_scale_bulk_load() {
-        let mut c = TreeConfig::paper(6);
-        c.buffer_frames = 0;
+        let c = TreeConfig::paper(6);
         let entries: Vec<DataEntry> = (0..5000)
             .map(|i| {
                 DataEntry::new(

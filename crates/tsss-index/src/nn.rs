@@ -268,7 +268,7 @@ mod tests {
     }
 
     fn cfg() -> TreeConfig {
-        TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar, 0)
+        TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar)
     }
 
     fn build(n: usize) -> (RTree, Vec<Vec<f64>>) {

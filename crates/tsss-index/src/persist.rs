@@ -3,11 +3,13 @@
 //!
 //! Because nodes already live in pages, persistence is cheap: the node
 //! serialisation *is* the on-disk format, and this module only adds a small
-//! header. Buffer-pool state (cached frames) is flushed, not persisted.
+//! header.
 //!
 //! Format `TSSSIX02`: an 8-byte versioned magic, a CRC-checked metadata
 //! block (configuration, root page, height, length), then the page file's
-//! own checksummed stream. Any single flipped bit anywhere in the stream is
+//! own checksummed stream. The configuration ends in one reserved `usize`
+//! that once held a buffer-pool frame count: it is written as 0 and ignored
+//! on load, so files that recorded a count still open. Any single flipped bit anywhere in the stream is
 //! rejected at load time with `InvalidData`; loaded configurations are
 //! re-validated before the tree is reassembled. [`RTree::save_to_path`]
 //! writes atomically (temp file + rename) so a crash mid-write leaves the
@@ -67,11 +69,11 @@ pub(crate) fn write_config<W: Write + ?Sized>(w: &mut W, cfg: &TreeConfig) -> io
     put_usize(w, cfg.leaf_min_entries)?;
     put_usize(w, cfg.leaf_reinsert_count)?;
     put_u8(w, split_tag(cfg.split))?;
-    put_usize(w, cfg.buffer_frames)
+    put_usize(w, 0) // reserved
 }
 
 pub(crate) fn read_config<R: Read + ?Sized>(r: &mut R) -> io::Result<TreeConfig> {
-    Ok(TreeConfig {
+    let cfg = TreeConfig {
         dim: get_usize(r)?,
         page_size: get_usize(r)?,
         max_entries: get_usize(r)?,
@@ -81,16 +83,16 @@ pub(crate) fn read_config<R: Read + ?Sized>(r: &mut R) -> io::Result<TreeConfig>
         leaf_min_entries: get_usize(r)?,
         leaf_reinsert_count: get_usize(r)?,
         split: split_from_tag(get_u8(r)?)?,
-        buffer_frames: get_usize(r)?,
-    })
+    };
+    get_usize(r)?; // reserved
+    Ok(cfg)
 }
 
 impl RTree {
-    /// Serialises the tree (after flushing cached frames).
+    /// Serialises the tree.
     ///
     /// # Errors
-    /// Propagates I/O errors; storage failures while flushing surface as
-    /// `InvalidData`.
+    /// Propagates I/O errors.
     pub fn save_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
         put_magic(w, &versioned_magic(MAGIC_PREFIX, VERSION))?;
         let mut meta = Vec::new();
@@ -103,7 +105,6 @@ impl RTree {
         // possibly-unsized `W` reach `persist(&mut dyn Write)`.
         let mut sink: &mut W = w;
         self.with_store(|s| s.persist(&mut sink))
-            .map_err(|e| invalid(e.to_string()))?
     }
 
     /// Loads a tree previously written by [`RTree::save_to`].
@@ -135,9 +136,13 @@ impl RTree {
         if root == PageId::INVALID || (root.0 as usize) >= file.extent() {
             return Err(invalid("root page out of range".into()));
         }
-        let buffer_frames = cfg.buffer_frames;
-        let pool = BufferPool::new(file, buffer_frames);
-        Ok(RTree::from_parts(cfg, pool, root, height, len))
+        Ok(RTree::from_parts(
+            cfg,
+            BufferPool::new(file),
+            root,
+            height,
+            len,
+        ))
     }
 
     /// Atomically writes the tree to `path`: the bytes go to a temporary
@@ -167,8 +172,7 @@ mod tests {
     use tsss_geometry::penetration::PenetrationMethod;
 
     fn build_tree(n: usize) -> RTree {
-        let mut t =
-            RTree::new(TreeConfig::uniform(3, 1024, 8, 3, 2, SplitPolicy::RStar, 0)).unwrap();
+        let mut t = RTree::new(TreeConfig::uniform(3, 1024, 8, 3, 2, SplitPolicy::RStar)).unwrap();
         for i in 0..n as u64 {
             t.insert(
                 vec![
@@ -257,7 +261,7 @@ mod tests {
     fn a_fork_answers_as_the_roundtrip_and_diverges_on_its_own() {
         let mut t = build_tree(300);
         let u = roundtrip(&mut t);
-        let mut f = t.fork().unwrap();
+        let mut f = t.fork();
         let line = Line::new(vec![0.0; 3], vec![1.0, 0.9, 1.2]).unwrap();
         let probe = |tree: &RTree| {
             tree.stats().reset();
@@ -290,7 +294,6 @@ mod tests {
             2,
             1,
             SplitPolicy::GuttmanLinear,
-            0,
         ))
         .unwrap();
         let u = roundtrip(&mut t);
@@ -368,7 +371,7 @@ mod tests {
         let mut buf = Vec::new();
         put_magic(&mut buf, &versioned_magic(MAGIC_PREFIX, VERSION)).unwrap();
         put_checked_block(&mut buf, &meta).unwrap();
-        t.with_store(|s| s.persist(&mut buf)).unwrap().unwrap();
+        t.with_store(|s| s.persist(&mut buf)).unwrap();
         let err = RTree::load_from(&mut std::io::Cursor::new(buf)).unwrap_err();
         assert!(
             err.to_string().contains("m <= M/2"),
@@ -401,18 +404,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn buffered_tree_flushes_before_saving() {
-        let mut cfg = TreeConfig::uniform(2, 512, 4, 2, 1, SplitPolicy::RStar, 16);
-        cfg.buffer_frames = 16;
-        let mut t = RTree::new(cfg).unwrap();
-        for i in 0..60u64 {
-            t.insert(vec![i as f64, (i * 7 % 13) as f64], i).unwrap();
+    /// `t`'s image with `reserved` in the configuration's reserved slot,
+    /// built field by field as a file recording a frame count holds it.
+    fn image_with_reserved(t: &RTree, reserved: usize) -> Vec<u8> {
+        let cfg = t.config();
+        let mut meta = Vec::new();
+        for v in [
+            cfg.dim,
+            cfg.page_size,
+            cfg.max_entries,
+            cfg.min_entries,
+            cfg.reinsert_count,
+            cfg.leaf_max_entries,
+            cfg.leaf_min_entries,
+            cfg.leaf_reinsert_count,
+        ] {
+            put_usize(&mut meta, v).unwrap();
         }
+        put_u8(&mut meta, split_tag(cfg.split)).unwrap();
+        put_usize(&mut meta, reserved).unwrap();
+        put_u32(&mut meta, t.root_page().0).unwrap();
+        put_usize(&mut meta, t.height()).unwrap();
+        put_usize(&mut meta, t.len()).unwrap();
         let mut buf = Vec::new();
-        t.save_to(&mut buf).unwrap();
-        let u = RTree::load_from(&mut std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(u.len(), 60);
+        put_magic(&mut buf, &versioned_magic(MAGIC_PREFIX, VERSION)).unwrap();
+        put_checked_block(&mut buf, &meta).unwrap();
+        t.with_store(|s| s.persist(&mut buf)).unwrap();
+        buf
+    }
+
+    #[test]
+    fn the_reserved_slot_is_ignored_on_load_and_saved_as_zero() {
+        let t = build_tree(60);
+        let mut saved = Vec::new();
+        t.save_to(&mut saved).unwrap();
+        assert_eq!(saved, image_with_reserved(&t, 0));
+        let u = RTree::load_from(&mut std::io::Cursor::new(image_with_reserved(&t, 16))).unwrap();
+        assert_eq!(u.config(), t.config());
         u.check_invariants().unwrap();
+        assert_eq!(u.dump().unwrap(), t.dump().unwrap());
+        let mut resaved = Vec::new();
+        u.save_to(&mut resaved).unwrap();
+        assert_eq!(resaved, saved);
     }
 }

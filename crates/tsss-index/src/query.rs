@@ -205,7 +205,7 @@ mod tests {
     use tsss_storage::{Page, PageId};
 
     fn cfg() -> TreeConfig {
-        TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar, 0)
+        TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar)
     }
 
     fn build(n: usize) -> (RTree, Vec<Vec<f64>>) {
@@ -448,7 +448,7 @@ mod tests {
 
     /// Rewrites `page` through the tree's buffer pool: the damage carries a
     /// valid checksum, so only the node checks of the walks can refuse it.
-    fn rewrite(t: &RTree, page: PageId, damage: impl FnOnce(&mut Page)) {
+    fn rewrite(t: &mut RTree, page: PageId, damage: impl FnOnce(&mut Page)) {
         let mut bytes = t.pool.read(page).unwrap();
         damage(&mut bytes);
         t.pool.write(page, bytes).unwrap();
@@ -493,7 +493,7 @@ mod tests {
             ),
         ];
         for (at_root, damage, detail) in cases {
-            let (t, _) = build(300);
+            let (mut t, _) = build(300);
             let mut page = t.root_page();
             if !at_root {
                 while let Node::Internal(children) = t.read_node(page).unwrap() {
@@ -502,7 +502,7 @@ mod tests {
             }
             let len = t.read_node(page).unwrap().len();
             assert!(len >= 2, "the damage needs two entries");
-            rewrite(&t, page, |p| damage(p, leaf, internal, len));
+            rewrite(&mut t, page, |p| damage(p, leaf, internal, len));
             let expected = IndexError::CorruptNode {
                 page,
                 detail: detail.to_string(),

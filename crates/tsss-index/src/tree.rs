@@ -62,15 +62,13 @@ pub struct TreeConfig {
     pub leaf_reinsert_count: usize,
     /// Split algorithm.
     pub split: SplitPolicy,
-    /// Buffer-pool frames (0 = unbuffered, the paper's measurement regime).
-    pub buffer_frames: usize,
 }
 
 impl TreeConfig {
     /// The paper's exact configuration for a given dimension: 4 KB pages,
     /// one node per page, internal `M = 20`, `m = 8` (40 %), `p = 6` (30 %),
     /// leaves packed to page capacity with the same 40 %/30 % ratios,
-    /// R*-tree splits, no buffer.
+    /// R*-tree splits.
     pub fn paper(dim: usize) -> Self {
         let leaf_max = Node::max_leaf_fanout(DEFAULT_PAGE_SIZE, dim);
         Self {
@@ -83,7 +81,6 @@ impl TreeConfig {
             leaf_min_entries: (leaf_max * 2) / 5,
             leaf_reinsert_count: (leaf_max * 3) / 10,
             split: SplitPolicy::RStar,
-            buffer_frames: 0,
         }
     }
 
@@ -96,7 +93,6 @@ impl TreeConfig {
         min_entries: usize,
         reinsert_count: usize,
         split: SplitPolicy,
-        buffer_frames: usize,
     ) -> Self {
         Self {
             dim,
@@ -108,7 +104,6 @@ impl TreeConfig {
             leaf_min_entries: min_entries,
             leaf_reinsert_count: reinsert_count,
             split,
-            buffer_frames,
         }
     }
 
@@ -269,7 +264,7 @@ impl Batch {
 /// use tsss_geometry::line::Line;
 /// use tsss_geometry::penetration::PenetrationMethod;
 ///
-/// let cfg = TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar, 0);
+/// let cfg = TreeConfig::uniform(2, 1024, 8, 3, 2, SplitPolicy::RStar);
 /// let mut tree = RTree::new(cfg).unwrap();
 /// for i in 0..100u64 {
 ///     tree.insert(vec![i as f64, (i % 7) as f64], i).unwrap();
@@ -303,7 +298,7 @@ impl RTree {
     pub fn new(cfg: TreeConfig) -> Result<Self, IndexError> {
         cfg.validate();
         let file = PageFile::new(cfg.page_size)?;
-        let mut pool = BufferPool::new(file, cfg.buffer_frames);
+        let mut pool = BufferPool::new(file);
         let root = pool.allocate()?;
         let mut tree = Self {
             cfg,
@@ -346,43 +341,27 @@ impl RTree {
         self.pool.stats()
     }
 
-    /// Drops cached buffer frames so the next query starts cold.
-    ///
-    /// # Errors
-    /// Any storage failure while writing dirty frames back.
-    pub fn clear_cache(&self) -> Result<(), IndexError> {
-        Ok(self.pool.clear_cache()?)
-    }
-
     /// A copy-on-write twin of the tree: same configuration, root, height
     /// and entries, over a [`BufferPool::fork`] of its pages — one pointer
-    /// per page, no bytes copied — with a cold cache and fresh access
-    /// counters. Neither tree sees the other's later inserts or damage.
-    ///
-    /// # Errors
-    /// Any storage failure while writing dirty frames back.
-    pub fn fork(&self) -> Result<RTree, IndexError> {
-        let pool = self.pool.fork()?;
-        Ok(Self::from_parts(
+    /// per page, no bytes copied — with fresh access counters. Neither
+    /// tree sees the other's later inserts or damage.
+    pub fn fork(&self) -> RTree {
+        Self::from_parts(
             self.cfg.clone(),
-            pool,
+            self.pool.fork(),
             self.root,
             self.height,
             self.len,
-        ))
+        )
     }
 
-    /// Flushes cached frames and runs `f` against the backing page store
-    /// (used by persistence).
-    pub(crate) fn with_store<R>(
-        &self,
-        f: impl FnOnce(&dyn PageStore) -> R,
-    ) -> Result<R, IndexError> {
-        Ok(self.pool.with_store(f)?)
+    /// Runs `f` against the backing page store (used by persistence).
+    pub(crate) fn with_store<R>(&self, f: impl FnOnce(&dyn PageStore) -> R) -> R {
+        self.pool.with_store(f)
     }
 
     /// Slides a [`PageStore`] decorator (e.g. a fault injector) under the
-    /// tree's buffer pool. Cached frames are dropped, not written back.
+    /// tree's buffer pool.
     pub fn wrap_store(&mut self, wrap: impl FnOnce(Box<dyn PageStore>) -> Box<dyn PageStore>) {
         self.pool.wrap_store(wrap);
     }
@@ -1087,7 +1066,7 @@ mod tests {
     use super::*;
 
     fn small_cfg(dim: usize, split: SplitPolicy) -> TreeConfig {
-        TreeConfig::uniform(dim, 1024, 8, 3, 2, split, 0)
+        TreeConfig::uniform(dim, 1024, 8, 3, 2, split)
     }
 
     fn grid_points(n: usize) -> Vec<Vec<f64>> {
@@ -1339,9 +1318,7 @@ mod tests {
 
     #[test]
     fn six_dimensional_paper_layout_works() {
-        let mut cfg = TreeConfig::paper(6);
-        cfg.buffer_frames = 0;
-        let mut t = RTree::new(cfg).unwrap();
+        let mut t = RTree::new(TreeConfig::paper(6)).unwrap();
         for i in 0..500u64 {
             let p: Vec<f64> = (0..6).map(|j| ((i * 31 + j * 17) % 211) as f64).collect();
             t.insert(p, i).unwrap();

@@ -14,7 +14,7 @@ use tsss_index::{DataEntry, RTree, SplitPolicy, TreeConfig};
 use tsss_rand::Rng;
 
 fn cfg(split: SplitPolicy) -> TreeConfig {
-    TreeConfig::uniform(3, 1024, 8, 3, 2, split, 0)
+    TreeConfig::uniform(3, 1024, 8, 3, 2, split)
 }
 
 fn point(rng: &mut Rng) -> Vec<f64> {

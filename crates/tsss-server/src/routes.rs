@@ -331,12 +331,12 @@ fn shard_delta(
         Change::Repartition => return None,
         Change::Unchanged(series) => (None, series),
         Change::Values(series, values) => {
-            let mut next = view.fork().ok()?;
+            let mut next = view.fork();
             next.append_values(series, values).ok()?;
             (Some(next), Some(series))
         }
         Change::NewSeries(new) => {
-            let mut next = view.fork().ok()?;
+            let mut next = view.fork();
             let series = next.append_series(new).ok()?;
             (Some(next), Some(series))
         }
@@ -381,7 +381,7 @@ fn swap_published(
 /// first snapshot this way, and [`next_snapshot`] falls back to it.
 fn make_snapshot(engine: &SearchEngine, shards: usize) -> Result<ServingSnapshot, EngineError> {
     if shards <= 1 {
-        return Ok(ServingSnapshot::Single(Box::new(engine.fork()?)));
+        return Ok(ServingSnapshot::Single(Box::new(engine.fork())));
     }
     ShardedEngine::from_engine(engine, shards).map(ServingSnapshot::Sharded)
 }

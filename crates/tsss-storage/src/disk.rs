@@ -304,8 +304,8 @@ impl PageFile {
     }
 
     /// Stores a page and refreshes its checksum without access accounting —
-    /// the buffer pool's physical path for evictions and flushes (logical
-    /// counting already happened at the pool boundary).
+    /// the buffer pool's physical write path (logical counting already
+    /// happened at the pool boundary).
     ///
     /// # Errors
     /// Typed errors on bad ids or a page of the wrong size.

@@ -55,10 +55,6 @@ pub enum StorageError {
         /// The unreadable page.
         page: PageId,
     },
-    /// A lock guarding pool state was poisoned: another thread panicked
-    /// while holding it, so the protected data may be mid-mutation. The
-    /// pool refuses to serve from possibly-inconsistent state.
-    LockPoisoned,
 }
 
 impl StorageError {
@@ -97,9 +93,6 @@ impl std::fmt::Display for StorageError {
                 write!(f, "corrupt {page}: {detail}")
             }
             Self::ReadFailed { page } => write!(f, "read of {page} failed"),
-            Self::LockPoisoned => {
-                write!(f, "buffer pool lock poisoned by a panicking thread")
-            }
         }
     }
 }
@@ -178,7 +171,6 @@ mod tests {
                 page: PageId(1),
                 detail: "checksum mismatch".into(),
             },
-            StorageError::LockPoisoned,
         ];
         for err in permanent {
             assert!(!err.is_transient(), "{err} must be permanent");

@@ -11,10 +11,10 @@
 //!   read/write helpers (the unit of transfer),
 //! * [`disk::PageFile`] — a simulated disk: an allocatable array of pages
 //!   with exact read/write accounting and a free list,
-//! * [`buffer::BufferPool`] — an LRU buffer pool in front of a `PageFile`
-//!   distinguishing *logical* accesses (what the paper counts — every page
-//!   the algorithm touches) from *physical* accesses (misses that would
-//!   really hit the disk),
+//! * [`buffer::BufferPool`] — the front end every page access goes
+//!   through: it counts each *logical* access (what the paper counts —
+//!   every page the algorithm touches, unbuffered) and re-issues reads
+//!   that fail transiently; it caches nothing,
 //! * [`stats::AccessStats`] — the counters the benchmark harness reports.
 //!
 //! The R-tree / R*-tree in `tsss-index` serialise their nodes into these
@@ -48,7 +48,6 @@ pub mod disk;
 pub mod error;
 pub mod fault;
 pub mod page;
-pub mod readahead;
 pub mod stats;
 pub mod store;
 pub mod wal;
@@ -59,7 +58,6 @@ pub use disk::{PageFile, PageId};
 pub use error::StorageError;
 pub use fault::{CrashPoint, FaultConfig, FaultCounters, FaultyStore};
 pub use page::{Page, DEFAULT_PAGE_SIZE};
-pub use readahead::{ReadAhead, DEFAULT_READ_AHEAD};
 pub use stats::{AccessCounts, AccessStats, StatsScope};
 pub use store::PageStore;
 pub use wal::{Wal, WalScan, MAX_WAL_RECORD_BYTES};

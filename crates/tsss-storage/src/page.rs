@@ -19,8 +19,8 @@ pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
 /// A fixed-size byte page.
 ///
-/// Cloning a page is an explicit byte copy; the buffer pool hands out clones
-/// so callers can never alias the cached frame.
+/// Cloning a page is an explicit byte copy; the store hands out clones so
+/// callers can never alias its frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Page {
     bytes: Box<[u8]>,

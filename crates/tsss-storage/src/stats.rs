@@ -2,9 +2,8 @@
 //!
 //! The paper's Figure 5 plots *average number of page accesses per query*.
 //! [`AccessStats`] accumulates exactly that: every page the algorithm reads
-//! or writes, plus the buffer pool's hit/miss split so the `ablation_buffer`
-//! bench can show how caching changes the picture (the paper's counts are
-//! unbuffered logical accesses; we default to the same).
+//! or writes, unbuffered, as the paper counts them — plus the transient-fault
+//! retries behind those reads.
 //!
 //! # Concurrency model
 //!
@@ -21,7 +20,7 @@
 //! queries never see each other's accesses, and the per-query deltas sum to
 //! exactly the global increment.
 
-// analyze::allow-file(atomics): every atomic here is an independent monotone event counter (reads/writes/hits/misses/retries, plus the id allocator); Relaxed is sufficient because no counter's value ever gates control flow or publishes other memory — readers only aggregate for reporting.
+// analyze::allow-file(atomics): every atomic here is an independent monotone event counter (reads/writes/retries, plus the id allocator); Relaxed is sufficient because no counter's value ever gates control flow or publishes other memory — readers only aggregate for reporting.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,10 +33,6 @@ pub struct AccessCounts {
     pub reads: u64,
     /// Logical page writes.
     pub writes: u64,
-    /// Buffer-pool hits.
-    pub hits: u64,
-    /// Buffer-pool misses.
-    pub misses: u64,
     /// Transient-fault retries (re-issued physical reads). A retried read is
     /// still *one* logical read, so retries are excluded from
     /// [`AccessCounts::total_accesses`].
@@ -67,8 +62,6 @@ pub struct AccessStats {
     id: u64,
     reads: AtomicU64,
     writes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     retries: AtomicU64,
 }
 
@@ -85,8 +78,6 @@ impl AccessStats {
             id: NEXT_STATS_ID.fetch_add(1, Ordering::Relaxed),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         }
     }
@@ -115,18 +106,6 @@ impl AccessStats {
         self.tally_local(|c| c.writes += 1);
     }
 
-    /// Records a buffer-pool hit (logical read served from memory).
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.tally_local(|c| c.hits += 1);
-    }
-
-    /// Records a buffer-pool miss (logical read that went to the disk).
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.tally_local(|c| c.misses += 1);
-    }
-
     /// Records one transient-fault retry: a physical re-read of a page whose
     /// first attempt failed with a transient error. The logical read was
     /// already recorded, so this does not touch the read counter.
@@ -143,16 +122,6 @@ impl AccessStats {
     /// Logical page writes so far.
     pub fn writes(&self) -> u64 {
         self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Buffer-pool hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Buffer-pool misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Transient-fault retries so far (see [`AccessStats::record_retry`]).
@@ -172,17 +141,7 @@ impl AccessStats {
     pub fn reset(&self) {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
         self.retries.store(0, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the access counters as plain numbers
-    /// `(reads, writes, hits, misses)`. Retries are reported separately by
-    /// [`AccessStats::retries`] — they are physical re-reads, not logical
-    /// accesses.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (self.reads(), self.writes(), self.hits(), self.misses())
     }
 
     /// Opens a per-thread tally scope: accesses this thread records on this
@@ -249,7 +208,7 @@ mod tests {
     #[test]
     fn counters_start_at_zero() {
         let s = AccessStats::new();
-        assert_eq!(s.snapshot(), (0, 0, 0, 0));
+        assert_eq!((s.reads(), s.writes(), s.retries()), (0, 0, 0));
         assert_eq!(s.total_accesses(), 0);
     }
 
@@ -259,12 +218,8 @@ mod tests {
         s.record_read();
         s.record_read();
         s.record_write();
-        s.record_hit();
-        s.record_miss();
         assert_eq!(s.reads(), 2);
         assert_eq!(s.writes(), 1);
-        assert_eq!(s.hits(), 1);
-        assert_eq!(s.misses(), 1);
         assert_eq!(s.total_accesses(), 3);
     }
 
@@ -272,9 +227,10 @@ mod tests {
     fn reset_clears_everything() {
         let s = AccessStats::new();
         s.record_read();
-        s.record_miss();
+        s.record_write();
+        s.record_retry();
         s.reset();
-        assert_eq!(s.snapshot(), (0, 0, 0, 0));
+        assert_eq!((s.reads(), s.writes(), s.retries()), (0, 0, 0));
     }
 
     #[test]
@@ -300,12 +256,9 @@ mod tests {
         let scope = s.local_scope();
         s.record_read();
         s.record_write();
-        s.record_miss();
         let c = scope.finish();
         assert_eq!(c.reads, 1);
         assert_eq!(c.writes, 1);
-        assert_eq!(c.misses, 1);
-        assert_eq!(c.hits, 0);
         assert_eq!(c.total_accesses(), 2);
         // Globals saw everything.
         assert_eq!(s.reads(), 2);

@@ -1,7 +1,7 @@
 //! The page-store abstraction the buffer pool sits on.
 //!
-//! [`PageStore`] is the seam between the cache/accounting layer and the
-//! medium that actually holds the bytes. [`crate::PageFile`] is the honest
+//! [`PageStore`] is the seam between the accounting layer and the medium
+//! that actually holds the bytes. [`crate::PageFile`] is the honest
 //! implementation; [`crate::FaultyStore`] decorates any store with
 //! deterministic fault injection. Because the pool owns its store as
 //! `Box<dyn PageStore>`, a test can swap the medium out from under a live
@@ -80,7 +80,7 @@ pub trait PageStore: Send + Sync + std::fmt::Debug {
     fn read_uncounted(&self, id: PageId) -> Result<Page, StorageError>;
 
     /// [`PageStore::write`] without access accounting — the buffer pool's
-    /// eviction/flush path.
+    /// physical write path (the pool does its own logical counting).
     ///
     /// # Errors
     /// As [`PageStore::write`].

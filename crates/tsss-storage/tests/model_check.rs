@@ -1,6 +1,6 @@
 //! Model-based randomised test: the buffer pool over a simulated disk must
 //! be observationally equivalent to a plain `HashMap<PageId, Vec<u8>>`,
-//! regardless of pool capacity, operation order, or eviction churn.
+//! regardless of operation order.
 //!
 //! Deterministic pseudo-random cases (seeded [`tsss_rand::Rng`]) replace the
 //! former proptest strategies so the workspace builds offline.
@@ -13,21 +13,18 @@ use tsss_storage::{BufferPool, Page, PageFile, PageId};
 enum Op {
     Write { slot: usize, value: u64 },
     Read { slot: usize },
-    Flush,
-    ClearCache,
 }
 
 fn random_op(rng: &mut Rng) -> Op {
-    match rng.usize_below(10) {
-        0..=3 => Op::Write {
+    if rng.bool() {
+        Op::Write {
             slot: rng.usize_below(16),
             value: rng.next_u64(),
-        },
-        4..=7 => Op::Read {
+        }
+    } else {
+        Op::Read {
             slot: rng.usize_below(16),
-        },
-        8 => Op::Flush,
-        _ => Op::ClearCache,
+        }
     }
 }
 
@@ -35,12 +32,11 @@ fn random_op(rng: &mut Rng) -> Op {
 fn pool_is_equivalent_to_a_hashmap() {
     let mut rng = Rng::seed_from_u64(0x5EED_0001);
     for case in 0..128 {
-        let capacity = rng.usize_below(6);
         let n_ops = 1 + rng.usize_below(199);
 
         let mut file = PageFile::new(32).unwrap();
         let ids: Vec<PageId> = (0..16).map(|_| file.allocate().unwrap()).collect();
-        let pool = BufferPool::new(file, capacity);
+        let mut pool = BufferPool::new(file);
         let mut model: HashMap<usize, u64> = HashMap::new();
 
         for _ in 0..n_ops {
@@ -56,26 +52,19 @@ fn pool_is_equivalent_to_a_hashmap() {
                     let want = model.get(&slot).copied().unwrap_or(0);
                     assert_eq!(got, want, "case {case}: slot {slot} diverged");
                 }
-                Op::Flush => pool.flush().unwrap(),
-                Op::ClearCache => pool.clear_cache().unwrap(),
             }
-            assert!(
-                pool.cached() <= capacity,
-                "case {case}: cache over capacity"
-            );
         }
 
-        // After flushing the pool, the file itself must agree with the model.
+        // The file itself must agree with the model.
         pool.with_store(|store| {
             for (slot, want) in model {
                 assert_eq!(
                     store.read_uncounted(ids[slot]).unwrap().get_u64(0),
                     want,
-                    "case {case}: slot {slot} wrong after drain"
+                    "case {case}: slot {slot} wrong in the file"
                 );
             }
-        })
-        .unwrap();
+        });
     }
 }
 
@@ -83,26 +72,16 @@ fn pool_is_equivalent_to_a_hashmap() {
 fn logical_read_count_is_exact() {
     let mut rng = Rng::seed_from_u64(0x5EED_0002);
     for case in 0..128 {
-        let capacity = rng.usize_below(6);
         let n_reads = 1 + rng.usize_below(99);
         let slots: Vec<usize> = (0..n_reads).map(|_| rng.usize_below(8)).collect();
 
         let mut file = PageFile::new(32).unwrap();
         let ids: Vec<PageId> = (0..8).map(|_| file.allocate().unwrap()).collect();
         file.stats().reset();
-        let pool = BufferPool::new(file, capacity);
+        let pool = BufferPool::new(file);
         for &s in &slots {
             let _ = pool.read(ids[s]).unwrap();
         }
-        let stats = pool.stats();
-        assert_eq!(stats.reads(), slots.len() as u64, "case {case}");
-        assert_eq!(
-            stats.hits() + stats.misses(),
-            slots.len() as u64,
-            "case {case}"
-        );
-        if capacity == 0 {
-            assert_eq!(stats.misses(), slots.len() as u64, "case {case}");
-        }
+        assert_eq!(pool.stats().reads(), slots.len() as u64, "case {case}");
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`geometry`] — vectors, lines, `PLD`/`LLD`, the SE-transformation,
 //!   MBRs, penetration tests (paper §4–§5),
-//! * [`storage`] — 4 KB pages, simulated disk, LRU buffer pool, exact
+//! * [`storage`] — 4 KB pages, simulated disk, exact unbuffered
 //!   page-access accounting (the Figure 5 metric),
 //! * [`index`] — R-tree / R*-tree with line-penetration search (paper §6),
 //! * [`dft`] — FFT and the `f_c`-coefficient feature extractor (paper §7),
