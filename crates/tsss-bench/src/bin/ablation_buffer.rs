@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 
 use tsss_core::{EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss_data::{MarketConfig, MarketSimulator, QueryWorkload, WorkloadConfig};
-use tsss_storage::{AccessStats, Page, PageId, PageStore, StorageError};
+use tsss_storage::{Page, PageId, PageStore, StorageError};
 
 /// The pool capacities the study sweeps.
 const FRAMES: [usize; 6] = [0, 8, 32, 128, 512, 2048];
@@ -207,17 +207,8 @@ impl PageStore for Recorder {
     fn extent(&self) -> usize {
         self.inner.extent()
     }
-    fn live_pages(&self) -> usize {
-        self.inner.live_pages()
-    }
-    fn stats(&self) -> Arc<AccessStats> {
-        self.inner.stats()
-    }
     fn allocate(&mut self) -> Result<PageId, StorageError> {
         self.inner.allocate()
-    }
-    fn deallocate(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.inner.deallocate(id)
     }
     fn read(&self, id: PageId) -> Result<Page, StorageError> {
         self.record(id);
@@ -225,13 +216,6 @@ impl PageStore for Recorder {
     }
     fn write(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
         self.inner.write(id, page)
-    }
-    fn read_uncounted(&self, id: PageId) -> Result<Page, StorageError> {
-        self.record(id);
-        self.inner.read_uncounted(id)
-    }
-    fn write_uncounted(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
-        self.inner.write_uncounted(id, page)
     }
     fn corrupt_raw(
         &mut self,

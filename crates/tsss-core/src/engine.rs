@@ -45,10 +45,8 @@ pub struct SearchEngine {
     extractor: Option<FeatureExtractor>,
     tree: RTree,
     store: PagedSeriesStore,
-    /// Upper bound on the SE-norm of any window ever indexed. Deletions do
-    /// not lower it (that would require a full rescan), which can leave it
-    /// loose — tracked by `max_norm_loose` and tightened by
-    /// [`SearchEngine::repair`], which recomputes it exactly. Used by the
+    /// Upper bound on the SE-norm of any indexed window, widened by every
+    /// insert that lands and recomputed by [`SearchEngine::repair`]. Used by the
     /// z-normalised search to derive a sound absolute ε; see `normalized`.
     max_se_norm: f64,
     /// The recovery circuit breaker (see [`crate::recovery`]): trips open
@@ -63,12 +61,6 @@ pub struct SearchEngine {
     /// silently miss that tail until [`SearchEngine::repair`] re-indexes it.
     /// Surfaced through [`SearchEngine::health`].
     append_tail_unindexed: bool,
-    /// True when a removal deleted the window holding the global SE-norm
-    /// bound, leaving `max_se_norm` loose — every later z-normalised probe
-    /// over-reads (a perf regression, never a correctness one, since the
-    /// bound is only ever an upper bound). [`SearchEngine::repair`]
-    /// recomputes the exact bound and clears this.
-    max_norm_loose: bool,
     /// Tree insertions since the last bulk (re)build. One-at-a-time R*
     /// insertion degrades page locality versus the STR bulk load — the
     /// build-method ablation (results/ablation_build.txt) measures an
@@ -108,7 +100,6 @@ impl SearchEngine {
             breaker: CircuitBreaker::default(),
             quarantine: Mutex::new(BTreeSet::new()),
             append_tail_unindexed: false,
-            max_norm_loose: false,
             inserts_since_rebuild: 0,
         })
     }
@@ -131,7 +122,6 @@ impl SearchEngine {
             breaker: CircuitBreaker::default(),
             quarantine: Mutex::new(BTreeSet::new()),
             append_tail_unindexed: false,
-            max_norm_loose: false,
             inserts_since_rebuild: 0,
         }
     }
@@ -141,8 +131,8 @@ impl SearchEngine {
     /// twin answers every query exactly as a save and reload would, page
     /// counts included. Like a reload it starts with a closed breaker, an
     /// empty quarantine and fresh counters; unlike one it keeps the index
-    /// state a reload cannot see — the unindexed-tail and loose-bound
-    /// flags, and [`SearchEngine::inserts_since_rebuild`], so
+    /// state a reload cannot see — the unindexed-tail flag and
+    /// [`SearchEngine::inserts_since_rebuild`], so
     /// [`SearchEngine::str_rebuild_due`] keeps counting on a twin that
     /// grows by insertion. Neither engine sees the other's later
     /// mutations or damage.
@@ -154,7 +144,6 @@ impl SearchEngine {
             self.max_se_norm,
         );
         twin.append_tail_unindexed = self.append_tail_unindexed;
-        twin.max_norm_loose = self.max_norm_loose;
         twin.inserts_since_rebuild = self.inserts_since_rebuild;
         twin
     }
@@ -417,59 +406,6 @@ impl SearchEngine {
         Ok(result?)
     }
 
-    /// Unindexes every window of a series (e.g. a delisted stock). The raw
-    /// values stay in the append-only data file (it has no reclamation), but
-    /// no query will return the series again. Returns the number of windows
-    /// removed.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownSeries`] for a bad series index.
-    pub fn remove_series_windows(&mut self, series: usize) -> Result<usize, EngineError> {
-        let len = self.store.series_len(series)?;
-        let n = self.cfg.window_len;
-        if len < n {
-            return Ok(0);
-        }
-        let mut removed = 0;
-        let mut off = 0;
-        while off + n <= len {
-            let id = SubseqId::try_new(series, off)?;
-            if self.remove_window(id)? {
-                removed += 1;
-            }
-            off += self.cfg.stride;
-        }
-        Ok(removed)
-    }
-
-    /// Removes a window from the index (e.g. when old data expires).
-    /// Returns `true` when the window was indexed.
-    ///
-    /// Removing the window that holds the global SE-norm bound leaves
-    /// `max_se_norm` loose (deliberately: recomputing it exactly would scan
-    /// the whole data file per removal). The engine stamps that looseness so
-    /// [`SearchEngine::health`] reports it (`max_norm_loose`) and
-    /// [`SearchEngine::repair`] — which recomputes the bound exactly — is
-    /// known to fix it.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownSeries`] for a bad series index.
-    pub fn remove_window(&mut self, id: SubseqId) -> Result<bool, EngineError> {
-        let n = self.cfg.window_len;
-        let window = self
-            .store
-            .fetch_window(id.series_idx(), id.offset_idx(), n)?;
-        let mut se_buf = vec![0.0; n];
-        let feat = feature_of(&self.extractor, &window, &mut se_buf);
-        let removed = self.tree.delete(&feat, id.pack())?;
-        if removed && tsss_geometry::se::se_norm(&window) >= self.max_se_norm {
-            // The deleted window was (one of) the bound holder(s): the bound
-            // is now loose until a repair recomputes it.
-            self.max_norm_loose = true;
-        }
-        Ok(removed)
-    }
-
     // ------------------------------------------------------------------
     // Search (the paper's §6 searching + post-processing steps)
     // ------------------------------------------------------------------
@@ -677,7 +613,6 @@ impl SearchEngine {
             index_retries: self.index_stats().retries(),
             data_retries: self.data_stats().retries(),
             append_tail_unindexed: self.append_tail_unindexed,
-            max_norm_loose: self.max_norm_loose,
             // A bare engine has no log; the durable wrapper overrides these.
             wal_tail_records: 0,
             wal_replayed: 0,
@@ -690,10 +625,9 @@ impl SearchEngine {
     ///
     /// The data file is the source of truth: every window it holds is
     /// re-indexed, so an index lost to corruption is fully reconstructed
-    /// — including windows previously unindexed via
-    /// [`SearchEngine::remove_window`] (repair restores the same universe
-    /// the sequential fallback answers from). The old index file, along
-    /// with any injected fault decorator wrapping it, is discarded.
+    /// over the same universe the sequential fallback answers from. The
+    /// old index file, along with any injected fault decorator wrapping
+    /// it, is discarded.
     ///
     /// # Errors
     /// [`EngineError::Corrupt`] when the data file itself is damaged —
@@ -704,13 +638,8 @@ impl SearchEngine {
             index_windows(&self.cfg, &self.extractor, all.iter().map(Vec::as_slice))?;
         self.tree = tree;
         let windows_reindexed = self.tree.len();
-        // The recomputed bound covers every window in the data file — a
-        // superset of what is indexed — so adopting it exactly is sound for
-        // the z-normalised probe and tightens any looseness left by
-        // removals (see `remove_window`).
         self.max_se_norm = max_se_norm;
         self.append_tail_unindexed = false;
-        self.max_norm_loose = false;
         self.inserts_since_rebuild = 0;
         let quarantine_cleared: Vec<u32> =
             // Poison recovery: repair replaces the whole set anyway.
@@ -1168,24 +1097,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_series_windows_unindexes_the_whole_series() {
-        let (mut e, data) = engine();
-        let before = e.num_windows();
-        let per_series = data[1].len() - 16 + 1;
-        let removed = e.remove_series_windows(1).unwrap();
-        assert_eq!(removed, per_series);
-        assert_eq!(e.num_windows(), before - per_series);
-        // No query returns series 1 any more.
-        let q = data[1].window(5, 16).unwrap().to_vec();
-        let res = e.search(&q, 10.0, SearchOptions::default()).unwrap();
-        assert!(res.matches.iter().all(|m| m.id.series != 1));
-        // Removing again is a no-op; other series still searchable.
-        assert_eq!(e.remove_series_windows(1).unwrap(), 0);
-        assert!(e.remove_series_windows(99).is_err());
-        e.tree_mut().check_invariants().unwrap();
-    }
-
-    #[test]
     fn failed_append_indexing_surfaces_unindexed_tail_in_health() {
         let data = vec![Series::new(
             "grow",
@@ -1280,56 +1191,6 @@ mod tests {
             let got = e.search(&q, 0.5, SearchOptions::default()).unwrap();
             assert_eq!(got.matches, want.matches, "query ({s}, {off})");
         }
-    }
-
-    #[test]
-    fn removing_the_norm_holder_stamps_looseness_and_repair_tightens() {
-        // Series 1 is much larger in fluctuation than series 0, so it holds
-        // the global SE-norm bound.
-        let quiet = Series::new("quiet", (0..40).map(|i| (i as f64 * 0.3).sin()).collect());
-        let loud = Series::new(
-            "loud",
-            (0..40).map(|i| (i as f64 * 0.3).sin() * 100.0).collect(),
-        );
-        let mut e = SearchEngine::build(&[quiet, loud], EngineConfig::small(16)).unwrap();
-        let loose_bound = e.max_se_norm();
-        assert!(!e.health().max_norm_loose);
-        // Removing a non-holder window does not stamp looseness.
-        assert!(e
-            .remove_window(SubseqId {
-                series: 0,
-                offset: 0
-            })
-            .unwrap());
-        assert!(!e.health().max_norm_loose);
-        // Deleting the loud series removes the bound holder.
-        e.remove_series_windows(1).unwrap();
-        let h = e.health();
-        assert!(h.max_norm_loose);
-        assert!(h.repair_recommended());
-        // The bound itself is unchanged (still sound, just loose) …
-        assert_eq!(e.max_se_norm(), loose_bound);
-        // … and repair recomputes it exactly. The loud windows are still in
-        // the append-only data file, so the recomputed bound still covers
-        // them — but looseness is no longer silent, and after a repair the
-        // flag is clear.
-        e.repair().unwrap();
-        assert!(!e.health().max_norm_loose);
-        assert!(!e.health().repair_recommended());
-    }
-
-    #[test]
-    fn remove_window_unindexes_it() {
-        let (mut e, data) = engine();
-        let q = data[2].window(10, 16).unwrap().to_vec();
-        let id = SubseqId {
-            series: 2,
-            offset: 10,
-        };
-        assert!(e.remove_window(id).unwrap());
-        assert!(!e.remove_window(id).unwrap(), "already removed");
-        let res = e.search(&q, 1e-7, SearchOptions::default()).unwrap();
-        assert!(!res.id_set().contains(&id));
     }
 
     #[test]
@@ -1495,10 +1356,10 @@ mod tests {
         // Invert the root's first MBR in the store itself, which checksums
         // the new bytes: the page verifies, the node does not.
         e.tree_mut().wrap_store(|mut store| {
-            let mut page = store.read_uncounted(root).unwrap();
+            let mut page = store.read(root).unwrap();
             let low = tsss_index::node::NODE_HEADER_BYTES + 4;
             page.put_f64(low, page.get_f64(low + 8 * dim) + 1.0);
-            store.write_uncounted(root, page).unwrap();
+            store.write(root, page).unwrap();
             store
         });
         let degraded = e.execute(&q, range, SearchOptions::default()).unwrap();

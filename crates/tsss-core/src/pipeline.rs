@@ -370,11 +370,6 @@ impl DeadlineMeter {
         }
     }
 
-    /// A counting-only meter that can never fire.
-    pub fn unbounded() -> Self {
-        Self::new(None)
-    }
-
     /// Charges one verification step (one candidate examined).
     ///
     /// # Errors
@@ -1047,7 +1042,7 @@ mod tests {
         let mut m = DeadlineMeter::new(Some(Deadline::uniform(0)));
         assert!(m.charge_step().is_err());
         // …and an unbounded meter only counts.
-        let mut m = DeadlineMeter::unbounded();
+        let mut m = DeadlineMeter::new(None);
         for _ in 0..1000 {
             m.charge_step().unwrap();
         }
@@ -1092,7 +1087,7 @@ mod tests {
             raw: RawAccess::Snapshot(data.iter().map(|s| s.values.clone()).collect()),
         };
         let err = Verifier
-            .verify(&e, &plan, bogus, &mut DeadlineMeter::unbounded())
+            .verify(&e, &plan, bogus, &mut DeadlineMeter::new(None))
             .unwrap_err();
         assert!(err.is_corruption(), "{err:?}");
         // Same through the paged path.
@@ -1105,7 +1100,7 @@ mod tests {
             raw: RawAccess::Paged,
         };
         let err = Verifier
-            .verify(&e, &plan, bogus, &mut DeadlineMeter::unbounded())
+            .verify(&e, &plan, bogus, &mut DeadlineMeter::new(None))
             .unwrap_err();
         assert!(err.is_corruption(), "{err:?}");
     }

@@ -207,10 +207,6 @@ pub struct HealthReport {
     /// reached the index — queries silently miss that tail until
     /// [`crate::SearchEngine::repair`] re-indexes it from the data file.
     pub append_tail_unindexed: bool,
-    /// True when a removal deleted the window holding the global SE-norm
-    /// bound, leaving z-normalised probes over-reading until
-    /// [`crate::SearchEngine::repair`] recomputes the exact bound.
-    pub max_norm_loose: bool,
     /// Acknowledged appends sitting in the write-ahead log and not yet
     /// folded into a full engine save — what a crash right now would
     /// replay on reopen. Zero for an engine without a log.
@@ -222,13 +218,12 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Whether running [`crate::SearchEngine::repair`] would improve this
-    /// engine: the breaker is not closed, pages are quarantined, an append
-    /// left an unindexed tail, or the SE-norm bound is loose.
+    /// engine: the breaker is not closed, pages are quarantined, or an
+    /// append left an unindexed tail.
     pub fn repair_recommended(&self) -> bool {
         self.breaker != BreakerState::Closed
             || !self.quarantined_pages.is_empty()
             || self.append_tail_unindexed
-            || self.max_norm_loose
     }
 }
 
@@ -252,15 +247,6 @@ impl std::fmt::Display for HealthReport {
                 "yes (repair needed)"
             } else {
                 "no"
-            }
-        )?;
-        writeln!(
-            f,
-            "norm bound:       {}",
-            if self.max_norm_loose {
-                "loose (repair tightens)"
-            } else {
-                "tight"
             }
         )?;
         writeln!(f, "wal tail:         {} records", self.wal_tail_records)?;

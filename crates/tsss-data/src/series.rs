@@ -36,11 +36,6 @@ impl Series {
     }
 }
 
-/// Total number of observations across a set of series.
-pub fn total_values(series: &[Series]) -> usize {
-    series.iter().map(Series::len).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,6 +56,5 @@ mod tests {
         assert_eq!(s.len(), 0);
         let t = Series::new("z", vec![0.0; 7]);
         assert_eq!(t.len(), 7);
-        assert_eq!(total_values(&[s, t]), 7);
     }
 }

@@ -75,11 +75,10 @@ impl DataEntry {
 /// [`Node::encode`]/[`Node::decode`] translate between the two.
 ///
 /// Mutating operations ([`reorder`](Self::reorder),
-/// [`drain_front`](Self::drain_front), [`select`](Self::select),
-/// [`remove`](Self::remove)) mirror the semantics the former
-/// `Vec<DataEntry>` representation had (stable order, `Vec::remove`-style
-/// shifts), so tree shapes — and therefore the blessed equivalence fixtures —
-/// are preserved exactly.
+/// [`drain_front`](Self::drain_front), [`select`](Self::select)) mirror the
+/// semantics the former `Vec<DataEntry>` representation had (stable order,
+/// `Vec::drain`-style shifts), so tree shapes — and therefore the blessed
+/// equivalence fixtures — are preserved exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeafSlab {
     dim: usize,
@@ -172,21 +171,6 @@ impl LeafSlab {
         self.push(e.id, &e.point);
     }
 
-    /// The first row holding exactly this `(point, id)` pair.
-    pub fn position(&self, point: &[f64], id: u64) -> Option<usize> {
-        self.rows().position(|(rid, p)| rid == id && p == point)
-    }
-
-    /// Removes row `i`, shifting later rows down (`Vec::remove` semantics).
-    ///
-    /// # Panics
-    /// Panics when `i` is out of bounds.
-    pub fn remove(&mut self, i: usize) {
-        self.ids.remove(i);
-        let start = i * self.dim;
-        self.points.drain(start..start + self.dim);
-    }
-
     /// Rebuilds the slab with rows picked in `order` — the slab analogue of
     /// permuting a `Vec` of entries. Rows not mentioned are dropped; an
     /// out-of-range index is skipped (debug builds assert against both).
@@ -237,16 +221,6 @@ impl LeafSlab {
         }
         drop(drained);
         out
-    }
-
-    /// Consumes the slab into row-structured entries, in order.
-    pub fn into_entries(self) -> impl Iterator<Item = DataEntry> {
-        let dim = self.dim;
-        let mut points = self.points.into_iter();
-        self.ids.into_iter().map(move |id| {
-            let point: Vec<f64> = points.by_ref().take(dim).collect();
-            DataEntry::new(point, id)
-        })
     }
 
     /// The MBR covering every row, or `None` when empty.
@@ -716,16 +690,6 @@ mod tests {
     /// blessed equivalence fixtures) depends on it.
     #[test]
     fn slab_mutations_mirror_vec_semantics() {
-        // remove == Vec::remove
-        let (mut slab, mut vec) = slab_and_entries(6);
-        slab.remove(2);
-        vec.remove(2);
-        assert_eq!(slab, LeafSlab::from_entries(2, vec.clone()));
-
-        // position finds the first exact (point, id) row
-        assert_eq!(slab.position(&[4.0, 3.0], 4), Some(3));
-        assert_eq!(slab.position(&[4.0, 3.0], 99), None);
-
         // reorder + drain_front == sort permutation + drain(..p)
         let (mut slab, mut vec) = slab_and_entries(6);
         let order = [5usize, 3, 1, 0, 2, 4];
@@ -743,10 +707,6 @@ mod tests {
             sel,
             LeafSlab::from_entries(2, [vec[1].clone(), vec[3].clone()])
         );
-
-        // into_entries round-trips
-        let back: Vec<DataEntry> = slab.into_entries().collect();
-        assert_eq!(back, vec);
     }
 
     #[test]

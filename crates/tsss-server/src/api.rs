@@ -293,7 +293,6 @@ pub fn encode_health(h: &HealthReport) -> Json {
         ("index_retries", Json::from(h.index_retries)),
         ("data_retries", Json::from(h.data_retries)),
         ("append_tail_unindexed", Json::from(h.append_tail_unindexed)),
-        ("max_norm_loose", Json::from(h.max_norm_loose)),
         ("wal_tail_records", Json::from(h.wal_tail_records)),
         ("wal_replayed", Json::from(h.wal_replayed)),
         ("repair_recommended", Json::from(h.repair_recommended())),

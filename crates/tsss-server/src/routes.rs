@@ -103,7 +103,6 @@ impl ServingSnapshot {
                     agg.index_retries += r.index_retries;
                     agg.data_retries += r.data_retries;
                     agg.append_tail_unindexed |= r.append_tail_unindexed;
-                    agg.max_norm_loose |= r.max_norm_loose;
                     agg.wal_tail_records += r.wal_tail_records;
                     agg.wal_replayed += r.wal_replayed;
                 }
@@ -138,7 +137,7 @@ struct Published {
     epoch: u64,
     /// The master's [`DurableEngine::health`] at publication. Reads use
     /// only its ingest-side fields (WAL tail and replay counts, unindexed
-    /// tail, loose norm bound); query-path health comes from `snapshot`.
+    /// tail); query-path health comes from `snapshot`.
     ingest: HealthReport,
 }
 
@@ -446,7 +445,6 @@ fn health(state: &AppState) -> Result<Json, ApiError> {
     let ingest = &published.ingest;
     let h = HealthReport {
         append_tail_unindexed: ingest.append_tail_unindexed,
-        max_norm_loose: ingest.max_norm_loose,
         wal_tail_records: ingest.wal_tail_records,
         wal_replayed: ingest.wal_replayed,
         ..engine.health()

@@ -101,6 +101,31 @@ fn full_request_cycle_over_the_wire() {
     let (status, body) = request(&server, "GET", "/health", "");
     assert_eq!(status, 200);
     let h = Json::parse(&body).unwrap();
+    let Json::Obj(fields) = &h else {
+        panic!("/health must answer an object: {body}");
+    };
+    assert_eq!(
+        fields.keys().map(String::as_str).collect::<Vec<_>>(),
+        [
+            "append_tail_unindexed",
+            "breaker",
+            "breaker_trips",
+            "data_retries",
+            "durable",
+            "epoch",
+            "index_retries",
+            "num_series",
+            "num_windows",
+            "quarantined_pages",
+            "repair_recommended",
+            "seqscan_served",
+            "shard_breakers",
+            "shards",
+            "strikes",
+            "wal_replayed",
+            "wal_tail_records",
+        ]
+    );
     assert_eq!(h.get("breaker").and_then(Json::as_str), Some("closed"));
     assert_eq!(
         h.get("repair_recommended").and_then(Json::as_bool),

@@ -62,10 +62,11 @@ impl BufferPool {
         Self::from_store(Box::new(file))
     }
 
-    /// Wraps an arbitrary [`PageStore`] (e.g. a [`crate::FaultyStore`]).
+    /// Wraps an arbitrary [`PageStore`] (e.g. a [`crate::FaultyStore`]),
+    /// with fresh [`AccessStats`].
     pub fn from_store(store: Box<dyn PageStore>) -> Self {
         Self {
-            stats: store.stats(),
+            stats: Arc::new(AccessStats::new()),
             page_size: store.page_size(),
             store,
         }
@@ -73,13 +74,14 @@ impl BufferPool {
 
     /// Replaces the backing store with `wrap(old_store)` — the hook chaos
     /// tests use to slide a [`crate::FaultyStore`] underneath a live tree.
+    /// The pool keeps its counters.
     pub fn wrap_store(&mut self, wrap: impl FnOnce(Box<dyn PageStore>) -> Box<dyn PageStore>) {
         // Park an inert placeholder while `wrap` consumes the real store.
         let old = std::mem::replace(&mut self.store, Box::new(NullStore));
         self.store = wrap(old);
     }
 
-    /// Shared access counters (same object the underlying store reports to).
+    /// Shared handle to the pool's access counters.
     pub fn stats(&self) -> Arc<AccessStats> {
         Arc::clone(&self.stats)
     }
@@ -90,14 +92,6 @@ impl BufferPool {
     /// Propagates the store's typed errors.
     pub fn allocate(&mut self) -> Result<PageId, StorageError> {
         self.store.allocate()
-    }
-
-    /// Frees a page.
-    ///
-    /// # Errors
-    /// Propagates the store's typed errors (double free, bad ids).
-    pub fn deallocate(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.store.deallocate(id)
     }
 
     /// Page size of the backing store.
@@ -123,7 +117,7 @@ impl BufferPool {
         self.stats.record_read();
         let mut attempt = 1;
         loop {
-            match self.store.read_uncounted(id) {
+            match self.store.read(id) {
                 Err(e) if e.is_transient() && attempt < READ_ATTEMPTS => {
                     self.stats.record_retry();
                     attempt += 1;
@@ -145,7 +139,7 @@ impl BufferPool {
             });
         }
         self.stats.record_write();
-        self.store.write_uncounted(id, page)
+        self.store.write(id, page)
     }
 
     /// A copy-on-write twin of the pool over a [`PageStore::fork`] of the
@@ -189,20 +183,8 @@ impl PageStore for NullStore {
     fn extent(&self) -> usize {
         0
     }
-    fn live_pages(&self) -> usize {
-        0
-    }
-    fn stats(&self) -> Arc<AccessStats> {
-        Arc::new(AccessStats::new())
-    }
     fn allocate(&mut self) -> Result<PageId, StorageError> {
         Err(StorageError::Full)
-    }
-    fn deallocate(&mut self, id: PageId) -> Result<(), StorageError> {
-        Err(StorageError::OutOfRange {
-            page: id,
-            extent: 0,
-        })
     }
     fn read(&self, id: PageId) -> Result<Page, StorageError> {
         Err(StorageError::OutOfRange {
@@ -211,18 +193,6 @@ impl PageStore for NullStore {
         })
     }
     fn write(&mut self, id: PageId, _page: Page) -> Result<(), StorageError> {
-        Err(StorageError::OutOfRange {
-            page: id,
-            extent: 0,
-        })
-    }
-    fn read_uncounted(&self, id: PageId) -> Result<Page, StorageError> {
-        Err(StorageError::OutOfRange {
-            page: id,
-            extent: 0,
-        })
-    }
-    fn write_uncounted(&mut self, id: PageId, _page: Page) -> Result<(), StorageError> {
         Err(StorageError::OutOfRange {
             page: id,
             extent: 0,
@@ -259,7 +229,6 @@ mod tests {
             p.put_u64(0, i as u64 + 100);
             file.write_page(id, p).unwrap();
         }
-        file.stats().reset();
         (BufferPool::new(file), ids)
     }
 
@@ -278,35 +247,20 @@ mod tests {
         fn extent(&self) -> usize {
             self.inner.extent()
         }
-        fn live_pages(&self) -> usize {
-            self.inner.live_pages()
-        }
-        fn stats(&self) -> Arc<AccessStats> {
-            self.inner.stats()
-        }
         fn allocate(&mut self) -> Result<PageId, StorageError> {
             self.inner.allocate()
         }
-        fn deallocate(&mut self, id: PageId) -> Result<(), StorageError> {
-            self.inner.deallocate(id)
-        }
         fn read(&self, id: PageId) -> Result<Page, StorageError> {
-            self.inner.read(id)
-        }
-        fn write(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
-            self.inner.write(id, page)
-        }
-        fn read_uncounted(&self, id: PageId) -> Result<Page, StorageError> {
             use std::sync::atomic::Ordering;
             let left = self.fail_reads.load(Ordering::Relaxed);
             if left > 0 {
                 self.fail_reads.store(left - 1, Ordering::Relaxed);
                 return Err(StorageError::ReadFailed { page: id });
             }
-            self.inner.read_uncounted(id)
+            self.inner.read(id)
         }
-        fn write_uncounted(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
-            self.inner.write_uncounted(id, page)
+        fn write(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
+            self.inner.write(id, page)
         }
         fn corrupt_raw(
             &mut self,
@@ -392,7 +346,7 @@ mod tests {
         p.put_u64(0, 42);
         pool.write(ids[5], p).unwrap();
         assert_eq!(pool.read(ids[5]).unwrap().get_u64(0), 42);
-        let stored = pool.with_store(|store| store.read_uncounted(ids[5]));
+        let stored = pool.with_store(|store| store.read(ids[5]));
         assert_eq!(stored.unwrap().get_u64(0), 42);
     }
 
@@ -410,10 +364,6 @@ mod tests {
         assert!(matches!(
             pool.write(PageId(0), Page::zeroed(32)).unwrap_err(),
             StorageError::PageSizeMismatch { .. }
-        ));
-        assert!(matches!(
-            pool.deallocate(PageId::INVALID).unwrap_err(),
-            StorageError::InvalidPageId
         ));
     }
 
@@ -440,6 +390,12 @@ mod tests {
         assert!(
             matches!(pool.read(ids[0]), Err(StorageError::ReadFailed { .. })),
             "a page read before the wrap must now go through the faulty store"
+        );
+        let s = pool.stats();
+        assert_eq!(
+            (s.reads(), s.retries()),
+            (2, 2),
+            "the pool keeps counting across the wrap"
         );
     }
 

@@ -81,20 +81,29 @@ pub fn put_string<W: Write + ?Sized>(w: &mut W, s: &str) -> io::Result<()> {
     w.write_all(s.as_bytes())
 }
 
-/// Reads a length-prefixed UTF-8 string.
+/// Reads a length-prefixed UTF-8 string. The buffer grows only as the
+/// stream supplies bytes, so a hostile length prefix cannot reserve memory
+/// the stream does not back.
 ///
 /// # Errors
-/// `InvalidData` on malformed UTF-8 or an absurd length prefix.
+/// `InvalidData` on malformed UTF-8 or an absurd length prefix;
+/// `UnexpectedEof` when the stream ends before the declared length.
 pub fn get_string<R: Read + ?Sized>(r: &mut R) -> io::Result<String> {
-    let len = get_usize(r)?;
+    let len = get_u64(r)?;
     if len > (1 << 32) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "string length prefix too large",
         ));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::new();
+    let read = Read::take(&mut *r, len).read_to_end(&mut buf)?;
+    if u64::try_from(read) != Ok(len) {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("string ends after {read} of {len} bytes"),
+        ));
+    }
     String::from_utf8(buf)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "invalid UTF-8 in stream"))
 }
@@ -302,6 +311,16 @@ mod tests {
         buf.extend_from_slice(&[0xFF, 0xFE]);
         let err = get_string(&mut Cursor::new(buf)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_string_longer_than_its_stream_is_eof_not_an_allocation() {
+        // An 8-byte stream declaring a 4 GiB - 1 string: the reader must run
+        // out of bytes, not reserve the declared length first.
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 0xFFFF_FFFF).unwrap();
+        let err = get_string(&mut Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The simulated disk: a growable array of fixed-size pages with exact
-//! access accounting, a free list, and per-page CRC32 checksums.
+//! The simulated disk: a growable array of fixed-size pages with per-page
+//! CRC32 checksums and the free list the `TSSSPG02` format carries.
 //!
-//! `PageFile` is the ground truth the buffer pool sits in front of. Every
-//! `read_page`/`write_page` bumps the shared [`AccessStats`], so the
-//! benchmark harness measures precisely what the paper's Figure 5 measures —
-//! pages touched, not wall-clock I/O.
+//! `PageFile` is the ground truth the buffer pool sits in front of. It
+//! counts nothing: the pool records every logical access, so the
+//! benchmark harness measures precisely what the paper's Figure 5
+//! measures — pages touched, not wall-clock I/O.
 //!
 //! # Integrity model
 //!
@@ -14,6 +14,14 @@
 //! rotted inside a persisted file — surfaces as a typed
 //! [`StorageError::Corrupt`] instead of a garbage decode downstream.
 //! [`PageFile::corrupt_raw`] is the sanctioned way to model such damage.
+//!
+//! # Free list
+//!
+//! Nothing in the engine frees a page, but the `TSSSPG02` format carries a
+//! free list, and files saved by older builds may hold one. It is loaded
+//! and validated, [`PageFile::allocate`] reuses its slots first, and
+//! [`PageFile::write_to`] writes back what is left, so every image
+//! round-trips byte for byte.
 //!
 //! # Copy-on-write frames
 //!
@@ -26,11 +34,10 @@
 use std::sync::Arc;
 
 use crate::codec::crc32;
-// analyze::allow-file(index): `pages`, `crcs` and `seen` are indexed only through `slot()`-validated indices (or `extent`-checked ids during load), and `pages`/`crcs` are grown and shrunk together.
+// analyze::allow-file(index): `pages` and `crcs` are indexed only through `slot()`-validated indices (or free-list ids range-checked against `extent` at load) and are grown together; the duplicate scan indexes `windows(2)` pairs, which always hold two ids.
 
 use crate::error::StorageError;
 use crate::page::Page;
-use crate::stats::AccessStats;
 use crate::store::PageStore;
 
 /// Identifier of a page within a [`PageFile`].
@@ -59,10 +66,8 @@ impl std::fmt::Display for PageId {
 
 /// A simulated page-oriented file (the "disk").
 ///
-/// All pages share one size, fixed at construction. Deallocated pages go on
-/// a free list and are reused by later allocations. The access counters are
-/// shared (`Arc`) so a buffer pool and its backing file report into the same
-/// [`AccessStats`].
+/// All pages share one size, fixed at construction. Slots on the free list
+/// (see the module docs) are reused by later allocations.
 #[derive(Debug)]
 pub struct PageFile {
     page_size: usize,
@@ -71,9 +76,10 @@ pub struct PageFile {
     /// CRC32 of each page's content as of its last legitimate write.
     crcs: Vec<u32>,
     free: Vec<PageId>,
-    stats: Arc<AccessStats>,
-    /// Cached CRC of an all-zero page (every allocation starts there).
-    zero_crc: u32,
+    /// CRC of an all-zero page (every allocation starts there), computed
+    /// by the first allocation: a loaded page size is not yet backed by
+    /// any bytes of the stream.
+    zero_crc: Option<u32>,
 }
 
 impl PageFile {
@@ -90,8 +96,7 @@ impl PageFile {
             pages: Vec::new(),
             crcs: Vec::new(),
             free: Vec::new(),
-            stats: Arc::new(AccessStats::new()),
-            zero_crc: crc32(&vec![0u8; page_size]),
+            zero_crc: None,
         })
     }
 
@@ -100,19 +105,9 @@ impl PageFile {
         self.page_size
     }
 
-    /// Number of live (allocated, not freed) pages.
-    pub fn live_pages(&self) -> usize {
-        self.pages.len() - self.free.len()
-    }
-
     /// Total pages ever allocated (the file's physical extent).
     pub fn extent(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Shared handle to the access counters.
-    pub fn stats(&self) -> Arc<AccessStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Maps an id to its slot, rejecting the sentinel and out-of-range ids.
@@ -131,45 +126,36 @@ impl PageFile {
         Ok(idx)
     }
 
-    /// Allocates a zeroed page, reusing a freed slot when available.
-    ///
-    /// Allocation itself is not counted as an access; the subsequent write
-    /// of real content is.
+    /// Allocates a zeroed page, reusing a free slot when available.
     ///
     /// # Errors
     /// [`StorageError::Full`] when 32-bit page ids are exhausted.
     pub fn allocate(&mut self) -> Result<PageId, StorageError> {
+        let page = Arc::new(Page::zeroed(self.page_size));
+        let crc = *self.zero_crc.get_or_insert_with(|| crc32(page.bytes()));
         if let Some(id) = self.free.pop() {
-            // analyze::allow(cast): lossless u32 → usize; free-list ids were in range when pushed and the vectors never shrink past them.
+            // analyze::allow(cast): lossless u32 → usize; free-list ids were range-checked against the extent at load and the vectors never shrink.
             let idx = id.0 as usize;
-            self.pages[idx] = Arc::new(Page::zeroed(self.page_size));
-            self.crcs[idx] = self.zero_crc;
+            self.pages[idx] = page;
+            self.crcs[idx] = crc;
             return Ok(id);
         }
         let id = match u32::try_from(self.pages.len()) {
             Ok(n) if PageId(n).is_valid() => PageId(n),
             _ => return Err(StorageError::Full),
         };
-        self.pages.push(Arc::new(Page::zeroed(self.page_size)));
-        self.crcs.push(self.zero_crc);
+        self.pages.push(page);
+        self.crcs.push(crc);
         Ok(id)
     }
 
-    /// Returns a page to the free list.
+    /// Reads a page, verifying its checksum.
     ///
     /// # Errors
-    /// Typed errors on the sentinel, an out-of-range id, or a double free.
-    pub fn deallocate(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.slot(id)?;
-        if self.free.contains(&id) {
-            return Err(StorageError::DoubleFree { page: id });
-        }
-        self.free.push(id);
-        Ok(())
-    }
-
-    /// Verifies the checksum of the page in `idx` and clones it out.
-    fn verified(&self, id: PageId, idx: usize) -> Result<Page, StorageError> {
+    /// Typed errors on bad ids; [`StorageError::Corrupt`] when the stored
+    /// bytes no longer match the page's checksum.
+    pub fn read_page(&self, id: PageId) -> Result<Page, StorageError> {
+        let idx = self.slot(id)?;
         let page = &self.pages[idx];
         let actual = crc32(page.bytes());
         let stored = self.crcs[idx];
@@ -184,25 +170,21 @@ impl PageFile {
         Ok(Page::clone(page))
     }
 
-    /// Reads a page, verifying its checksum (counted as one logical read).
-    ///
-    /// # Errors
-    /// Typed errors on bad ids; [`StorageError::Corrupt`] when the stored
-    /// bytes no longer match the page's checksum.
-    pub fn read_page(&self, id: PageId) -> Result<Page, StorageError> {
-        self.stats.record_read();
-        let idx = self.slot(id)?;
-        self.verified(id, idx)
-    }
-
-    /// Writes a page and refreshes its checksum (counted as one logical
-    /// write).
+    /// Stores a page and refreshes its checksum.
     ///
     /// # Errors
     /// Typed errors on bad ids or a page of the wrong size.
     pub fn write_page(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
-        self.stats.record_write();
-        self.write_page_uncounted(id, page)
+        if page.size() != self.page_size {
+            return Err(StorageError::PageSizeMismatch {
+                expected: self.page_size,
+                got: page.size(),
+            });
+        }
+        let idx = self.slot(id)?;
+        self.crcs[idx] = crc32(page.bytes());
+        self.pages[idx] = Arc::new(page);
+        Ok(())
     }
 
     /// Serialises the whole file (pages + checksums + free list) to a
@@ -210,8 +192,7 @@ impl PageFile {
     ///
     /// Format: magic `TSSSPG02`, a CRC-protected header block (page size,
     /// extent, free list), then per page its CRC32 followed by the raw
-    /// bytes. Access counters are *not* persisted — they describe a
-    /// session, not the data.
+    /// bytes.
     ///
     /// # Errors
     /// Propagates I/O errors.
@@ -237,13 +218,17 @@ impl PageFile {
     /// the header checksum and every page checksum — a full scrub, so a
     /// damaged file is refused at open rather than discovered mid-query.
     ///
+    /// Every allocation is bounded by the bytes the stream has supplied,
+    /// whatever counts and sizes the header declares.
+    ///
     /// # Errors
     /// `InvalidData` on a bad magic tag, an unsupported version, a
     /// checksum mismatch anywhere, or an inconsistent free list; propagates
     /// I/O errors (truncation surfaces as `UnexpectedEof`).
     pub fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> std::io::Result<Self> {
         use crate::codec::*;
-        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        use std::io::{Error, ErrorKind, Read};
+        let invalid = |msg: String| Error::new(ErrorKind::InvalidData, msg);
         expect_versioned_magic(r, b"TSSSPG", 2)?;
         // 64 MB admits ~16 M free-list entries — far beyond any real file,
         // small enough that a hostile length prefix cannot exhaust memory.
@@ -264,33 +249,40 @@ impl PageFile {
                 "free list of {free_len} entries exceeds extent {extent}"
             )));
         }
-        let mut free = Vec::with_capacity(free_len);
-        let mut seen = vec![false; extent];
+        let mut free = Vec::new();
         for _ in 0..free_len {
             let id = PageId(get_u32(hr)?);
-            // analyze::allow(cast): lossless u32 → usize; this comparison is the range check for the line below.
+            // analyze::allow(cast): lossless u32 → usize; this comparison is the range check.
             if id.0 as usize >= extent {
                 return Err(invalid("free-list entry out of range".into()));
             }
-            // analyze::allow(cast): see above — just range-checked against `extent`, the length of `seen`.
-            if std::mem::replace(&mut seen[id.0 as usize], true) {
-                return Err(invalid(format!("duplicate free-list entry {id}")));
-            }
             free.push(id);
+        }
+        let mut sorted = free.clone();
+        sorted.sort_unstable();
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(invalid(format!("duplicate free-list entry {}", pair[0])));
         }
         let mut pages = Vec::new();
         let mut crcs = Vec::new();
         for i in 0..extent {
             let stored = get_u32(r)?;
-            let mut page = Page::zeroed(page_size);
-            r.read_exact(page.bytes_mut())?;
-            let actual = crc32(page.bytes());
+            let mut bytes = Vec::with_capacity(page_size.min(1 << 16));
+            let limit = u64::try_from(page_size).unwrap_or(u64::MAX);
+            Read::take(&mut *r, limit).read_to_end(&mut bytes)?;
+            if bytes.len() != page_size {
+                return Err(Error::new(
+                    ErrorKind::UnexpectedEof,
+                    format!("page#{i} ends after {} of {page_size} bytes", bytes.len()),
+                ));
+            }
+            let actual = crc32(&bytes);
             if actual != stored {
                 return Err(invalid(format!(
                     "corrupt page#{i}: stored checksum {stored:#010x}, computed {actual:#010x}"
                 )));
             }
-            pages.push(Arc::new(page));
+            pages.push(Arc::new(Page::from_bytes(bytes)));
             crcs.push(stored);
         }
         Ok(Self {
@@ -298,41 +290,8 @@ impl PageFile {
             pages,
             crcs,
             free,
-            stats: Arc::new(AccessStats::new()),
-            zero_crc: crc32(&vec![0u8; page_size]),
+            zero_crc: None,
         })
-    }
-
-    /// Stores a page and refreshes its checksum without access accounting —
-    /// the buffer pool's physical write path (logical counting already
-    /// happened at the pool boundary).
-    ///
-    /// # Errors
-    /// Typed errors on bad ids or a page of the wrong size.
-    pub fn write_page_uncounted(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
-        if page.size() != self.page_size {
-            return Err(StorageError::PageSizeMismatch {
-                expected: self.page_size,
-                got: page.size(),
-            });
-        }
-        let idx = self.slot(id)?;
-        self.crcs[idx] = crc32(page.bytes());
-        self.pages[idx] = Arc::new(page);
-        Ok(())
-    }
-
-    /// Reads a page **without** counting an access. Integrity is still
-    /// verified.
-    ///
-    /// For the buffer pool's physical path, white-box tests, and integrity
-    /// checks — never on the query path, where every touch must be charged.
-    ///
-    /// # Errors
-    /// As [`PageFile::read_page`].
-    pub fn read_page_uncounted(&self, id: PageId) -> Result<Page, StorageError> {
-        let idx = self.slot(id)?;
-        self.verified(id, idx)
     }
 
     /// Damages the stored bytes of `id` in place via `f`, deliberately
@@ -353,16 +312,15 @@ impl PageFile {
     }
 
     /// A copy-on-write twin of this file: the same pages, checksums and
-    /// free list, sharing every page frame, with fresh access counters.
-    /// Costs one pointer per page; from then on neither file sees the
-    /// other's writes, allocations or damage.
+    /// free list, sharing every page frame. Costs one pointer per page;
+    /// from then on neither file sees the other's writes, allocations or
+    /// damage.
     pub fn fork(&self) -> PageFile {
         PageFile {
             page_size: self.page_size,
             pages: self.pages.clone(),
             crcs: self.crcs.clone(),
             free: self.free.clone(),
-            stats: Arc::new(AccessStats::new()),
             zero_crc: self.zero_crc,
         }
     }
@@ -377,20 +335,8 @@ impl PageStore for PageFile {
         PageFile::extent(self)
     }
 
-    fn live_pages(&self) -> usize {
-        PageFile::live_pages(self)
-    }
-
-    fn stats(&self) -> Arc<AccessStats> {
-        PageFile::stats(self)
-    }
-
     fn allocate(&mut self) -> Result<PageId, StorageError> {
         PageFile::allocate(self)
-    }
-
-    fn deallocate(&mut self, id: PageId) -> Result<(), StorageError> {
-        PageFile::deallocate(self, id)
     }
 
     fn read(&self, id: PageId) -> Result<Page, StorageError> {
@@ -399,14 +345,6 @@ impl PageStore for PageFile {
 
     fn write(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
         self.write_page(id, page)
-    }
-
-    fn read_uncounted(&self, id: PageId) -> Result<Page, StorageError> {
-        self.read_page_uncounted(id)
-    }
-
-    fn write_uncounted(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
-        self.write_page_uncounted(id, page)
     }
 
     fn corrupt_raw(
@@ -436,13 +374,8 @@ mod tests {
         let a = f.allocate().unwrap();
         let b = f.allocate().unwrap();
         assert_ne!(a, b);
-        assert_eq!(f.live_pages(), 2);
-        assert!(f
-            .read_page_uncounted(a)
-            .unwrap()
-            .bytes()
-            .iter()
-            .all(|&x| x == 0));
+        assert_eq!(f.extent(), 2);
+        assert!(f.read_page(a).unwrap().bytes().iter().all(|&x| x == 0));
     }
 
     #[test]
@@ -454,51 +387,34 @@ mod tests {
     }
 
     #[test]
-    fn read_write_roundtrip_counts_accesses() {
+    fn read_write_roundtrip_preserves_content() {
         let mut f = PageFile::new(64).unwrap();
         let id = f.allocate().unwrap();
         let mut p = Page::zeroed(64);
         p.put_f64(0, 42.5);
         f.write_page(id, p).unwrap();
-        let back = f.read_page(id).unwrap();
-        assert_eq!(back.get_f64(0), 42.5);
-        let stats = f.stats();
-        assert_eq!(stats.writes(), 1);
-        assert_eq!(stats.reads(), 1);
-        assert_eq!(stats.total_accesses(), 2);
+        assert_eq!(f.read_page(id).unwrap().get_f64(0), 42.5);
     }
 
     #[test]
-    fn uncounted_read_does_not_touch_stats() {
-        let mut f = PageFile::new(64).unwrap();
-        let id = f.allocate().unwrap();
-        let _ = f.read_page_uncounted(id).unwrap();
-        assert_eq!(f.stats().total_accesses(), 0);
-    }
-
-    #[test]
-    fn deallocate_then_allocate_reuses_slot_and_zeroes() {
+    fn allocate_reuses_a_free_slot_and_zeroes_it() {
         let mut f = PageFile::new(64).unwrap();
         let a = f.allocate().unwrap();
         let mut p = Page::zeroed(64);
         p.put_u64(0, 7);
         f.write_page(a, p).unwrap();
-        f.deallocate(a).unwrap();
-        assert_eq!(f.live_pages(), 0);
+        // A free list as a file saved by an older build carries one.
+        f.free.push(a);
         let b = f.allocate().unwrap();
         assert_eq!(a, b, "freed slot should be reused");
-        assert_eq!(
-            f.read_page_uncounted(b).unwrap().get_u64(0),
-            0,
-            "page re-zeroed"
-        );
+        assert_eq!(f.read_page(b).unwrap().get_u64(0), 0, "page re-zeroed");
         assert_eq!(f.extent(), 1, "no physical growth");
     }
 
     #[test]
     fn free_list_cycles_do_not_leak_or_resurrect_stale_content() {
-        // Satellite: dealloc/realloc churn must neither grow the extent nor
-        // let stale bytes survive a checksum-verified read.
+        // Free-list reuse must neither grow the extent nor let stale bytes
+        // survive a checksum-verified read.
         let mut f = PageFile::new(64).unwrap();
         let ids: Vec<PageId> = (0..4).map(|_| f.allocate().unwrap()).collect();
         for round in 0u64..50 {
@@ -509,9 +425,7 @@ mod tests {
             }
             // Free two, reallocate two — slots must be reused, re-zeroed,
             // and verify cleanly.
-            f.deallocate(ids[1]).unwrap();
-            f.deallocate(ids[3]).unwrap();
-            assert_eq!(f.live_pages(), 2);
+            f.free.extend([ids[1], ids[3]]);
             let r1 = f.allocate().unwrap();
             let r2 = f.allocate().unwrap();
             let mut reused = [r1, r2];
@@ -523,17 +437,6 @@ mod tests {
             }
         }
         assert_eq!(f.extent(), 4, "free-list churn must not leak pages");
-    }
-
-    #[test]
-    fn double_free_is_a_typed_error() {
-        let mut f = PageFile::new(64).unwrap();
-        let a = f.allocate().unwrap();
-        f.deallocate(a).unwrap();
-        assert_eq!(
-            f.deallocate(a).unwrap_err(),
-            StorageError::DoubleFree { page: a }
-        );
     }
 
     #[test]
@@ -564,10 +467,6 @@ mod tests {
                 extent: 1
             }
         );
-        assert!(matches!(
-            f.deallocate(PageId::INVALID).unwrap_err(),
-            StorageError::InvalidPageId
-        ));
         assert!(matches!(
             f.write_page(PageId(5), Page::zeroed(64)).unwrap_err(),
             StorageError::OutOfRange { .. }
@@ -605,8 +504,8 @@ mod tests {
         (f.extent(), f.free.clone(), f.crcs.clone(), bytes)
     }
 
-    /// Writes, allocates twice (reusing the freed slot, then growing),
-    /// frees and damages pages of `this`; `other` must not move.
+    /// Writes, allocates twice (reusing the free slot, then growing) and
+    /// damages pages of `this`; `other` must not move.
     fn mutate_one_side(this: &mut PageFile, other: &PageFile, ids: &[PageId]) {
         let before = image(other);
         let mut p = Page::zeroed(64);
@@ -614,7 +513,6 @@ mod tests {
         this.write_page(ids[0], p).unwrap();
         this.allocate().unwrap();
         this.allocate().unwrap();
-        this.deallocate(ids[1]).unwrap();
         this.corrupt_raw(ids[0], &mut |bytes| bytes[0] ^= 0xff)
             .unwrap();
         assert_eq!(image(other), before);
@@ -634,30 +532,21 @@ mod tests {
             p.put_u64(0, i as u64 + 1);
             a.write_page(id, p).unwrap();
         }
-        a.deallocate(ids[2]).unwrap();
-        let _ = a.read_page(ids[0]).unwrap();
+        a.free.push(ids[2]);
         let mut b = a.fork();
         assert_eq!(image(&a), image(&b));
-        assert_eq!(b.stats().total_accesses(), 0, "fresh counters");
         mutate_one_side(&mut a, &b, &ids);
         mutate_one_side(&mut b, &a, &ids);
         assert_eq!(image(&a), image(&b), "the same edits on both sides");
-        assert_eq!((a.extent(), a.live_pages()), (4, 3));
-    }
-
-    #[test]
-    fn stats_are_shared_with_handles() {
-        let mut f = PageFile::new(64).unwrap();
-        let id = f.allocate().unwrap();
-        let handle = f.stats();
-        let _ = f.read_page(id);
-        assert_eq!(handle.reads(), 1);
+        assert_eq!((a.extent(), a.free.len()), (4, 0));
     }
 }
 
 #[cfg(test)]
 mod persist_tests {
     use super::*;
+    use crate::codec::*;
+    use std::io::{Cursor, ErrorKind};
 
     #[test]
     fn roundtrip_preserves_pages_and_free_list() {
@@ -668,32 +557,21 @@ mod persist_tests {
             p.put_u64(0, i as u64 * 11);
             f.write_page(id, p).unwrap();
         }
-        f.deallocate(ids[2]).unwrap();
+        f.free.push(ids[2]);
         let mut buf = Vec::new();
         f.write_to(&mut buf).unwrap();
-        let mut g = PageFile::read_from(&mut std::io::Cursor::new(buf)).unwrap();
+        let mut g = PageFile::read_from(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(g.page_size(), 64);
         assert_eq!(g.extent(), 5);
-        assert_eq!(g.live_pages(), 4);
+        assert_eq!(g.free, [ids[2]]);
         for (i, &id) in ids.iter().enumerate() {
-            if i == 2 {
-                continue;
-            }
-            assert_eq!(g.read_page_uncounted(id).unwrap().get_u64(0), i as u64 * 11);
+            assert_eq!(g.read_page(id).unwrap().get_u64(0), i as u64 * 11);
         }
-        // Reallocation reuses the freed slot, as in the original.
+        let mut again = Vec::new();
+        g.write_to(&mut again).unwrap();
+        assert_eq!(again, buf, "the image round-trips byte for byte");
+        // Reallocation reuses the free slot, as in the original.
         assert_eq!(g.allocate().unwrap(), ids[2]);
-    }
-
-    #[test]
-    fn counters_are_not_persisted() {
-        let mut f = PageFile::new(32).unwrap();
-        let id = f.allocate().unwrap();
-        let _ = f.read_page(id);
-        let mut buf = Vec::new();
-        f.write_to(&mut buf).unwrap();
-        let g = PageFile::read_from(&mut std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(g.stats().total_accesses(), 0);
     }
 
     #[test]
@@ -701,8 +579,8 @@ mod persist_tests {
         let mut buf = Vec::new();
         PageFile::new(32).unwrap().write_to(&mut buf).unwrap();
         buf[0] = b'X';
-        let err = PageFile::read_from(&mut std::io::Cursor::new(buf)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = PageFile::read_from(&mut Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
     }
 
     #[test]
@@ -710,7 +588,7 @@ mod persist_tests {
         let mut buf = Vec::new();
         PageFile::new(32).unwrap().write_to(&mut buf).unwrap();
         buf[6..8].copy_from_slice(b"01");
-        let err = PageFile::read_from(&mut std::io::Cursor::new(buf)).unwrap_err();
+        let err = PageFile::read_from(&mut Cursor::new(buf)).unwrap_err();
         assert!(err.to_string().contains("unsupported version"), "{err}");
     }
 
@@ -721,7 +599,7 @@ mod persist_tests {
         let mut buf = Vec::new();
         f.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() - 5);
-        assert!(PageFile::read_from(&mut std::io::Cursor::new(buf)).is_err());
+        assert!(PageFile::read_from(&mut Cursor::new(buf)).is_err());
     }
 
     #[test]
@@ -733,7 +611,7 @@ mod persist_tests {
             p.put_u64(0, 0xA5A5 + i as u64);
             f.write_page(id, p).unwrap();
         }
-        f.deallocate(ids[1]).unwrap();
+        f.free.push(ids[1]);
         let mut buf = Vec::new();
         f.write_to(&mut buf).unwrap();
         for byte in 0..buf.len() {
@@ -741,52 +619,153 @@ mod persist_tests {
                 let mut damaged = buf.clone();
                 damaged[byte] ^= 1 << bit;
                 assert!(
-                    PageFile::read_from(&mut std::io::Cursor::new(damaged)).is_err(),
+                    PageFile::read_from(&mut Cursor::new(damaged)).is_err(),
                     "flip at byte {byte} bit {bit} went undetected"
                 );
             }
         }
     }
 
-    #[test]
-    fn out_of_range_free_entry_is_rejected() {
-        // Build a file whose (otherwise valid, correctly checksummed)
-        // header claims a free-list entry beyond the extent.
-        use crate::codec::*;
+    /// A `TSSSPG02` stream: `header` under a valid header CRC, then each
+    /// page's CRC and bytes.
+    fn stream(header: &[u8], pages: &[Vec<u8>]) -> Vec<u8> {
         let mut buf = Vec::new();
         put_magic(&mut buf, b"TSSSPG02").unwrap();
-        let mut header = Vec::new();
-        put_usize(&mut header, 32).unwrap(); // page size
-        put_usize(&mut header, 1).unwrap(); // extent
-        put_usize(&mut header, 1).unwrap(); // free_len
-        put_u32(&mut header, 7).unwrap(); // free entry 7 >= extent 1
-        put_checked_block(&mut buf, &header).unwrap();
-        let page = vec![0u8; 32];
-        put_u32(&mut buf, crc32(&page)).unwrap();
-        buf.extend_from_slice(&page);
-        let err = PageFile::read_from(&mut std::io::Cursor::new(buf)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        put_checked_block(&mut buf, header).unwrap();
+        for page in pages {
+            put_u32(&mut buf, crc32(page)).unwrap();
+            buf.extend_from_slice(page);
+        }
+        buf
+    }
+
+    /// A header declaring `page_size`, `extent` and `free_len`, followed by
+    /// the given free-list entries.
+    fn header(page_size: usize, extent: usize, free_len: usize, free: &[u32]) -> Vec<u8> {
+        let mut h = Vec::new();
+        put_usize(&mut h, page_size).unwrap();
+        put_usize(&mut h, extent).unwrap();
+        put_usize(&mut h, free_len).unwrap();
+        for &id in free {
+            put_u32(&mut h, id).unwrap();
+        }
+        h
+    }
+
+    #[test]
+    fn out_of_range_free_entry_is_rejected() {
+        // free entry 7 >= extent 1
+        let buf = stream(&header(32, 1, 1, &[7]), &[vec![0u8; 32]]);
+        let err = PageFile::read_from(&mut Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert!(err.to_string().contains("free-list entry out of range"));
     }
 
     #[test]
     fn duplicate_free_entry_is_rejected() {
-        use crate::codec::*;
-        let mut buf = Vec::new();
-        put_magic(&mut buf, b"TSSSPG02").unwrap();
-        let mut header = Vec::new();
-        put_usize(&mut header, 32).unwrap();
-        put_usize(&mut header, 2).unwrap();
-        put_usize(&mut header, 2).unwrap();
-        put_u32(&mut header, 0).unwrap();
-        put_u32(&mut header, 0).unwrap();
-        put_checked_block(&mut buf, &header).unwrap();
-        for _ in 0..2 {
-            let page = vec![0u8; 32];
-            put_u32(&mut buf, crc32(&page)).unwrap();
-            buf.extend_from_slice(&page);
-        }
-        let err = PageFile::read_from(&mut std::io::Cursor::new(buf)).unwrap_err();
+        let buf = stream(&header(32, 2, 2, &[0, 0]), &[vec![0u8; 32], vec![0u8; 32]]);
+        let err = PageFile::read_from(&mut Cursor::new(buf)).unwrap_err();
         assert!(err.to_string().contains("duplicate free-list entry"));
+    }
+
+    /// A 44-byte stream whose CRC-valid header declares 2³² − 2 pages (and
+    /// as many free-list entries, or none) but supplies nothing after it:
+    /// the loader must run out of bytes, not reserve tables sized by the
+    /// declared counts (16 GiB for the free list, 4 GiB for a duplicate
+    /// table).
+    #[test]
+    fn header_counts_the_stream_cannot_back_are_refused_before_allocating() {
+        for free_len in [0xFFFF_FFFE, 0] {
+            let buf = stream(&header(32, 0xFFFF_FFFE, free_len, &[]), &[]);
+            assert_eq!(buf.len(), 44);
+            let err = PageFile::read_from(&mut Cursor::new(buf)).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                ErrorKind::UnexpectedEof,
+                "free_len {free_len}: {err}"
+            );
+        }
+    }
+
+    /// Seeded CRC-valid headers with hostile counts: page size, extent,
+    /// free-list length and free entries drawn from 0, 1, n − 1, n,
+    /// 2³² − 2 and `usize::MAX` (n a small extent), followed by a few
+    /// pages with valid CRCs. Each stream either fails with a typed
+    /// `io::Error` or loads a file whose `write_to` reproduces the bytes
+    /// it consumed; none may panic.
+    ///
+    /// The default run sweeps four seeds; `TSSS_CODEC_SEED=<u64>` runs any
+    /// single seed (the CI `codec` job drives this over its matrix).
+    #[test]
+    fn hostile_headers_fail_typed_or_round_trip() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use tsss_rand::Rng;
+
+        let seeds: Vec<u64> = match std::env::var("TSSS_CODEC_SEED") {
+            Ok(s) => vec![s
+                .parse()
+                .expect("TSSS_CODEC_SEED must be an unsigned integer")],
+            Err(_) => (1..=4).map(|i| 0x9A6E_F000 + i).collect(),
+        };
+        let (mut loaded, mut refused) = (0, 0);
+        for seed in seeds {
+            let mut rng = Rng::seed_from_u64(seed);
+            for case in 0..2000 {
+                let n = rng.usize_below(5);
+                let mut draw = |n: usize| match rng.usize_below(7) {
+                    0 => 0,
+                    1 => 1,
+                    2 => n.saturating_sub(1),
+                    3 => n,
+                    4 => 0xFFFF_FFFE,
+                    5 => usize::MAX,
+                    _ => 1 + rng.usize_below(64),
+                };
+                let extent = draw(n);
+                let page_size = draw(extent);
+                let free_len = draw(extent);
+                let free: Vec<u32> = (0..free_len.min(6))
+                    .map(|_| u32::try_from(draw(extent)).unwrap_or(u32::MAX))
+                    .collect();
+                let pages: Vec<Vec<u8>> = (0..rng.usize_below(6))
+                    .map(|_| {
+                        (0..page_size.min(64))
+                            .map(|_| rng.usize_below(256) as u8)
+                            .collect()
+                    })
+                    .collect();
+                let buf = stream(&header(page_size, extent, free_len, &free), &pages);
+                let what = format!(
+                    "seed {seed} case {case}: page size {page_size}, extent {extent}, \
+                     free list {free_len} {free:?}, {} pages",
+                    pages.len()
+                );
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let mut r = Cursor::new(&buf);
+                    let file = PageFile::read_from(&mut r)?;
+                    let mut out = Vec::new();
+                    file.write_to(&mut out)?;
+                    Ok::<_, std::io::Error>((out, r.position()))
+                }));
+                match outcome {
+                    Err(_) => panic!("{what}: the loader panicked"),
+                    Ok(Err(e)) => {
+                        assert!(
+                            matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof),
+                            "{what}: untyped error {e}"
+                        );
+                        refused += 1;
+                    }
+                    Ok(Ok((out, consumed))) => {
+                        assert_eq!(out, &buf[..consumed as usize], "{what}");
+                        loaded += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            loaded > 0 && refused > 0,
+            "{loaded} loaded, {refused} refused"
+        );
     }
 }

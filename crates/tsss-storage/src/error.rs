@@ -34,11 +34,6 @@ pub enum StorageError {
         /// The file's extent (pages ever allocated).
         extent: usize,
     },
-    /// The page is already on the free list.
-    DoubleFree {
-        /// The offending id.
-        page: PageId,
-    },
     /// The file cannot grow further (page ids are 32-bit).
     Full,
     /// The page's content does not match its checksum — the stored bytes
@@ -87,7 +82,6 @@ impl std::fmt::Display for StorageError {
             Self::OutOfRange { page, extent } => {
                 write!(f, "{page} out of range: file extent is {extent} pages")
             }
-            Self::DoubleFree { page } => write!(f, "double free of {page}"),
             Self::Full => write!(f, "page file full: 32-bit page ids exhausted"),
             Self::Corrupt { page, detail } => {
                 write!(f, "corrupt {page}: {detail}")
@@ -128,7 +122,6 @@ mod tests {
                 },
                 "page#9 out of range",
             ),
-            (StorageError::DoubleFree { page: PageId(2) }, "double free"),
             (StorageError::Full, "full"),
             (
                 StorageError::Corrupt {
@@ -165,7 +158,6 @@ mod tests {
                 page: PageId(9),
                 extent: 3,
             },
-            StorageError::DoubleFree { page: PageId(2) },
             StorageError::Full,
             StorageError::Corrupt {
                 page: PageId(1),

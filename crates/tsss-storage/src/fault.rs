@@ -33,7 +33,6 @@ use tsss_rand::Rng;
 use crate::disk::PageId;
 use crate::error::StorageError;
 use crate::page::Page;
-use crate::stats::AccessStats;
 use crate::store::PageStore;
 
 /// Named crash points on the durable append path, for deterministic
@@ -217,58 +216,6 @@ impl FaultyStore {
         // analyze::allow(panic): fault injection is a test harness; a poisoned rng lock means a test already panicked, and aborting the fault stream there is the desired behaviour.
         self.rng.lock().expect("fault rng lock").f64() < p
     }
-
-    /// Shared write path; `counted` distinguishes the pool-facing uncounted
-    /// variant (the pool already recorded the logical write) from the
-    /// direct one.
-    fn write_impl(&mut self, id: PageId, page: Page, counted: bool) -> Result<(), StorageError> {
-        // Validate the request before rolling, so invalid calls keep their
-        // typed errors regardless of the fault stream.
-        if page.size() != self.inner.page_size() {
-            return Err(StorageError::PageSizeMismatch {
-                expected: self.inner.page_size(),
-                got: page.size(),
-            });
-        }
-        if self.roll(self.cfg.lost_write) {
-            self.counters.lost_writes.fetch_add(1, Ordering::Relaxed);
-            // Probe the slot so bad ids still fail like an honest write.
-            self.inner.corrupt_raw(id, &mut |_| {})?;
-            if counted {
-                self.inner.stats().record_write();
-            }
-            return Ok(());
-        }
-        if self.roll(self.cfg.torn_write) {
-            self.counters.torn_writes.fetch_add(1, Ordering::Relaxed);
-            let half = page.size() / 2;
-            let result = self.inner.corrupt_raw(id, &mut |bytes| {
-                // analyze::allow(index): `half` is page.size()/2 and both buffers are exactly page-sized (checked at entry).
-                bytes[..half].copy_from_slice(&page.bytes()[..half]);
-            });
-            if result.is_ok() && counted {
-                self.inner.stats().record_write();
-            }
-            return result;
-        }
-        let result = if counted {
-            self.inner.write(id, page)
-        } else {
-            self.inner.write_uncounted(id, page)
-        };
-        if result.is_ok() && self.roll(self.cfg.bit_flip) {
-            self.counters.bit_flips.fetch_add(1, Ordering::Relaxed);
-            let (byte, bit) = {
-                // analyze::allow(panic): see `roll` — test-harness lock.
-                let mut rng = self.rng.lock().expect("fault rng lock");
-                (rng.usize_below(self.inner.page_size()), rng.usize_below(8))
-            };
-            self.inner
-                // analyze::allow(index): `byte` was drawn from `usize_below(page_size)` and the raw buffer is page-sized.
-                .corrupt_raw(id, &mut |bytes| bytes[byte] ^= 1 << bit)?;
-        }
-        result
-    }
 }
 
 impl PageStore for FaultyStore {
@@ -280,46 +227,53 @@ impl PageStore for FaultyStore {
         self.inner.extent()
     }
 
-    fn live_pages(&self) -> usize {
-        self.inner.live_pages()
-    }
-
-    fn stats(&self) -> Arc<AccessStats> {
-        self.inner.stats()
-    }
-
     fn allocate(&mut self) -> Result<PageId, StorageError> {
         self.inner.allocate()
-    }
-
-    fn deallocate(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.inner.deallocate(id)
     }
 
     fn read(&self, id: PageId) -> Result<Page, StorageError> {
         if self.roll(self.cfg.read_error) {
             self.counters.read_errors.fetch_add(1, Ordering::Relaxed);
-            // The logical access still happened from the caller's view.
-            self.inner.stats().record_read();
             return Err(StorageError::ReadFailed { page: id });
         }
         self.inner.read(id)
     }
 
     fn write(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
-        self.write_impl(id, page, true)
-    }
-
-    fn read_uncounted(&self, id: PageId) -> Result<Page, StorageError> {
-        if self.roll(self.cfg.read_error) {
-            self.counters.read_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(StorageError::ReadFailed { page: id });
+        // Validate the request before rolling, so invalid calls keep their
+        // typed errors regardless of the fault stream.
+        if page.size() != self.inner.page_size() {
+            return Err(StorageError::PageSizeMismatch {
+                expected: self.inner.page_size(),
+                got: page.size(),
+            });
         }
-        self.inner.read_uncounted(id)
-    }
-
-    fn write_uncounted(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
-        self.write_impl(id, page, false)
+        if self.roll(self.cfg.lost_write) {
+            self.counters.lost_writes.fetch_add(1, Ordering::Relaxed);
+            // Probe the slot so bad ids still fail like an honest write.
+            return self.inner.corrupt_raw(id, &mut |_| {});
+        }
+        if self.roll(self.cfg.torn_write) {
+            self.counters.torn_writes.fetch_add(1, Ordering::Relaxed);
+            let half = page.size() / 2;
+            return self.inner.corrupt_raw(id, &mut |bytes| {
+                // analyze::allow(index): `half` is page.size()/2 and both buffers are exactly page-sized (checked at entry).
+                bytes[..half].copy_from_slice(&page.bytes()[..half]);
+            });
+        }
+        self.inner.write(id, page)?;
+        if self.roll(self.cfg.bit_flip) {
+            self.counters.bit_flips.fetch_add(1, Ordering::Relaxed);
+            let (byte, bit) = {
+                // analyze::allow(panic): see `roll` — test-harness lock.
+                let mut rng = self.rng.lock().expect("fault rng lock");
+                (rng.usize_below(self.inner.page_size()), rng.usize_below(8))
+            };
+            self.inner
+                // analyze::allow(index): `byte` was drawn from `usize_below(page_size)` and the raw buffer is page-sized.
+                .corrupt_raw(id, &mut |bytes| bytes[byte] ^= 1 << bit)?;
+        }
+        Ok(())
     }
 
     fn corrupt_raw(
@@ -342,6 +296,7 @@ impl PageStore for FaultyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::BufferPool;
     use crate::disk::PageFile;
 
     /// Every test here returns `Result<(), String>` and threads storage
@@ -405,8 +360,13 @@ mod tests {
             "seed 7: p = 1.0 must fail every read"
         );
         assert_eq!(s.counters().read_errors(), 1);
-        // The logical access is still charged.
-        assert_eq!(s.stats().reads(), 1);
+        // Through a pool the failed read is still one logical access,
+        // re-issued until the retry budget runs out.
+        let counters = s.counters();
+        let pool = BufferPool::from_store(Box::new(s));
+        assert!(pool.read(ids[0]).is_err());
+        assert_eq!((pool.stats().reads(), pool.stats().retries()), (1, 2));
+        assert_eq!(counters.read_errors(), 4);
         Ok(())
     }
 
@@ -519,12 +479,16 @@ mod tests {
                 },
             ),
         ] {
-            let (mut s, ids) = faulty(cfg)?;
-            s.stats().reset();
+            let (s, ids) = faulty(cfg)?;
+            let mut pool = BufferPool::from_store(Box::new(s));
             for _ in 0..5 {
-                seeded(s.write(ids[0], Page::zeroed(64)), 2, name)?;
+                seeded(pool.write(ids[0], Page::zeroed(64)), 2, name)?;
             }
-            assert_eq!(s.stats().writes(), 5, "{name}: every logical write counted");
+            assert_eq!(
+                pool.stats().writes(),
+                5,
+                "{name}: every logical write counted"
+            );
         }
         Ok(())
     }
@@ -540,7 +504,7 @@ mod tests {
             .map_err(|e| format!("seed 1: persist: {e}"))?;
         let g = PageFile::read_from(&mut std::io::Cursor::new(buf))
             .map_err(|e| format!("seed 1: reload persisted state: {e}"))?;
-        let got = seeded(g.read_page_uncounted(ids[0]), 1, "read persisted page")?.get_u64(0);
+        let got = seeded(g.read_page(ids[0]), 1, "read persisted page")?.get_u64(0);
         assert_eq!(got, 4242);
         Ok(())
     }
@@ -554,8 +518,9 @@ mod tests {
             ..FaultConfig::none(5)
         };
         let (s, ids) = faulty(cfg)?;
-        let accesses = s.stats().total_accesses();
-        let mut forked = s.fork();
+        let counters = s.counters();
+        let pool = BufferPool::from_store(Box::new(s));
+        let mut forked = pool.fork();
         for (i, &id) in ids.iter().enumerate() {
             let got = seeded(forked.read(id), 5, "read through the fork")?.get_u64(0);
             assert_eq!(got, 100 + i as u64);
@@ -564,14 +529,10 @@ mod tests {
         p.put_u64(0, 31);
         seeded(forked.write(ids[0], p), 5, "write through the fork")?;
         assert_eq!(seeded(forked.read(ids[0]), 5, "re-read")?.get_u64(0), 31);
+        assert_eq!(counters.total(), 0, "seed 5: no fault fired on the fork");
         assert_eq!(
-            s.counters().total(),
+            pool.stats().total_accesses(),
             0,
-            "seed 5: no fault fired on the fork"
-        );
-        assert_eq!(
-            s.stats().total_accesses(),
-            accesses,
             "the fork counts on its own"
         );
         assert_eq!(forked.stats().reads(), 9);

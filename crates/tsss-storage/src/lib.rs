@@ -9,8 +9,8 @@
 //!
 //! * [`page::Page`] — a fixed-size byte page with typed big-endian
 //!   read/write helpers (the unit of transfer),
-//! * [`disk::PageFile`] — a simulated disk: an allocatable array of pages
-//!   with exact read/write accounting and a free list,
+//! * [`disk::PageFile`] — a simulated disk: an allocatable array of
+//!   checksummed pages (it counts nothing; the pool does),
 //! * [`buffer::BufferPool`] — the front end every page access goes
 //!   through: it counts each *logical* access (what the paper counts —
 //!   every page the algorithm touches, unbuffered) and re-issues reads

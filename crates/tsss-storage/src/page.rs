@@ -53,6 +53,14 @@ impl Page {
         })
     }
 
+    /// A page holding exactly `bytes`: the loader's path, which has
+    /// already checked the length against the file's (non-zero) page size.
+    pub(crate) fn from_bytes(bytes: Vec<u8>) -> Self {
+        Self {
+            bytes: bytes.into_boxed_slice(),
+        }
+    }
+
     /// Page capacity in bytes.
     pub fn size(&self) -> usize {
         self.bytes.len()

@@ -5,8 +5,8 @@
 //! A reference pattern (a sharp sell-off followed by a rebound) is watched
 //! for across a streaming market: each simulated day appends one value to
 //! every series, the engine indexes the newly-completed windows
-//! incrementally, and freshly-matching windows raise alerts. Old windows
-//! are expired from the index as they fall out of the monitoring horizon.
+//! incrementally, and freshly-matching windows that end today raise
+//! alerts.
 //!
 //! Run with: `cargo run --release --example live_monitor`
 
@@ -19,7 +19,6 @@ use tsss::data::{MarketConfig, MarketSimulator, Series};
 const WINDOW: usize = 24;
 const HISTORY: usize = 120; // days available before the live stream starts
 const LIVE_DAYS: usize = 60;
-const HORIZON: usize = 40; // expire windows older than this many days
 
 fn crash_pattern() -> Vec<f64> {
     // Stylised sell-off and rebound, amplitude 1. Scale/shift invariance
@@ -80,18 +79,7 @@ fn main() {
         }
         let today = HISTORY + day;
 
-        // 2. Expire windows that left the horizon (dynamic deletes).
-        if today >= HORIZON + WINDOW {
-            let expire_offset = (today - HORIZON - WINDOW) as u32;
-            for si in 0..streams.len() as u32 {
-                let _ = engine.remove_window(SubseqId {
-                    series: si,
-                    offset: expire_offset,
-                });
-            }
-        }
-
-        // 3. Query for the pattern. Only alert on windows ending today.
+        // 2. Query for the pattern. Only alert on windows ending today.
         let result = engine
             .execute(&pattern, Query::Range { epsilon: eps }, opts)
             .expect("pattern query");
