@@ -1,14 +1,8 @@
 //! Ablation: index-construction strategy — coordinate STR bulk loading vs
-//! **polar** (direction-first) bulk loading vs the paper's one-by-one
-//! R*-tree insertion.
+//! the paper's one-by-one R*-tree insertion.
 //!
-//! All three produce identical answers; they differ in box geometry. The
-//! engine's only query shape is a *line through the origin* (the query's
-//! SE-line), and a line through the origin penetrates a box only if the
-//! box's angular extent covers the line's direction. Polar tiling makes
-//! boxes angular sectors, collapsing the ε = 0 traversal from "cut across
-//! the whole feature cloud" to "walk one sector" — this bench quantifies
-//! the effect on the Figure 5 metric.
+//! Both produce identical answers; they differ in box geometry, and this
+//! bench quantifies the effect on the Figure 5 metric.
 //!
 //! Run: `cargo run --release -p tsss-bench --bin ablation_build`
 
@@ -16,7 +10,7 @@
 
 use std::time::Instant;
 
-use tsss_bench::{median_window_fluctuation, Method};
+use tsss_bench::median_window_fluctuation;
 use tsss_core::{BuildMethod, EngineConfig, Query, SearchEngine, SearchOptions};
 use tsss_data::{MarketConfig, MarketSimulator, QueryWorkload, WorkloadConfig};
 
@@ -50,11 +44,7 @@ fn main() {
         "{:>12} {:>10} | {:>11} {:>11} {:>11}",
         "build", "build s", "pages@0", "pages@1e-3", "pages@5e-3"
     );
-    for build in [
-        BuildMethod::BulkStr,
-        BuildMethod::BulkPolar,
-        BuildMethod::Insert,
-    ] {
+    for build in [BuildMethod::BulkStr, BuildMethod::Insert] {
         let mut cfg = EngineConfig::paper();
         cfg.build = build;
         let t0 = Instant::now();
@@ -86,6 +76,5 @@ fn main() {
             row[2]
         );
     }
-    let _ = Method::ALL;
     println!("\n(set 2 checks; eps as fractions of the median window fluctuation)");
 }

@@ -9,8 +9,6 @@ use tsss_storage::DEFAULT_PAGE_SIZE;
 pub struct EngineConfig {
     /// Window length `n` — also the length of plain queries.
     pub window_len: usize,
-    /// Sliding-window stride (paper: 1).
-    pub stride: usize,
     /// Number of DFT coefficients kept, `Some(f_c)`; `None` indexes the full
     /// SE-transformed window (only sensible for small `n` — the paper's §7
     /// motivation for dimension reduction is that R-trees degrade past ~10
@@ -38,11 +36,6 @@ pub enum BuildMethod {
     /// fast and dense; what the benchmark harness uses.
     #[default]
     BulkStr,
-    /// STR bulk loading over polar keys (unit direction, then norm): boxes
-    /// become angular sectors, which lines through the origin — this
-    /// engine's only query shape — rarely cross. An extension beyond the
-    /// paper; see `bulk_load_polar`.
-    BulkPolar,
     /// One-by-one R*-tree insertion — the paper's §6 pre-processing step.
     Insert,
 }
@@ -57,7 +50,6 @@ impl EngineConfig {
     pub fn paper() -> Self {
         Self {
             window_len: 128,
-            stride: 1,
             fc: Some(3),
             page_size: DEFAULT_PAGE_SIZE,
             max_entries: 20,
@@ -72,7 +64,6 @@ impl EngineConfig {
     pub fn small(window_len: usize) -> Self {
         Self {
             window_len,
-            stride: 1,
             fc: Some(2),
             page_size: DEFAULT_PAGE_SIZE,
             max_entries: 8,
@@ -126,11 +117,10 @@ impl EngineConfig {
         if self.window_len > (1 << 30) {
             return Err(format!("window length {} is implausible", self.window_len));
         }
-        if self.stride < 1 {
-            return Err("stride must be at least 1".to_string());
-        }
         if let Some(fc) = self.fc {
-            if !(fc >= 1 && 2 * fc < self.window_len) {
+            // `fc < ⌈n/2⌉` is `2·fc < n` without the product, which a
+            // hostile persisted `fc` would overflow.
+            if !(fc >= 1 && fc < self.window_len.div_ceil(2)) {
                 return Err(format!(
                     "fc = {fc} invalid for window length {} (need 1 <= fc, 2·fc + 1 <= n)",
                     self.window_len
@@ -234,17 +224,6 @@ pub struct Deadline {
     pub max_steps: u64,
 }
 
-impl Deadline {
-    /// A deadline bounding both pages and steps by `n` — a coarse "about
-    /// this much work" knob.
-    pub fn uniform(n: u64) -> Self {
-        Self {
-            max_pages: n,
-            max_steps: n,
-        }
-    }
-}
-
 /// Per-query options.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SearchOptions {
@@ -296,18 +275,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stride")]
-    fn zero_stride_rejected() {
-        let mut c = EngineConfig::small(8);
-        c.stride = 0;
-        c.validate();
-    }
-
-    #[test]
     fn try_validate_reports_instead_of_panicking() {
         let mut c = EngineConfig::small(8);
-        c.stride = 0;
-        assert!(c.try_validate().unwrap_err().contains("stride"));
+        c.fc = Some(0);
+        assert!(c.try_validate().unwrap_err().contains("fc = 0"));
         // Hostile persisted values must not panic (underflow in the fanout
         // arithmetic, absurd window lengths, …).
         let mut c = EngineConfig::small(8);
@@ -316,6 +287,16 @@ mod tests {
         let mut c = EngineConfig::small(8);
         c.window_len = usize::MAX;
         c.fc = None;
+        assert!(c.try_validate().is_err());
+        // 2^63 + 1 on a 64-bit target, whose double wraps to 2.
+        let mut c = EngineConfig::small(8);
+        c.fc = Some(usize::MAX / 2 + 2);
+        assert!(c.try_validate().unwrap_err().contains("fc ="));
+        // At an odd window the bound is still 2·fc + 1 <= n.
+        let mut c = EngineConfig::small(9);
+        c.fc = Some(4);
+        assert!(c.try_validate().is_ok());
+        c.fc = Some(5);
         assert!(c.try_validate().is_err());
         assert!(EngineConfig::paper().try_validate().is_ok());
     }

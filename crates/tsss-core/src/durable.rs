@@ -37,7 +37,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use tsss_data::Series;
-use tsss_storage::codec::{get_f64, get_u64, get_u8, put_f64, put_string, put_u64, put_u8};
+use tsss_storage::codec::{
+    get_f64, get_string, get_u8, get_usize, put_f64, put_string, put_u8, put_usize,
+};
 use tsss_storage::{CrashPoint, Wal};
 
 use crate::engine::SearchEngine;
@@ -375,8 +377,8 @@ fn crash_error(point: CrashPoint) -> EngineError {
 fn encode_append(series: usize, prior_len: usize, values: &[f64]) -> io::Result<Vec<u8>> {
     let mut p = Vec::with_capacity(25 + values.len() * 8);
     put_u8(&mut p, KIND_APPEND)?;
-    put_u64(&mut p, as_u64(series)?)?;
-    put_u64(&mut p, as_u64(prior_len)?)?;
+    put_usize(&mut p, series)?;
+    put_usize(&mut p, prior_len)?;
     put_values(&mut p, values)?;
     Ok(p)
 }
@@ -384,14 +386,14 @@ fn encode_append(series: usize, prior_len: usize, values: &[f64]) -> io::Result<
 fn encode_new_series(expect_idx: usize, name: &str, values: &[f64]) -> io::Result<Vec<u8>> {
     let mut p = Vec::with_capacity(17 + name.len() + values.len() * 8);
     put_u8(&mut p, KIND_NEW_SERIES)?;
-    put_u64(&mut p, as_u64(expect_idx)?)?;
+    put_usize(&mut p, expect_idx)?;
     put_string(&mut p, name)?;
     put_values(&mut p, values)?;
     Ok(p)
 }
 
 fn put_values(p: &mut Vec<u8>, values: &[f64]) -> io::Result<()> {
-    put_u64(p, as_u64(values.len())?)?;
+    put_usize(p, values.len())?;
     for v in values {
         put_f64(p, *v)?;
     }
@@ -399,12 +401,11 @@ fn put_values(p: &mut Vec<u8>, values: &[f64]) -> io::Result<()> {
 }
 
 fn decode_record(payload: &[u8]) -> io::Result<WalRecord> {
-    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("WAL {msg}"));
     let r = &mut io::Cursor::new(payload);
     match get_u8(r)? {
         KIND_APPEND => {
-            let series = as_usize(get_u64(r)?)?;
-            let prior_len = as_usize(get_u64(r)?)?;
+            let series = get_usize(r)?;
+            let prior_len = get_usize(r)?;
             let values = get_values(r, payload.len())?;
             Ok(WalRecord::Append {
                 series,
@@ -413,16 +414,8 @@ fn decode_record(payload: &[u8]) -> io::Result<WalRecord> {
             })
         }
         KIND_NEW_SERIES => {
-            let expect_idx = as_usize(get_u64(r)?)?;
-            let name_len = as_usize(get_u64(r)?)?;
-            // Bound the allocation by what the record can actually hold.
-            if name_len > payload.len() {
-                return Err(invalid("record: series name longer than the record"));
-            }
-            let mut name_bytes = vec![0u8; name_len];
-            io::Read::read_exact(r, &mut name_bytes)?;
-            let name = String::from_utf8(name_bytes)
-                .map_err(|_| invalid("record: series name is not UTF-8"))?;
+            let expect_idx = get_usize(r)?;
+            let name = get_string(r)?;
             let values = get_values(r, payload.len())?;
             Ok(WalRecord::NewSeries {
                 expect_idx,
@@ -430,12 +423,15 @@ fn decode_record(payload: &[u8]) -> io::Result<WalRecord> {
                 values,
             })
         }
-        other => Err(invalid(&format!("record: unknown kind tag {other}"))),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("WAL record: unknown kind tag {other}"),
+        )),
     }
 }
 
 fn get_values(r: &mut io::Cursor<&[u8]>, payload_len: usize) -> io::Result<Vec<f64>> {
-    let n = as_usize(get_u64(r)?)?;
+    let n = get_usize(r)?;
     // Each value is 8 bytes; a count beyond the record is damage, and this
     // check keeps a hostile count from driving a huge allocation.
     if n > payload_len / 8 {
@@ -451,25 +447,12 @@ fn get_values(r: &mut io::Cursor<&[u8]>, payload_len: usize) -> io::Result<Vec<f
     Ok(values)
 }
 
-/// Widening/checked casts so the on-disk u64 fields round-trip exactly.
-fn as_u64(v: usize) -> io::Result<u64> {
-    u64::try_from(v).map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "length overflow"))
-}
-
-fn as_usize(v: u64) -> io::Result<usize> {
-    usize::try_from(v).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "WAL record field exceeds this platform's address range",
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{EngineConfig, SearchOptions};
     use tsss_data::{MarketConfig, MarketSimulator};
+    use tsss_storage::codec::put_u64;
 
     fn market(seed: u64) -> Vec<Series> {
         MarketSimulator::new(MarketConfig::small(4, 60, seed)).generate()

@@ -7,7 +7,7 @@ use tsss_data::Series;
 use tsss_dft::FeatureExtractor;
 use tsss_geometry::line::Line;
 use tsss_geometry::se::se_transform_into;
-use tsss_index::bulk::{bulk_load, bulk_load_polar};
+use tsss_index::bulk::bulk_load;
 use tsss_index::{DataEntry, RTree};
 
 use crate::config::{EngineConfig, SearchOptions};
@@ -376,10 +376,9 @@ impl SearchEngine {
         new_len: usize,
     ) -> Result<(), EngineError> {
         let n = self.cfg.window_len;
-        let stride = self.cfg.stride;
-        // The first offset on the stride grid whose window ends in the
-        // appended region; every earlier window was indexed before.
-        let first = old_len.saturating_sub(n - 1).div_ceil(stride) * stride;
+        // The first offset whose window ends in the appended region; every
+        // earlier window was indexed before.
+        let first = old_len.saturating_sub(n - 1);
         let Some(span) = new_len.checked_sub(first).filter(|&span| span >= n) else {
             return Ok(()); // the append completes no window
         };
@@ -387,8 +386,8 @@ impl SearchEngine {
         let mut se_buf = vec![0.0; n];
         let mut entries = Vec::new();
         let mut norms = Vec::new();
-        for (k, window) in tail.windows(n).step_by(stride).enumerate() {
-            let id = SubseqId::try_new(series, first + k * stride)?;
+        for (k, window) in tail.windows(n).enumerate() {
+            let id = SubseqId::try_new(series, first + k)?;
             let feat = feature_of(&self.extractor, window, &mut se_buf);
             entries.push(DataEntry::new(feat, id.pack()));
             norms.push(tsss_geometry::se::se_norm(window));
@@ -452,13 +451,13 @@ impl SearchEngine {
     /// probe or a [`SearchEngine::repair`] proves the index healthy again.
     ///
     /// # Errors
-    /// [`EngineError::QueryLength`], [`EngineError::QueryTooShort`],
-    /// [`EngineError::InvalidEpsilon`] or [`EngineError::LongQueryStride`]
-    /// on malformed input; [`EngineError::PageBudgetExceeded`] when
-    /// `opts.page_budget` runs out; [`EngineError::DeadlineExceeded`] when
-    /// `opts.deadline` fires; [`EngineError::Corrupt`] on detected
-    /// corruption that is not degraded around, or when the fallback scan
-    /// itself hits corrupt data pages.
+    /// [`EngineError::QueryLength`], [`EngineError::QueryTooShort`] or
+    /// [`EngineError::InvalidEpsilon`] on malformed input;
+    /// [`EngineError::PageBudgetExceeded`] when `opts.page_budget` runs
+    /// out; [`EngineError::DeadlineExceeded`] when `opts.deadline` fires;
+    /// [`EngineError::Corrupt`] on detected corruption that is not
+    /// degraded around, or when the fallback scan itself hits corrupt data
+    /// pages.
     pub fn execute(
         &self,
         values: &[f64],
@@ -739,7 +738,7 @@ fn index_windows<'a>(
     let mut se_buf = vec![0.0; cfg.window_len];
     let mut max_se_norm = 0.0f64;
     for (si, values) in series.enumerate() {
-        for off in window_offsets(values.len(), cfg.window_len, cfg.stride) {
+        for off in window_offsets(values.len(), cfg.window_len) {
             // analyze::allow(index): window_offsets only yields offsets with off + window_len <= values.len().
             let window = &values[off..off + cfg.window_len];
             max_se_norm = max_se_norm.max(tsss_geometry::se::se_norm(window));
@@ -750,7 +749,6 @@ fn index_windows<'a>(
     }
     let tree = match cfg.build {
         crate::config::BuildMethod::BulkStr => bulk_load(cfg.tree_config(), entries)?,
-        crate::config::BuildMethod::BulkPolar => bulk_load_polar(cfg.tree_config(), entries)?,
         crate::config::BuildMethod::Insert => {
             let mut t = RTree::new(cfg.tree_config())?;
             t.insert_batch(entries)?;
@@ -980,7 +978,6 @@ mod tests {
         let q = data[1].window(7, 16).unwrap().to_vec();
         let mut engines: Vec<SearchEngine> = [
             crate::config::BuildMethod::BulkStr,
-            crate::config::BuildMethod::BulkPolar,
             crate::config::BuildMethod::Insert,
         ]
         .into_iter()
@@ -1050,50 +1047,18 @@ mod tests {
         assert!(res.matches.iter().any(|m| m.id.offset == 12));
         e.tree_mut().check_invariants().unwrap();
 
-        // An append that completes no window touches no index page, and
-        // reads no data page beyond the data file's own read-modify-write:
-        // a series still shorter than one window …
+        // An append that completes no window (the series is still shorter
+        // than one) touches no index page, and reads no data page beyond
+        // the data file's own read-modify-write.
         let short = e
             .append_series(&Series::new("short", vec![0.5; 5]))
             .unwrap();
-        let expect_none = |e: &mut SearchEngine, series: usize, values: &[f64]| {
-            let windows = e.num_windows();
-            e.reset_counters();
-            e.append_values(series, values).unwrap();
-            assert_eq!(e.num_windows(), windows);
-            assert_eq!((e.index_stats().reads(), e.index_stats().writes()), (0, 0));
-            assert!(e.data_stats().reads() <= 1, "{}", e.data_stats().reads());
-        };
-        expect_none(&mut e, short, &[0.25; 10]); // 15 < 16 values
-
-        // … and, under a stride longer than the window, appends that end
-        // before the next grid offset's window does (the span from that
-        // offset would be negative).
-        let mut strided_cfg = EngineConfig::small(16);
-        strided_cfg.stride = 20;
-        let wave = |i: usize| (i as f64 * 0.7).sin();
-        let mut strided = SearchEngine::build(
-            &[Series::new("s", (0..30).map(wave).collect())],
-            strided_cfg,
-        )
-        .unwrap();
-        assert_eq!(strided.num_windows(), 1); // offset 0
-        let grown: Vec<f64> = (30..38).map(wave).collect();
-        strided.append_values(0, &grown).unwrap();
-        assert_eq!(strided.num_windows(), 2); // offset 20 ends at 36
-        expect_none(&mut strided, 0, &[wave(38)]); // 39 < 40
-        expect_none(&mut strided, 0, &[wave(39), wave(40)]); // 41 < 40 + 16
-        let grown: Vec<f64> = (41..56).map(wave).collect();
-        strided.append_values(0, &grown).unwrap();
-        assert_eq!(strided.num_windows(), 3); // offset 40 ends at 56
-        let res = strided
-            .search(
-                &(40..56).map(wave).collect::<Vec<_>>(),
-                1e-7,
-                SearchOptions::default(),
-            )
-            .unwrap();
-        assert!(res.matches.iter().any(|m| m.id.offset == 40));
+        let windows = e.num_windows();
+        e.reset_counters();
+        e.append_values(short, &[0.25; 10]).unwrap(); // 15 < 16 values
+        assert_eq!(e.num_windows(), windows);
+        assert_eq!((e.index_stats().reads(), e.index_stats().writes()), (0, 0));
+        assert!(e.data_stats().reads() <= 1, "{}", e.data_stats().reads());
     }
 
     #[test]
@@ -1428,22 +1393,6 @@ mod tests {
                 "{query:?}"
             );
         }
-    }
-
-    #[test]
-    fn long_query_on_a_coarser_stride_is_a_typed_error() {
-        let data = market(3, 60);
-        let mut cfg = EngineConfig::small(16);
-        cfg.stride = 2;
-        let e = SearchEngine::build(&data, cfg).unwrap();
-        let q = data[1].window(4, 40).unwrap();
-        let long = Query::Long { epsilon: 2.0 };
-        assert_eq!(
-            e.execute(q, long, SearchOptions::default()).unwrap_err(),
-            EngineError::LongQueryStride { stride: 2 }
-        );
-        // Range queries on the same engine are unaffected.
-        assert!(e.search(&q[..16], 2.0, SearchOptions::default()).is_ok());
     }
 
     #[test]

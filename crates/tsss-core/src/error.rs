@@ -30,18 +30,6 @@ pub enum EngineError {
     },
     /// The error bound must be non-negative and finite.
     InvalidEpsilon(f64),
-    /// Long queries need an engine built with stride 1: the piece
-    /// decomposition probes every offset, so a coarser grid would miss
-    /// matches.
-    LongQueryStride {
-        /// The engine's stride.
-        stride: usize,
-    },
-    /// No series in the data set is at least one window long.
-    DatasetTooSmall {
-        /// The engine's window length.
-        window_len: usize,
-    },
     /// Referenced a series index that does not exist.
     UnknownSeries(usize),
     /// The data set is too large for the engine's compact window ids
@@ -174,14 +162,6 @@ impl fmt::Display for EngineError {
             EngineError::InvalidEpsilon(e) => {
                 write!(f, "error bound must be finite and non-negative, got {e}")
             }
-            EngineError::LongQueryStride { stride } => write!(
-                f,
-                "long queries need an engine built with stride 1, not {stride}"
-            ),
-            EngineError::DatasetTooSmall { window_len } => write!(
-                f,
-                "no series is at least one window ({window_len} values) long"
-            ),
             EngineError::UnknownSeries(i) => write!(f, "series index {i} does not exist"),
             EngineError::TooLarge { what, value } => {
                 write!(f, "{what} {value} exceeds the engine's u32 window-id range")
@@ -233,11 +213,6 @@ mod tests {
                 "index 3 is not a finite number",
             ),
             (EngineError::InvalidEpsilon(-1.0), "-1"),
-            (
-                EngineError::LongQueryStride { stride: 2 },
-                "stride 1, not 2",
-            ),
-            (EngineError::DatasetTooSmall { window_len: 9 }, "9"),
             (EngineError::UnknownSeries(3), "index 3"),
             (
                 EngineError::TooLarge {

@@ -14,9 +14,8 @@
 //! A [`crate::Query::Long`] through [`SearchEngine::execute`] runs a long
 //! plan (verified at full query length) with
 //! [`crate::pipeline::PieceStitchSource`] generating candidates by
-//! per-piece index probes and intersection. It requires stride 1 (every
-//! offset indexed), which is the paper's setting; other engines refuse it
-//! with [`EngineError::LongQueryStride`].
+//! per-piece index probes and intersection, which relies on every offset
+//! being indexed.
 
 use crate::config::SearchOptions;
 use crate::engine::SearchEngine;
@@ -26,8 +25,7 @@ use crate::result::SearchResult;
 
 impl SearchEngine {
     /// Brute-force oracle for long queries (test/verification facility):
-    /// scans every possible start position. A long plan has stride 1, so
-    /// the sequential scan's stride grid is every start position.
+    /// scans every possible start position.
     ///
     /// # Errors
     /// Same validation as a [`crate::Query::Long`].

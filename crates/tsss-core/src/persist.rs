@@ -29,15 +29,15 @@ const MAX_META_BYTES: usize = 1 << 16;
 fn build_tag(b: BuildMethod) -> u8 {
     match b {
         BuildMethod::BulkStr => 0,
-        BuildMethod::BulkPolar => 1,
         BuildMethod::Insert => 2,
     }
 }
 
 fn build_from_tag(t: u8) -> io::Result<BuildMethod> {
     Ok(match t {
-        0 => BuildMethod::BulkStr,
-        1 => BuildMethod::BulkPolar,
+        // Tag 1 was STR over polar keys. Its stored index loads as it is;
+        // only a rebuild (a repair) packs with plain STR.
+        0 | 1 => BuildMethod::BulkStr,
         2 => BuildMethod::Insert,
         other => {
             return Err(io::Error::new(
@@ -72,7 +72,7 @@ fn split_from_tag(t: u8) -> io::Result<tsss_index::SplitPolicy> {
 
 fn write_engine_config<W: Write>(w: &mut W, cfg: &EngineConfig) -> io::Result<()> {
     put_usize(w, cfg.window_len)?;
-    put_usize(w, cfg.stride)?;
+    put_usize(w, 1)?; // the window stride: every window is indexed
     match cfg.fc {
         Some(fc) => {
             put_u8(w, 1)?;
@@ -94,7 +94,15 @@ fn write_engine_config<W: Write>(w: &mut W, cfg: &EngineConfig) -> io::Result<()
 
 fn read_engine_config<R: Read>(r: &mut R) -> io::Result<EngineConfig> {
     let window_len = get_usize(r)?;
-    let stride = get_usize(r)?;
+    match get_usize(r)? {
+        1 => {}
+        other => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("window stride {other} is unsupported: every window is indexed"),
+            ))
+        }
+    }
     let fc = if get_u8(r)? == 1 {
         Some(get_usize(r)?)
     } else {
@@ -109,7 +117,6 @@ fn read_engine_config<R: Read>(r: &mut R) -> io::Result<EngineConfig> {
     get_usize(r)?; // reserved
     Ok(EngineConfig {
         window_len,
-        stride,
         fc,
         page_size,
         max_entries,
@@ -377,14 +384,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `e`'s image with `index` and `data` in the configuration block's two
-    /// reserved slots, built field by field as a file recording buffer-pool
-    /// frame counts holds it.
-    fn image_with_reserved(e: &SearchEngine, index: usize, data: usize) -> Vec<u8> {
+    /// `e`'s image with its configuration block built field by field, as a
+    /// file written by an older build holds it: `slot` in the window-stride
+    /// slot, `reserved` in the two slots that once held buffer-pool frame
+    /// counts, and `build` as the build tag.
+    fn image_with(e: &SearchEngine, slot: usize, reserved: [usize; 2], build: u8) -> Vec<u8> {
         let cfg = e.config();
         let mut meta = Vec::new();
         put_usize(&mut meta, cfg.window_len).unwrap();
-        put_usize(&mut meta, cfg.stride).unwrap();
+        put_usize(&mut meta, slot).unwrap();
         put_u8(&mut meta, 1).unwrap();
         put_usize(&mut meta, cfg.fc.unwrap()).unwrap();
         for v in [
@@ -396,9 +404,10 @@ mod tests {
             put_usize(&mut meta, v).unwrap();
         }
         put_u8(&mut meta, split_tag(cfg.split)).unwrap();
-        put_usize(&mut meta, index).unwrap();
-        put_usize(&mut meta, data).unwrap();
-        put_u8(&mut meta, build_tag(cfg.build)).unwrap();
+        for v in reserved {
+            put_usize(&mut meta, v).unwrap();
+        }
+        put_u8(&mut meta, build).unwrap();
         put_f64(&mut meta, e.max_se_norm()).unwrap();
         let mut buf = Vec::new();
         put_magic(&mut buf, &versioned_magic(MAGIC_PREFIX, VERSION)).unwrap();
@@ -413,8 +422,8 @@ mod tests {
         let (e, data) = build_engine();
         let mut saved = Vec::new();
         e.save_to(&mut saved).unwrap();
-        assert_eq!(saved, image_with_reserved(&e, 0, 0));
-        let buffered = image_with_reserved(&e, 512, 8);
+        assert_eq!(saved, image_with(&e, 1, [0, 0], 0));
+        let buffered = image_with(&e, 1, [512, 8], 0);
         let l = SearchEngine::load_from(&mut std::io::Cursor::new(buffered)).unwrap();
         assert_eq!(l.config(), e.config());
         let q = data[3].window(20, 16).unwrap().to_vec();
@@ -425,6 +434,155 @@ mod tests {
         let mut resaved = Vec::new();
         l.save_to(&mut resaved).unwrap();
         assert_eq!(resaved, saved);
+    }
+
+    #[test]
+    fn a_stride_slot_other_than_one_is_refused() {
+        let (e, _) = build_engine();
+        for slot in [0, 2, 20, usize::MAX] {
+            let image = image_with(&e, slot, [0, 0], 0);
+            let err = SearchEngine::load_from(&mut std::io::Cursor::new(image)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("stride"), "{err}");
+        }
+    }
+
+    #[test]
+    fn build_tag_one_loads_as_str_and_saves_as_tag_zero() {
+        let (e, data) = build_engine();
+        let image = image_with(&e, 1, [0, 0], 1);
+        let l = SearchEngine::load_from(&mut std::io::Cursor::new(image)).unwrap();
+        assert_eq!(l.config().build, BuildMethod::BulkStr);
+        let q = data[3].window(20, 16).unwrap().to_vec();
+        for eps in [0.0, 2.0] {
+            let (a, b) = (
+                l.search(&q, eps, SearchOptions::default()).unwrap(),
+                e.search(&q, eps, SearchOptions::default()).unwrap(),
+            );
+            assert_eq!(a.matches, b.matches, "eps {eps}");
+            assert_eq!(
+                (a.stats.index_pages, a.stats.data_pages),
+                (b.stats.index_pages, b.stats.data_pages),
+                "eps {eps}"
+            );
+        }
+        let (mut resaved, mut saved) = (Vec::new(), Vec::new());
+        l.save_to(&mut resaved).unwrap();
+        e.save_to(&mut saved).unwrap();
+        assert_eq!(resaved, saved);
+    }
+
+    /// Seeded hostile configuration blocks, as a crafted file whose block
+    /// checksum is valid carries them. Each `usize` field keeps the paper
+    /// configuration's value or, half the time, is drawn from boundary
+    /// values; every tag or flag byte is drawn from 0..=3. Each block must
+    /// fail with a typed error, or read as a configuration that validates
+    /// (its tree configuration too) and reads back equal after a write.
+    /// Nothing may panic.
+    ///
+    /// The default run sweeps four seeds; `TSSS_CODEC_SEED=<u64>` runs any
+    /// one (the CI `codec` job drives it over its matrix).
+    #[test]
+    fn hostile_config_blocks_fail_typed_or_round_trip() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use tsss_rand::Rng;
+
+        const BOUNDARY: [u64; 17] = [
+            0,
+            1,
+            2,
+            3,
+            4,
+            8,
+            20,
+            127,
+            128,
+            4096,
+            1 << 30,
+            1 << 31,
+            1 << 32,
+            1 << 60,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        fn field(rng: &mut Rng, paper: usize) -> usize {
+            if rng.bool() {
+                return paper;
+            }
+            usize::try_from(BOUNDARY[rng.usize_below(BOUNDARY.len())]).unwrap_or(usize::MAX)
+        }
+        fn tag(rng: &mut Rng) -> u8 {
+            rng.usize_below(4) as u8
+        }
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+
+        let seeds: Vec<u64> = match std::env::var("TSSS_CODEC_SEED") {
+            Ok(s) => vec![s
+                .parse()
+                .expect("TSSS_CODEC_SEED must be an unsigned integer")],
+            Err(_) => (1..=4).map(|i| 0xC0F1_6000 + i).collect(),
+        };
+        let paper = EngineConfig::paper();
+        let (mut loaded, mut refused) = (0, 0);
+        for seed in seeds {
+            let mut rng = Rng::seed_from_u64(seed);
+            for case in 0..5000 {
+                let mut block = Vec::new();
+                put_usize(&mut block, field(&mut rng, paper.window_len)).unwrap();
+                put_usize(&mut block, field(&mut rng, 1)).unwrap(); // the stride slot
+                let flag = tag(&mut rng);
+                put_u8(&mut block, flag).unwrap();
+                if flag == 1 {
+                    put_usize(&mut block, field(&mut rng, 3)).unwrap(); // f_c
+                }
+                for v in [
+                    paper.page_size,
+                    paper.max_entries,
+                    paper.min_entries,
+                    paper.reinsert_count,
+                ] {
+                    put_usize(&mut block, field(&mut rng, v)).unwrap();
+                }
+                put_u8(&mut block, tag(&mut rng)).unwrap(); // split
+                for _ in 0..2 {
+                    put_usize(&mut block, field(&mut rng, 0)).unwrap(); // reserved
+                }
+                put_u8(&mut block, tag(&mut rng)).unwrap(); // build
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let cfg = read_engine_config(&mut block.as_slice())?;
+                    cfg.try_validate().map_err(invalid)?;
+                    cfg.tree_config().try_validate().map_err(invalid)?;
+                    let mut out = Vec::new();
+                    write_engine_config(&mut out, &cfg)?;
+                    let back = read_engine_config(&mut out.as_slice())?;
+                    Ok::<_, io::Error>((cfg, back))
+                }));
+                let what = format!("seed {seed} case {case}: block {block:02x?}");
+                match outcome {
+                    Err(_) => panic!("{what}: reading or validating panicked"),
+                    Ok(Err(e)) => {
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}");
+                        refused += 1;
+                    }
+                    Ok(Ok((cfg, back))) => {
+                        assert_eq!(back, cfg, "{what}");
+                        // 2·f_c + 1 <= n holds exactly, not modulo 2^64.
+                        assert!(
+                            cfg.fc.is_none_or(|fc| fc
+                                .checked_mul(2)
+                                .is_some_and(|d| d < cfg.window_len)),
+                            "{what}"
+                        );
+                        loaded += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            loaded > 0 && refused > 0,
+            "{loaded} loaded, {refused} refused"
+        );
     }
 
     #[test]

@@ -160,10 +160,7 @@ impl<'q> QueryPlan<'q> {
     ///
     /// # Errors
     /// [`EngineError::QueryTooShort`] / [`EngineError::NonFiniteQuery`] /
-    /// [`EngineError::InvalidEpsilon`] on malformed input;
-    /// [`EngineError::LongQueryStride`] when the engine's stride is not 1 —
-    /// the piece decomposition needs every offset indexed (the paper's
-    /// setting).
+    /// [`EngineError::InvalidEpsilon`] on malformed input.
     pub fn long(
         engine: &SearchEngine,
         query: &'q [f64],
@@ -171,10 +168,6 @@ impl<'q> QueryPlan<'q> {
         opts: SearchOptions,
     ) -> Result<Self, EngineError> {
         let n = engine.config().window_len;
-        let stride = engine.config().stride;
-        if stride != 1 {
-            return Err(EngineError::LongQueryStride { stride });
-        }
         if query.len() < n {
             return Err(EngineError::QueryTooShort {
                 min: n,
@@ -510,11 +503,11 @@ impl CandidateSource for IndexProbe {
     }
 }
 
-/// The sequential-scan oracle: every window offset on the stride grid is a
-/// candidate, read in one pass over the raw pages. No index, no pruning —
-/// the recall baseline (paper experiment set 1), the degradation fallback,
-/// and, under a long plan (stride 1, verified at full query length), the
-/// brute-force long-query oracle.
+/// The sequential-scan oracle: every window offset is a candidate, read in
+/// one pass over the raw pages. No index, no pruning — the recall baseline
+/// (paper experiment set 1), the degradation fallback, and, under a long
+/// plan (verified at full query length), the brute-force long-query
+/// oracle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeqScanSource;
 
@@ -526,11 +519,10 @@ impl CandidateSource for SeqScanSource {
         _meter: &mut DeadlineMeter,
     ) -> Result<Candidates, EngineError> {
         let n = plan.verify_len();
-        let stride = engine.config().stride;
         let all = engine.read_everything()?;
         let mut ids = Vec::new();
         for (si, values) in all.iter().enumerate() {
-            for off in window_offsets(values.len(), n, stride) {
+            for off in window_offsets(values.len(), n) {
                 ids.push(SubseqId::try_new(si, off)?);
             }
         }
@@ -552,8 +544,7 @@ impl CandidateSource for SeqScanSource {
 ///
 /// The plan's page budget caps the index pages of all pieces together:
 /// each piece's probe gets what the earlier pieces left. The decomposition
-/// needs every piece offset indexed, which [`QueryPlan::long`] guarantees
-/// by refusing engines whose stride is not 1.
+/// relies on every window offset being indexed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PieceStitchSource;
 
@@ -1039,7 +1030,10 @@ mod tests {
         m.charge_pages_to(1).unwrap();
         assert_eq!(m.pages(), 2);
         // Zero budgets reject the first unit of work…
-        let mut m = DeadlineMeter::new(Some(Deadline::uniform(0)));
+        let mut m = DeadlineMeter::new(Some(Deadline {
+            max_pages: 0,
+            max_steps: 0,
+        }));
         assert!(m.charge_step().is_err());
         // …and an unbounded meter only counts.
         let mut m = DeadlineMeter::new(None);
@@ -1120,7 +1114,7 @@ mod tests {
                 let len = engine.series_len(0)?;
                 let n = engine.config().window_len;
                 Ok(Candidates {
-                    ids: window_offsets(len, n, engine.config().stride)
+                    ids: window_offsets(len, n)
                         .map(|off| SubseqId::try_new(0, off))
                         .collect::<Result<_, _>>()?,
                     index: LineQueryStats::default(),

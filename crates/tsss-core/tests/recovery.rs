@@ -50,7 +50,10 @@ fn assert_deadline_err(what: &str, r: Result<tsss_core::SearchResult, EngineErro
 fn zero_deadline_is_a_typed_error_on_every_entry_point() {
     let (e, data) = engine();
     let q = data[0].window(10, WINDOW).unwrap().to_vec();
-    let zero = Deadline::uniform(0);
+    let zero = Deadline {
+        max_pages: 0,
+        max_steps: 0,
+    };
 
     assert_deadline_err("indexed", e.search(&q, 5.0, with_deadline(zero)));
     assert_deadline_err("seqscan", e.sequential_search(&q, 5.0, with_deadline(zero)));
@@ -70,7 +73,10 @@ fn generous_deadline_answers_are_bit_identical_to_unlimited() {
     let (e, data) = engine();
     let q = data[2].window(20, WINDOW).unwrap().to_vec();
     let long_q = data[3].window(5, 2 * WINDOW).unwrap().to_vec();
-    let generous = with_deadline(Deadline::uniform(1_000_000_000));
+    let generous = with_deadline(Deadline {
+        max_pages: 1_000_000_000,
+        max_steps: 1_000_000_000,
+    });
     let long = Query::Long { epsilon: 8.0 };
     let znorm = Query::ZNormalized { z_eps: 0.5 };
 
@@ -154,7 +160,10 @@ fn exhausted_query_in_a_batch_does_not_poison_the_others() {
         "workload must split around the budget (spends: {spends:?})"
     );
 
-    let opts = with_deadline(Deadline::uniform(budget));
+    let opts = with_deadline(Deadline {
+        max_pages: budget,
+        max_steps: budget,
+    });
     for workers in [1, 4] {
         let results = e.execute_batch(&queries, Query::Range { epsilon: eps }, opts, workers);
         assert_eq!(results.len(), queries.len());

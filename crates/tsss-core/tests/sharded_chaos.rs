@@ -284,7 +284,10 @@ fn deadline_slices_degrade_per_shard() {
     let sharded = ShardedEngine::build(&data, engine_cfg(), SHARDS).unwrap();
     let q = data[0].window(3, WINDOW).unwrap().to_vec();
     let opts = SearchOptions {
-        deadline: Some(tsss_core::Deadline::uniform(0)),
+        deadline: Some(tsss_core::Deadline {
+            max_pages: 0,
+            max_steps: 0,
+        }),
         ..SearchOptions::default()
     };
     let err = sharded.search(&q, 0.8, opts).unwrap_err();

@@ -51,7 +51,7 @@ impl FeatureExtractor {
     pub fn new(window_len: usize, fc: usize) -> Self {
         assert!(fc >= 1, "need at least one Fourier coefficient");
         assert!(
-            2 * fc < window_len,
+            fc < window_len.div_ceil(2), // 2·fc < n, without overflowing 2·fc
             "fc = {fc} too large for window length {window_len}: need 2·fc + 1 ≤ n"
         );
         Self { window_len, fc }
@@ -125,6 +125,13 @@ mod tests {
     #[should_panic(expected = "too large")]
     fn oversized_fc_is_rejected() {
         let _ = FeatureExtractor::new(8, 4); // need 2·4+1 = 9 > 8
+    }
+
+    #[test]
+    #[should_panic(expected = "too large")]
+    fn an_fc_whose_double_overflows_is_rejected() {
+        // 2^63 + 1 on a 64-bit target, whose double wraps to 2.
+        let _ = FeatureExtractor::new(8, usize::MAX / 2 + 2);
     }
 
     #[test]

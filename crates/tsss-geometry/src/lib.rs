@@ -39,7 +39,7 @@ pub use line::{lld, pld, Line};
 pub use mbr::Mbr;
 pub use penetration::{line_mbr_interval, line_penetrates_mbr, PenetrationMethod};
 pub use scale_shift::{min_scale_shift_distance, optimal_scale_shift, ScaleShift};
-pub use se::{se_norm, se_transform, se_transform_in_place};
+pub use se::{se_norm, se_transform};
 pub use sphere::BoxSpheres;
 
 /// Error type for dimension mismatches between geometric operands.

@@ -40,22 +40,6 @@ impl ScaleShift {
         x.iter().map(|v| self.a * v + self.b).collect()
     }
 
-    /// The inverse transformation, if `a ≠ 0`: `F⁻¹(y) = (y − b·N)/a`.
-    ///
-    /// Returns `None` for the non-invertible `a = 0` case (which maps every
-    /// sequence to the constant `b·N`).
-    pub fn inverse(&self) -> Option<Self> {
-        // analyze::allow(float-eq): exact-zero test — `a` is non-invertible only when literally 0.0; any tiny non-zero scale still divides to a finite inverse.
-        if self.a == 0.0 {
-            None
-        } else {
-            Some(Self {
-                a: 1.0 / self.a,
-                b: -self.b / self.a,
-            })
-        }
-    }
-
     /// Composition: `(self ∘ other)(x) = self.apply(other.apply(x))`.
     ///
     /// Scale-shift transformations form a monoid under composition (a group
@@ -440,22 +424,6 @@ mod tests {
         let shift = ScaleShift { a: 1.0, b: 20.0 };
         let f = shift.compose(&scale);
         assert_eq!(f.apply(&B), C.to_vec());
-    }
-
-    #[test]
-    fn inverse_roundtrips() {
-        let f = ScaleShift { a: 2.5, b: -7.0 };
-        let inv = f.inverse().unwrap();
-        let x = A.to_vec();
-        let back = inv.apply(&f.apply(&x));
-        for (orig, b) in x.iter().zip(&back) {
-            assert!((orig - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn inverse_of_zero_scale_is_none() {
-        assert!(ScaleShift { a: 0.0, b: 1.0 }.inverse().is_none());
     }
 
     #[test]

@@ -38,14 +38,6 @@ pub fn se_transform(p: &[f64]) -> Vec<f64> {
     p.iter().map(|x| x - m).collect()
 }
 
-/// Applies the SE-transformation in place.
-pub fn se_transform_in_place(p: &mut [f64]) {
-    let m = mean(p);
-    for x in p {
-        *x -= m;
-    }
-}
-
 /// Writes the SE-transformation of `p` into `out` (no allocation).
 ///
 /// # Panics
@@ -159,9 +151,6 @@ mod tests {
         let mut buf = [0.0; 4];
         se_transform_into(&p, &mut buf);
         assert!(approx_eq(&buf, &by_alloc, 0.0));
-        let mut q = p;
-        se_transform_in_place(&mut q);
-        assert!(approx_eq(&q, &by_alloc, 0.0));
     }
 
     #[test]

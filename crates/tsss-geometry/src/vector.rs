@@ -100,10 +100,10 @@ pub fn sum_and_dot(u: &[f64], v: &[f64]) -> (f64, f64) {
 /// Fused single-pass `(Σ vᵢ, Σ uᵢ·vᵢ, Σ vᵢ²)`.
 ///
 /// Like [`sum_and_dot`] with a third independent accumulator for `‖v‖²`;
-/// each is bit-identical to its standalone kernel. This is the screening
-/// kernel of the verify stage: one read of `v` yields every moment the
-/// closed-form scale-shift fit needs, so a candidate that the algebraic
-/// distance bound certifies as a false alarm costs exactly one pass.
+/// each is bit-identical to its standalone kernel. One read of `v` yields
+/// every moment the closed-form scale-shift fit needs. The verify stage's
+/// screen runs [`sum_dot_normsq_lanes`]; this sequential kernel is the
+/// reference that one is tested against.
 #[inline]
 pub fn sum_dot_normsq(u: &[f64], v: &[f64]) -> (f64, f64, f64) {
     debug_assert_eq!(u.len(), v.len());

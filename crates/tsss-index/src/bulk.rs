@@ -2,16 +2,16 @@
 //!
 //! The paper's pre-processing step inserts every extracted window into the
 //! R*-tree one at a time. That remains available ([`crate::RTree::insert`]),
-//! but for the benchmark harness — which rebuilds a ~650 000-point index for
-//! every parameter setting — we also provide the classic STR packed loader
-//! (Leutenegger et al.): order the points by recursive coordinate tiling,
-//! pack them into full leaves, and build each directory level the same way.
-//! The result satisfies every R-tree invariant and answers queries
-//! identically; only the box shapes (and hence constant factors) differ.
+//! but the engine builds and repairs its index — and the benchmark harness
+//! rebuilds a 523 000-point one for every parameter setting — with the
+//! classic STR packed loader (Leutenegger et al.): order the points by
+//! recursive coordinate tiling, pack them into full leaves, and build each
+//! directory level the same way. The result satisfies every R-tree
+//! invariant and answers queries identically; only the box shapes (and
+//! hence constant factors) differ.
 
-// analyze::allow-file(index): the STR tiling recursions index `entries[start..end]` with `end` clamped to `entries.len()`, and chunk sizes from `chunk_sizes` sum exactly to the input length, so every `split_off`/slice stays in bounds.
+// analyze::allow-file(index): the STR tiling recursion indexes `entries[start..end]` with `end` clamped to `entries.len()` and reads coordinate `axis < dim` of entries whose dimension `bulk_load` checked against `dim`, and chunk sizes from `chunk_sizes` sum exactly to the input length, so every `split_off`/slice stays in bounds.
 
-use tsss_geometry::Mbr;
 use tsss_storage::{BufferPool, PageFile, PageId};
 
 use crate::error::IndexError;
@@ -19,71 +19,15 @@ use crate::node::{ChildEntry, DataEntry, LeafSlab, Node};
 use crate::tree::{RTree, TreeConfig};
 
 /// Bulk loads `entries` into a fresh tree with configuration `cfg`, using
-/// coordinate-space STR tiling.
+/// coordinate-space STR tiling. The entries are tiled in place.
 ///
 /// # Errors
 /// Any storage failure while writing the packed pages.
 ///
 /// # Panics
 /// Panics when any entry's dimension disagrees with `cfg.dim`.
-pub fn bulk_load(cfg: TreeConfig, entries: Vec<DataEntry>) -> Result<RTree, IndexError> {
-    let keys: Vec<Vec<f64>> = entries.iter().map(|e| e.point.to_vec()).collect();
-    bulk_load_keyed(cfg, entries, keys)
-}
-
-/// Bulk loads with **polar** (direction-first) tiling: the STR key of a
-/// point is its unit direction followed by its norm, so leaves become
-/// angular sectors subdivided by radius.
-///
-/// This is an extension beyond the paper, tailored to its query shape:
-/// every query is a *line through the origin* (the SE-line), and a line
-/// through the origin only penetrates boxes whose angular extent covers its
-/// direction — direction-aligned boxes turn the ε = 0 search from "cross
-/// the whole cloud" into "walk one narrow sector", cutting node accesses by
-/// an order of magnitude (see the `ablation_build` bench).
-///
-/// # Errors
-/// Any storage failure while writing the packed pages.
-///
-/// # Panics
-/// Panics when any entry's dimension disagrees with `cfg.dim`.
-pub fn bulk_load_polar(cfg: TreeConfig, entries: Vec<DataEntry>) -> Result<RTree, IndexError> {
-    let keys: Vec<Vec<f64>> = entries
-        .iter()
-        .map(|e| {
-            let norm = e.point.iter().map(|x| x * x).sum::<f64>().sqrt();
-            // Radius FIRST: tiles become norm shells subdivided by
-            // direction. (Direction-first looks natural but backfires: a
-            // wide angular sector spanning all radii has a bounding box
-            // reaching into the origin neighbourhood, which every query
-            // line penetrates.) Log-radius keeps the log-uniformly spread
-            // amplitudes from crowding into one shell.
-            let mut k = Vec::with_capacity(e.point.len() + 1);
-            k.push(if norm > 0.0 {
-                norm.ln()
-            } else {
-                f64::NEG_INFINITY
-            });
-            if norm > 0.0 {
-                k.extend(e.point.iter().map(|x| x / norm));
-            } else {
-                k.extend(std::iter::repeat_n(0.0, e.point.len()));
-            }
-            k
-        })
-        .collect();
-    bulk_load_keyed(cfg, entries, keys)
-}
-
-/// Shared loader: orders `entries` by recursive STR tiling over the given
-/// per-entry `keys` (any dimensionality), then packs levels bottom-up.
-fn bulk_load_keyed(
-    cfg: TreeConfig,
-    entries: Vec<DataEntry>,
-    keys: Vec<Vec<f64>>,
-) -> Result<RTree, IndexError> {
+pub fn bulk_load(cfg: TreeConfig, mut entries: Vec<DataEntry>) -> Result<RTree, IndexError> {
     cfg.validate();
-    assert_eq!(entries.len(), keys.len(), "one key per entry");
     for e in &entries {
         assert_eq!(e.point.len(), cfg.dim, "entry dimension mismatch");
     }
@@ -99,12 +43,15 @@ fn bulk_load_keyed(
         return Ok(RTree::from_parts(cfg, pool, root, 1, 0));
     }
 
-    // Order points by STR tiling over the keys, then pack sequentially.
+    // Order points by STR tiling, then pack sequentially.
     let dim = cfg.dim;
-    let key_dim = keys[0].len();
-    let mut keyed: Vec<(Vec<f64>, DataEntry)> = keys.into_iter().zip(entries).collect();
-    str_order_keyed(&mut keyed, 0, key_dim, cfg.leaf_max_entries);
-    let entries: Vec<DataEntry> = keyed.into_iter().map(|(_, e)| e).collect();
+    str_order(
+        &mut entries,
+        0,
+        dim,
+        cfg.leaf_max_entries,
+        &|e: &DataEntry, axis| e.point[axis],
+    );
     let chunks = chunk_sizes(entries.len(), cfg.leaf_max_entries, cfg.leaf_min_entries);
 
     let write_node = |pool: &mut BufferPool, node: &Node| -> Result<PageId, IndexError> {
@@ -129,10 +76,16 @@ fn bulk_load_keyed(
     }
     debug_assert!(rest.is_empty());
 
-    // Directory levels.
+    // Directory levels, tiled by MBR centres.
     let mut height = 1;
     while level.len() > 1 {
-        str_order_children(&mut level, 0, dim, cfg.max_entries);
+        str_order(
+            &mut level,
+            0,
+            dim,
+            cfg.max_entries,
+            &|c: &ChildEntry, axis| 0.5 * (c.mbr.low()[axis] + c.mbr.high()[axis]),
+        );
         let chunks = chunk_sizes(level.len(), cfg.max_entries, cfg.min_entries);
         let mut next: Vec<ChildEntry> = Vec::with_capacity(chunks.len());
         let mut rest = level;
@@ -177,27 +130,30 @@ fn chunk_sizes(n: usize, max: usize, min: usize) -> Vec<usize> {
     }
 }
 
-/// Recursive STR ordering over per-entry keys: sort by the current key
-/// axis, cut into slabs sized so each eventually holds whole leaves,
-/// recurse with the next axis inside each slab.
-fn str_order_keyed(
-    entries: &mut [(Vec<f64>, DataEntry)],
+/// Recursive STR ordering of `dim`-dimensional items, where
+/// `coord(item, axis)` is an item's coordinate on an axis: sort by the
+/// current axis (stably), cut into slabs sized so each eventually holds
+/// whole nodes of `cap` items, recurse with the next axis inside each
+/// slab.
+fn str_order<T>(
+    entries: &mut [T],
     axis: usize,
-    key_dim: usize,
-    leaf_cap: usize,
+    dim: usize,
+    cap: usize,
+    coord: &impl Fn(&T, usize) -> f64,
 ) {
     let n = entries.len();
-    if n <= leaf_cap || axis >= key_dim {
+    if n <= cap || axis >= dim {
         return;
     }
     entries.sort_by(|a, b| {
-        a.0[axis]
-            .partial_cmp(&b.0[axis])
+        coord(a, axis)
+            .partial_cmp(&coord(b, axis))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     // analyze::allow(cast): page-count estimate feeding a powf heuristic; f64 precision loss only perturbs slab sizing, never indexing.
-    let pages = n.div_ceil(leaf_cap) as f64;
-    let remaining_dims = (key_dim - axis) as f64;
+    let pages = n.div_ceil(cap) as f64;
+    let remaining_dims = (dim - axis) as f64;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     // analyze::allow(cast): the root of a page count ≤ n rounds to a small positive slab count; `.max(1)` below guards the degenerate 0.
     let slabs = pages.powf(1.0 / remaining_dims).ceil() as usize;
@@ -205,39 +161,9 @@ fn str_order_keyed(
     let mut start = 0;
     while start < n {
         let end = (start + slab_size).min(n);
-        str_order_keyed(&mut entries[start..end], axis + 1, key_dim, leaf_cap);
+        str_order(&mut entries[start..end], axis + 1, dim, cap, coord);
         start = end;
     }
-}
-
-/// Same tiling for directory entries, keyed by MBR centres.
-fn str_order_children(entries: &mut [ChildEntry], axis: usize, dim: usize, cap: usize) {
-    let n = entries.len();
-    if n <= cap || axis >= dim {
-        return;
-    }
-    entries.sort_by(|a, b| {
-        center_coord(&a.mbr, axis)
-            .partial_cmp(&center_coord(&b.mbr, axis))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    // analyze::allow(cast): see above — heuristic slab estimate, not an index.
-    let pages = n.div_ceil(cap) as f64;
-    let remaining_dims = (dim - axis) as f64;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    // analyze::allow(cast): see above.
-    let slabs = pages.powf(1.0 / remaining_dims).ceil() as usize;
-    let slab_size = n.div_ceil(slabs.max(1));
-    let mut start = 0;
-    while start < n {
-        let end = (start + slab_size).min(n);
-        str_order_children(&mut entries[start..end], axis + 1, dim, cap);
-        start = end;
-    }
-}
-
-fn center_coord(mbr: &Mbr, axis: usize) -> f64 {
-    0.5 * (mbr.low()[axis] + mbr.high()[axis])
 }
 
 #[cfg(test)]

@@ -280,14 +280,16 @@ impl Node {
         }
     }
 
-    /// Byte size of one internal entry at dimension `dim`.
+    /// Byte size of one internal entry at dimension `dim`, saturating at
+    /// `usize::MAX` (which no page holds) for a hostile `dim`.
     pub fn internal_entry_bytes(dim: usize) -> usize {
-        4 + 16 * dim
+        dim.saturating_mul(16).saturating_add(4)
     }
 
-    /// Byte size of one leaf entry at dimension `dim`.
+    /// Byte size of one leaf entry at dimension `dim`, saturating like
+    /// [`Node::internal_entry_bytes`].
     pub fn leaf_entry_bytes(dim: usize) -> usize {
-        8 + 8 * dim
+        dim.saturating_mul(8).saturating_add(8)
     }
 
     /// Largest `M` such that a node with `M` entries of either kind fits a

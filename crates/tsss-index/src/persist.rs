@@ -11,15 +11,12 @@
 //! that once held a buffer-pool frame count: it is written as 0 and ignored
 //! on load, so files that recorded a count still open. Any single flipped bit anywhere in the stream is
 //! rejected at load time with `InvalidData`; loaded configurations are
-//! re-validated before the tree is reassembled. [`RTree::save_to_path`]
-//! writes atomically (temp file + rename) so a crash mid-write leaves the
-//! previous file readable.
+//! re-validated before the tree is reassembled.
 
 use std::io::{self, Read, Write};
-use std::path::Path;
 
 use tsss_storage::codec::*;
-use tsss_storage::{atomic_write, BufferPool, PageFile, PageId};
+use tsss_storage::{BufferPool, PageFile, PageId};
 
 use crate::tree::{RTree, SplitPolicy, TreeConfig};
 
@@ -143,25 +140,6 @@ impl RTree {
             height,
             len,
         ))
-    }
-
-    /// Atomically writes the tree to `path`: the bytes go to a temporary
-    /// sibling file which is fsynced and renamed over the target, so a crash
-    /// mid-write leaves any previous file intact.
-    ///
-    /// # Errors
-    /// Propagates I/O errors.
-    pub fn save_to_path(&self, path: &Path) -> io::Result<()> {
-        atomic_write(path, |w| self.save_to(w))
-    }
-
-    /// Loads a tree from a file written by [`RTree::save_to_path`].
-    ///
-    /// # Errors
-    /// As [`RTree::load_from`].
-    pub fn load_from_path(path: &Path) -> io::Result<Self> {
-        let mut r = io::BufReader::new(std::fs::File::open(path)?);
-        Self::load_from(&mut r)
     }
 }
 
@@ -369,31 +347,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn atomic_path_roundtrip_and_crash_safety() {
-        let dir = std::env::temp_dir().join(format!("tsss_ix_persist_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tree.idx");
-
-        let t = build_tree(80);
-        t.save_to_path(&path).unwrap();
-        let u = RTree::load_from_path(&path).unwrap();
-        assert_eq!(u.len(), 80);
-        u.check_invariants().unwrap();
-
-        // A failed save must leave the previous file loadable.
-        let big = build_tree(200);
-        let res = atomic_write(&path, |w| {
-            big.save_to(w)?;
-            Err(io::Error::other("simulated crash mid-write"))
-        });
-        assert!(res.is_err());
-        let still = RTree::load_from_path(&path).unwrap();
-        assert_eq!(still.len(), 80, "old file must survive a failed save");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// `t`'s image with `reserved` in the configuration's reserved slot,
     /// built field by field as a file recording a frame count holds it.
     fn image_with_reserved(t: &RTree, reserved: usize) -> Vec<u8> {
@@ -436,5 +389,106 @@ mod tests {
         let mut resaved = Vec::new();
         u.save_to(&mut resaved).unwrap();
         assert_eq!(resaved, saved);
+    }
+
+    /// Seeded hostile configuration blocks, as a crafted file whose block
+    /// checksum is valid carries them. Each `usize` field keeps
+    /// `TreeConfig::paper(6)`'s value or, half the time, is drawn from
+    /// boundary values; the split tag is drawn from 0..=3. Each block must
+    /// fail with a typed error, or read as a configuration that validates
+    /// and reads back equal after a write. Nothing may panic.
+    ///
+    /// The default run sweeps four seeds; `TSSS_CODEC_SEED=<u64>` runs any
+    /// one (the CI `codec` job drives it over its matrix).
+    #[test]
+    fn hostile_config_blocks_fail_typed_or_round_trip() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use tsss_rand::Rng;
+
+        const BOUNDARY: [u64; 17] = [
+            0,
+            1,
+            2,
+            3,
+            4,
+            8,
+            20,
+            127,
+            128,
+            4096,
+            1 << 30,
+            1 << 31,
+            1 << 32,
+            1 << 60,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        fn field(rng: &mut Rng, paper: usize) -> usize {
+            if rng.bool() {
+                return paper;
+            }
+            usize::try_from(BOUNDARY[rng.usize_below(BOUNDARY.len())]).unwrap_or(usize::MAX)
+        }
+
+        let seeds: Vec<u64> = match std::env::var("TSSS_CODEC_SEED") {
+            Ok(s) => vec![s
+                .parse()
+                .expect("TSSS_CODEC_SEED must be an unsigned integer")],
+            Err(_) => (1..=4).map(|i| 0xC0F1_6100 + i).collect(),
+        };
+        let paper = TreeConfig::paper(6);
+        let (mut loaded, mut refused) = (0, 0);
+        for seed in seeds {
+            let mut rng = Rng::seed_from_u64(seed);
+            for case in 0..5000 {
+                let mut block = Vec::new();
+                for v in [
+                    paper.dim,
+                    paper.page_size,
+                    paper.max_entries,
+                    paper.min_entries,
+                    paper.reinsert_count,
+                    paper.leaf_max_entries,
+                    paper.leaf_min_entries,
+                    paper.leaf_reinsert_count,
+                ] {
+                    put_usize(&mut block, field(&mut rng, v)).unwrap();
+                }
+                put_u8(&mut block, rng.usize_below(4) as u8).unwrap(); // split
+                put_usize(&mut block, field(&mut rng, 0)).unwrap(); // reserved
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let cfg = read_config(&mut block.as_slice())?;
+                    cfg.try_validate().map_err(invalid)?;
+                    let mut out = Vec::new();
+                    write_config(&mut out, &cfg)?;
+                    let back = read_config(&mut out.as_slice())?;
+                    Ok::<_, io::Error>((cfg, back))
+                }));
+                let what = format!("seed {seed} case {case}: block {block:02x?}");
+                match outcome {
+                    Err(_) => panic!("{what}: reading or validating panicked"),
+                    Ok(Err(e)) => {
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}");
+                        refused += 1;
+                    }
+                    Ok(Ok((cfg, back))) => {
+                        assert_eq!(back, cfg, "{what}");
+                        // m <= M/2 holds exactly, not modulo 2^64.
+                        for (min, max) in [
+                            (cfg.min_entries, cfg.max_entries),
+                            (cfg.leaf_min_entries, cfg.leaf_max_entries),
+                        ] {
+                            assert!(min.checked_mul(2).is_some_and(|d| d <= max), "{what}");
+                        }
+                        loaded += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            loaded > 0 && refused > 0,
+            "{loaded} loaded, {refused} refused"
+        );
     }
 }

@@ -166,7 +166,9 @@ impl TreeConfig {
             if max < 4 {
                 return Err(format!("{label} M must be at least 4"));
             }
-            if min < 2 || 2 * min > max {
+            // `min > max / 2` is `2·min > max` without the product, which
+            // a hostile persisted `min` would overflow.
+            if min < 2 || min > max / 2 {
                 return Err(format!(
                     "need 2 <= m <= M/2 for {label} nodes (got m = {min}, M = {max})"
                 ));
@@ -1028,6 +1030,26 @@ mod tests {
         let mut c = TreeConfig::paper(6);
         c.page_size = 512; // fanout (512-3)/100 = 5
         c.validate();
+    }
+
+    #[test]
+    fn values_whose_products_overflow_are_refused() {
+        // 2^63 on a 64-bit target: 2·m wraps to 0.
+        let mut c = TreeConfig::paper(6);
+        c.min_entries = usize::MAX / 2 + 1;
+        assert!(c.try_validate().unwrap_err().contains("m <= M/2"));
+        let mut c = TreeConfig::paper(6);
+        c.leaf_min_entries = usize::MAX / 2 + 1;
+        assert!(c.try_validate().unwrap_err().contains("m <= M/2"));
+        // 2^60 on a 64-bit target: 16·dim wraps to 0.
+        let mut c = TreeConfig::paper(6);
+        c.dim = usize::MAX / 16 + 1;
+        assert!(c
+            .try_validate()
+            .unwrap_err()
+            .contains("exceeds page fanout 0"));
+        assert_eq!(Node::internal_entry_bytes(c.dim), usize::MAX);
+        assert_eq!(Node::leaf_entry_bytes(usize::MAX), usize::MAX);
     }
 
     #[test]

@@ -74,9 +74,7 @@ pub fn status_of(e: &EngineError) -> u16 {
         EngineError::QueryLength { .. }
         | EngineError::QueryTooShort { .. }
         | EngineError::NonFiniteQuery { .. }
-        | EngineError::InvalidEpsilon(_)
-        | EngineError::LongQueryStride { .. }
-        | EngineError::DatasetTooSmall { .. } => 400,
+        | EngineError::InvalidEpsilon(_) => 400,
         EngineError::UnknownSeries(_) => 404,
         EngineError::TooLarge { .. } => 413,
         // A failed shard is explicit service degradation like a spent

@@ -1494,19 +1494,6 @@ mod tests {
     }
 
     #[test]
-    fn long_route_on_a_coarser_stride_is_400() {
-        let data = MarketSimulator::new(MarketConfig::small(4, 80, 42)).generate();
-        let mut cfg = EngineConfig::small(WINDOW);
-        cfg.stride = 2;
-        let st = serve(SearchEngine::build(&data, cfg).unwrap(), 1);
-        let long_json = encode_vals(&window_of(&data, 1, 0, WINDOW + WINDOW / 2));
-        let body = format!("{{\"query\":{long_json},\"epsilon\":0.5}}");
-        let (status, payload) = handle(&st, "POST", "/long", body.as_bytes());
-        assert_eq!(status, 400, "{payload}");
-        assert!(payload.contains("stride 1"), "{payload}");
-    }
-
-    #[test]
     fn query_of_wrong_length_is_400() {
         let (st, _) = state();
         let (status, _) = handle(

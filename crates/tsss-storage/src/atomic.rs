@@ -1,10 +1,10 @@
 //! Crash-safe file replacement: write a temp file, then rename into place.
 //!
-//! Both persistence paths (`SearchEngine::save_to_path` and
-//! `RTree::save_to_path`) go through [`atomic_write`], so a crash, an
-//! `ENOSPC`, or any mid-write failure leaves the previous file untouched —
-//! a reader only ever sees the complete old contents or the complete new
-//! contents, never a torn prefix.
+//! The engine's file save (`SearchEngine::save_to_path`, which
+//! `DurableEngine::save` calls) goes through [`atomic_write`], so a crash,
+//! an `ENOSPC`, or any mid-write failure leaves the previous file
+//! untouched — a reader only ever sees the complete old contents or the
+//! complete new contents, never a torn prefix.
 
 use std::fs;
 use std::io::{self, Write};

@@ -55,11 +55,20 @@ fn main() {
     );
 
     let pattern = crash_pattern();
-    let eps = 0.4 * tsss::geometry::se::se_norm(&pattern);
-    // The paper's distance is measured in the *target's* amplitude, so a
-    // near-flat window is within ε of any query via a ≈ 0. The paper's
-    // remedy is the transformation-cost limit (§3): demand a genuinely
-    // positive severity, i.e. a real sell-off, not a flat line.
+    // The paper's distance is measured in the *target's* amplitude, so ε
+    // is scaled to a typical window of the market being watched — the
+    // history's median window SE-norm, as the benches scale it — not to
+    // the unit-amplitude pattern.
+    let mut norms: Vec<f64> = history
+        .iter()
+        .flat_map(|s| s.values.windows(WINDOW).map(tsss::geometry::se::se_norm))
+        .collect();
+    norms.sort_by(f64::total_cmp);
+    let eps = 0.3 * norms[norms.len() / 2];
+    // For the same reason a near-flat window is within ε of any query via
+    // a ≈ 0. The paper's remedy is the transformation-cost limit (§3):
+    // demand a genuinely positive severity, i.e. a real sell-off, not a
+    // flat line.
     let opts = SearchOptions {
         cost: tsss::core::CostLimit {
             a_range: Some((0.5, f64::INFINITY)),
@@ -109,4 +118,5 @@ fn main() {
         LIVE_DAYS,
         engine.num_windows()
     );
+    assert!(total_alerts > 0, "the monitor never reached its alert path");
 }

@@ -88,10 +88,11 @@ fn workload_queries_recover_their_disguised_sources() {
                 m.id.series as usize == q.source_series && m.id.offset as usize == q.source_offset
             })
             .unwrap_or_else(|| panic!("source {}@{} lost", q.source_series, q.source_offset));
-        // The recovered transform must invert the disguise.
-        let inv = q.applied.inverse().expect("disguises are invertible");
-        assert!((hit.transform.a - inv.a).abs() < 1e-6 * (1.0 + inv.a.abs()));
-        assert!((hit.transform.b - inv.b).abs() < 1e-4 * (1.0 + inv.b.abs()));
+        // The recovered transform must invert the disguise y = a·x + b:
+        // x = y/a − b/a.
+        let (a, b) = (1.0 / q.applied.a, -q.applied.b / q.applied.a);
+        assert!((hit.transform.a - a).abs() < 1e-6 * (1.0 + a.abs()));
+        assert!((hit.transform.b - b).abs() < 1e-4 * (1.0 + b.abs()));
     }
 }
 
